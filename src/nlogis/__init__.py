@@ -43,6 +43,7 @@ from .operators import (
     NonlocalMatrix,
     TransmissionSpec,
     apply_operator,
+    assemble,
     assemble_classical,
     assemble_dirichlet,
     assemble_periodic,

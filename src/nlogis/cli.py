@@ -56,7 +56,7 @@ from . import (
     solve_periodic,
     transmission_spec,
 )
-from .logistic import _assemble_variant_local
+from .operators import assemble
 from .spectral import union_eigen_study
 
 __all__ = ["ExperimentConfig", "ResultRow", "parse_config", "run",
@@ -440,10 +440,19 @@ def parse_config(text: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 def _pmap(fn, items, jobs):
-    if jobs <= 1:
+    # the pool starts every worker up front, so never more than can run
+    workers = min(jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+def _kernel(p, h):
+    k = p["kernel"]
+    if k is None:
+        return None
+    return build_kernel(k["shape"], k.get("rho"), h, samples=k.get("samples"))
 
 
 def _eigen_point(args):
@@ -468,12 +477,9 @@ def _run_eigen(p, jobs):
 
 def _run_solve(p, jobs):
     grid = build_grid(p["intervals"], p["h"])
-    kern = None
-    if p["kernel"] is not None:
-        kern = build_kernel(p["kernel"]["shape"], p["kernel"].get("rho"),
-                            p["h"], samples=p["kernel"].get("samples"))
+    kern = _kernel(p, p["h"])
     if p["sigma"]["kind"] == "eigenvalue-multiple":
-        lam = first_eigenpair(_assemble_variant_local(grid, p["s"])).lambda_
+        lam = first_eigenpair(assemble(grid, p["s"])).lambda_
         sigma = _coefficient_fn(p["sigma"], lam=lam)
     else:
         sigma = _coefficient_fn(p["sigma"])
@@ -626,13 +632,10 @@ def _run_abundance(p, jobs):
 
 def _run_beat(p, jobs):
     grid = build_grid([p["interval"]], p["h"])
-    level, c, w = p["level"], p["dip_center"], p["dip_width"]
-
-    def dipped(x):
-        if abs(x - c) >= w:
-            return level
-        return level * 0.5 * (1.0 - math.cos(math.pi * (x - c) / w))
-
+    level = p["level"]
+    dipped = _coefficient_fn({"kind": "dip", "level": level,
+                              "center": p["dip_center"],
+                              "width": p["dip_width"]})
     rows = []
     for case, profile, expect_nonempty in (
         ("dipped", dipped, True),
@@ -642,12 +645,14 @@ def _run_beat(p, jobs):
         scan = beat_experiment(sig0, p["s"], p["m_values"],
                                solver_tol=p["solver_tol"])
         found = scan.first_m is not None
-        for m, count, excess in zip(scan.m_values, scan.beat_counts,
-                                    scan.max_excess):
+        for m, count, excess, bound_ok in zip(
+            scan.m_values, scan.beat_counts, scan.max_excess,
+            scan.max_principle_ok,
+        ):
             rows.append(ResultRow("beat", {
                 "experiment": "beat", "case": case, "m": m,
                 "beat_count": int(count), "max_excess": excess,
-                "max_principle_ok": True,
+                "max_principle_ok": bool(bound_ok),
                 "expected_nonempty": expect_nonempty,
             }, passed=bool(found == expect_nonempty)))
     return rows
@@ -655,8 +660,7 @@ def _run_beat(p, jobs):
 
 def _run_periodic(p, jobs):
     pgrid = build_periodic_grid(p["n"], image_cutoff=p["image_cutoff"])
-    kern = build_kernel(p["kernel"]["shape"], p["kernel"].get("rho"),
-                        pgrid.h, samples=p["kernel"].get("samples"))
+    kern = _kernel(p, pgrid.h)
     rows = []
     # constant-coefficient run: the solution must sit at (sigma + tau) / mu
     sigma_const = p["sigma"]["value"]
@@ -721,10 +725,7 @@ def _run_transmission(p, jobs):
 
 
 def _run_strategic(p, jobs):
-    kern = None
-    if p["kernel"] is not None:
-        kern = build_kernel(p["kernel"]["shape"], p["kernel"].get("rho"),
-                            p["h"], samples=p["kernel"].get("samples"))
+    kern = _kernel(p, p["h"])
     sig_fn = _coefficient_fn(p["sigma"])
     mu_fn = _coefficient_fn(p["mu"])
 

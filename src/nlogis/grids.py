@@ -42,7 +42,6 @@ class Grid:
     h: float
     nodes: np.ndarray
     interval_id: np.ndarray
-    dimension: int = 1
 
     @property
     def n(self) -> int:
@@ -51,9 +50,6 @@ class Grid:
     def interval_nodes(self, k: int) -> np.ndarray:
         """Indices of the nodes belonging to interval k."""
         return np.nonzero(self.interval_id == k)[0]
-
-    def contains(self, x: float) -> bool:
-        return any(a < x < b for a, b in self.intervals)
 
     def __eq__(self, other) -> bool:
         return (
@@ -78,7 +74,6 @@ class PeriodicGrid:
 
     n: int
     image_cutoff: int = 16
-    dimension: int = 1
 
     def __post_init__(self):
         if self.n < 4:
@@ -196,7 +191,6 @@ class Kernel:
     h: float
     weights: np.ndarray
     scale: float
-    samples: np.ndarray | None = None
 
     @property
     def k_max(self) -> int:
@@ -276,7 +270,6 @@ def build_kernel(
         h=float(h),
         weights=weights,
         scale=1.0 / mass,
-        samples=np.asarray(samples, dtype=float) if samples is not None else None,
     )
 
 

@@ -35,13 +35,7 @@ from .grids import (
     build_kernel,
     problem_spec,
 )
-from .operators import (
-    NonlocalMatrix,
-    assemble_classical,
-    assemble_dirichlet,
-    assemble_periodic,
-    convolution_matrix,
-)
+from .operators import NonlocalMatrix, assemble, convolution_matrix
 from .spectral import EigenPair, first_eigenpair, union_eigen_study
 
 __all__ = [
@@ -86,7 +80,7 @@ class _EnergyModel:
     """E(u) = 1/2 h u^T A_eff u + h sum(mu |u|^3/3 + lin u^2/2 - src u)."""
 
     def __init__(self, a_eff: np.ndarray, h: float, mu: np.ndarray,
-                 lin: np.ndarray, src: np.ndarray):
+                 lin: np.ndarray, src: np.ndarray | float = 0.0):
         self.a_eff = a_eff
         self.h = h
         self.mu = mu
@@ -242,7 +236,6 @@ def _spec_model(spec: ProblemSpec, op: NonlocalMatrix) -> _EnergyModel:
         h=spec.grid.h,
         mu=spec.mu.values,
         lin=-spec.sigma.values,
-        src=np.zeros(spec.grid.n),
     )
 
 
@@ -251,17 +244,25 @@ def _residual_scale(spec: ProblemSpec) -> float:
     return max(1.0, (spec.sigma.max() + spec.tau) ** 2)
 
 
-def _finalize(spec: ProblemSpec, model: _EnergyModel, u, history, iterations,
-              residual, converged) -> SolveReport:
-    trivial = float(np.max(np.abs(u))) <= spec.triviality_tol
-    if trivial:
-        u = np.zeros_like(u)
-        residual = 0.0
-        e = 0.0
+def _zero_trivial(model: _EnergyModel, u, history, residual, tol: float):
+    """(u, energy, history, residual, classification) of a final iterate.
+
+    An iterate no larger than tol in sup norm is the trivial state: it is
+    set to zero, with zero energy and residual, and a zero is appended to
+    a nonnegative energy history so that it ends at the reported energy.
+    """
+    if float(np.max(np.abs(u))) <= tol:
         if history and history[-1] >= 0.0:
             history = history + [0.0]
-    else:
-        e = model.energy(u)
+        return np.zeros_like(u), 0.0, history, 0.0, "trivial"
+    return u, model.energy(u), history, residual, "nontrivial"
+
+
+def _finalize(spec: ProblemSpec, model: _EnergyModel, u, history, iterations,
+              residual, converged) -> SolveReport:
+    u, e, history, residual, classification = _zero_trivial(
+        model, u, history, residual, spec.triviality_tol
+    )
     positive = u > spec.triviality_tol
     dichotomy_ok = bool(np.all(positive) or not np.any(positive))
     return SolveReport(
@@ -269,7 +270,7 @@ def _finalize(spec: ProblemSpec, model: _EnergyModel, u, history, iterations,
         energy=e,
         el_residual=residual,
         iterations=iterations,
-        classification="trivial" if trivial else "nontrivial",
+        classification=classification,
         history=history,
         converged=converged,
         dichotomy_ok=dichotomy_ok,
@@ -318,35 +319,25 @@ def minimize(
     return report
 
 
-def _assemble_for(spec: ProblemSpec) -> NonlocalMatrix:
-    if isinstance(spec.grid, PeriodicGrid):
-        return assemble_periodic(spec.grid, spec.s)
-    if spec.s == 1.0:
-        return assemble_classical(spec.grid)
-    return assemble_dirichlet(spec.grid, spec.s)
-
-
 def _eigform(model: _EnergyModel, e: np.ndarray, h: float) -> float:
     """h e^T A_eff e: the quadratic part of the energy at the eigenvector."""
     return float(h * (e @ (model.a_eff @ e)))
 
 
-def _eigen_start(spec: ProblemSpec, model: _EnergyModel,
-                 pair: EigenPair) -> np.ndarray:
+def _eigen_start(model: _EnergyModel, pair: EigenPair, form: float,
+                 floor: float) -> np.ndarray:
     """Amplitude from the small-amplitude expansion of the energy.
 
-    E(eps e) = eps^2/2 [form - int sigma e^2 - tau int e (J*e)]
-             + eps^3/3 int mu e^3; descend to its minimizer when the
-    quadratic coefficient is negative, otherwise start microscopically.
+    E(eps e) = eps^2/2 [form - int sigma e^2] + eps^3/3 int mu e^3, where
+    form is the quadratic part at e (tau's convolution included) and sigma
+    is read back from the model as -lin; descend to its minimizer when the
+    quadratic coefficient is negative, otherwise start at amplitude floor.
     """
     e = pair.vector.values
-    h = spec.grid.h
-    c1 = 0.5 * (h * np.sum(spec.sigma.values * e**2) - _eigform(model, e, h))
-    c2 = h * np.sum(spec.mu.values * np.abs(e) ** 3) / 3.0
-    if c1 > 0.0 and c2 > 0.0:
-        eps = 2.0 * c1 / (3.0 * c2)
-    else:
-        eps = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
+    h = model.h
+    c1 = 0.5 * (h * np.sum(-model.lin * e**2) - form)
+    c2 = h * np.sum(model.mu * np.abs(e) ** 3) / 3.0
+    eps = 2.0 * c1 / (3.0 * c2) if (c1 > 0.0 and c2 > 0.0) else floor
     return eps * e
 
 
@@ -359,12 +350,14 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
-    op = _assemble_for(spec)
+    op = assemble(spec.grid, spec.s)
     model = _spec_model(spec, op)
     tiny = 0.1 * spec.triviality_tol
     pair = first_eigenpair(op, tol=min(1e-10, spec.solver_tol * 100))
+    form = _eigform(model, pair.vector.values, spec.grid.h)
+    floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
     starts = [
-        (_eigen_start(spec, model, pair), max_iter),
+        (_eigen_start(model, pair, form, floor), max_iter),
         (np.full(spec.grid.n, tiny), min(max_iter, 300)),
     ]
     u, history, iters, residual = _multistart(
@@ -382,7 +375,7 @@ def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
-    op = _assemble_for(spec)
+    op = assemble(spec.grid, spec.s)
     model = _spec_model(spec, op)
     h = spec.grid.h
     tiny = 0.1 * spec.triviality_tol
@@ -466,7 +459,7 @@ def critical_radius(
     lattice, so the answer is resolved to one spacing.
     """
     base = build_grid([interval], h)
-    lam = first_eigenpair(_assemble_variant_local(base, s)).lambda_
+    lam = first_eigenpair(assemble(base, s)).lambda_
     predicted = lam ** (1.0 / (2.0 * s))
     length = interval[1] - interval[0]
     n_solves = 0
@@ -498,10 +491,6 @@ def critical_radius(
         lambda_base=lam,
         n_solves=n_solves,
     )
-
-
-def _assemble_variant_local(grid: Grid, s: float) -> NonlocalMatrix:
-    return assemble_classical(grid) if s == 1.0 else assemble_dirichlet(grid, s)
 
 
 @dataclass(frozen=True)
@@ -547,8 +536,8 @@ def ext_crossing(
     for i, r in enumerate(rs):
         grid = build_grid([(r * interval[0], r * interval[1])], h)
         grids.append(grid)
-        lam_s[i] = first_eigenpair(_assemble_variant_local(grid, s)).lambda_
-        lam_big[i] = first_eigenpair(_assemble_variant_local(grid, big_s)).lambda_
+        lam_s[i] = first_eigenpair(assemble(grid, s)).lambda_
+        lam_big[i] = first_eigenpair(assemble(grid, big_s)).lambda_
     diff = lam_big - lam_s
     signs = np.sign(diff)
     changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
@@ -671,6 +660,7 @@ class BeatScan:
     beat_counts: np.ndarray
     max_excess: np.ndarray
     first_m: float | None
+    max_principle_ok: np.ndarray  # per m: max u <= max sigma
 
 
 def beat_experiment(
@@ -683,7 +673,8 @@ def beat_experiment(
 
     For each m solves the problem with sigma_0 + m, mu = 1, tau = 0, and
     reports the nodes where u exceeds the local resource; returns the
-    smallest m in the scan with a nonempty overshoot set.
+    smallest m in the scan with a nonempty overshoot set, and per m
+    whether the solution obeys the a priori bound max u <= max sigma.
     """
     grid = sigma_0.grid
     if not isinstance(grid, Grid):
@@ -691,10 +682,12 @@ def beat_experiment(
     ms = np.asarray(sorted(m_values), dtype=float)
     counts = np.zeros(ms.size, dtype=int)
     excess = np.zeros(ms.size)
+    bound_ok = np.zeros(ms.size, dtype=bool)
     any_nontrivial = False
     for i, m in enumerate(ms):
         spec = problem_spec(grid, s, sigma_0.values + m, 1.0, solver_tol=solver_tol)
         rep = solve_dirichlet(spec)
+        bound_ok[i] = check_fitting_bounds(rep, spec)["ok_easy"]
         if rep.classification == "nontrivial":
             any_nontrivial = True
             over = rep.u.values - (sigma_0.values + m)
@@ -706,5 +699,6 @@ def beat_experiment(
     nonempty = np.nonzero(counts > 0)[0]
     first_m = float(ms[nonempty[0]]) if nonempty.size else None
     return BeatScan(
-        m_values=ms, beat_counts=counts, max_excess=excess, first_m=first_m
+        m_values=ms, beat_counts=counts, max_excess=excess, first_m=first_m,
+        max_principle_ok=bound_ok,
     )

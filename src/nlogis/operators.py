@@ -37,6 +37,7 @@ __all__ = [
     "CLASSICAL_LIMIT_CONSTANT",
     "NonlocalMatrix",
     "TransmissionSpec",
+    "assemble",
     "assemble_dirichlet",
     "assemble_classical",
     "assemble_periodic",
@@ -125,9 +126,6 @@ class NonlocalMatrix:
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.a @ values
 
 
 def _pair_weights(grid: Grid, s: float) -> np.ndarray:
@@ -246,6 +244,16 @@ def assemble_periodic(pgrid: PeriodicGrid, s: float) -> NonlocalMatrix:
     np.fill_diagonal(a, omega[1:].sum())
     a *= 2.0 * s * (1.0 - s)
     return NonlocalMatrix(grid=pgrid, a=a, s=s, variant="periodic")
+
+
+def assemble(grid: Grid | PeriodicGrid, s: float) -> NonlocalMatrix:
+    """The operator of a habitat: periodic on a PeriodicGrid, the classical
+    second difference at s = 1, the fractional Dirichlet one otherwise."""
+    if isinstance(grid, PeriodicGrid):
+        return assemble_periodic(grid, s)
+    if s == 1.0:
+        return assemble_classical(grid)
+    return assemble_dirichlet(grid, s)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import ConvergenceError
-from .grids import Field, Grid, build_grid, l2_norm
-from .operators import (
-    NonlocalMatrix,
-    assemble_classical,
-    assemble_dirichlet,
-    quadratic_form,
-)
+from .grids import Field, build_grid, l2_norm
+from .operators import NonlocalMatrix, assemble, quadratic_form
 
 __all__ = [
     "EigenPair",
@@ -110,12 +105,6 @@ def rayleigh(op: NonlocalMatrix, u: Field) -> float:
     return quadratic_form(op, u) / nrm**2
 
 
-def _assemble_variant(grid: Grid, s: float) -> NonlocalMatrix:
-    if s == 1.0:
-        return assemble_classical(grid)
-    return assemble_dirichlet(grid, s)
-
-
 @dataclass(frozen=True)
 class ScalingStudy:
     lambda_base: float
@@ -140,8 +129,8 @@ def eigen_scaling(
         raise ValueError("scaling factor r must be positive")
     base = build_grid(intervals, h)
     scaled = build_grid([(r * a, r * b) for a, b in intervals], h)
-    lam0 = first_eigenpair(_assemble_variant(base, s), tol=tol).lambda_
-    lam1 = first_eigenpair(_assemble_variant(scaled, s), tol=tol).lambda_
+    lam0 = first_eigenpair(assemble(base, s), tol=tol).lambda_
+    lam1 = first_eigenpair(assemble(scaled, s), tol=tol).lambda_
     return ScalingStudy(
         lambda_base=lam0,
         lambda_scaled=lam1,
@@ -176,8 +165,8 @@ def union_eigen_study(
         raise ValueError("intervals must be congruent")
     single = build_grid([interval_1], h)
     union = build_grid([interval_1, interval_2], h)
-    lam_single = first_eigenpair(_assemble_variant(single, s), tol=tol).lambda_
-    lam_union = first_eigenpair(_assemble_variant(union, s), tol=tol).lambda_
+    lam_single = first_eigenpair(assemble(single, s), tol=tol).lambda_
+    lam_union = first_eigenpair(assemble(union, s), tol=tol).lambda_
     return UnionStudy(
         lambda_union=lam_union,
         lambda_single=lam_single,

@@ -13,7 +13,7 @@ and is raised tenfold when the normal equations lose definiteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -134,45 +134,30 @@ def approximate_s_harmonic(
             best = candidate
         if candidate.achieved:
             return candidate
-    return HarmonicApproximation(
-        w=best.w,
-        approx_error=best.approx_error,
-        harmonic_residual=best.harmonic_residual,
-        r_used=best.r_used,
-        achieved=best.achieved,
-        alpha=best.alpha,
-        history=tuple(history),
-    )
+    return replace(best, history=tuple(history))
 
 
 def minimize_with_source(
     f_src: np.ndarray,
     sigma_eps: np.ndarray,
     mu: np.ndarray,
-    tau: float,
-    kernel: Kernel | None,
-    s: float,
     a_inner: np.ndarray,
     h: float,
-    inner_nodes: np.ndarray,
     solver_tol: float = 1e-10,
     max_iter: int = 600,
 ) -> tuple[np.ndarray, float, float]:
     """Minimize the forced energy over fields supported on the inner nodes.
 
-    E(v) = 1/2 h v^T A v + h sum(mu |v|^3/3 + sigma_eps v^2/2 - f_src v
-           - tau v (J*v)/2); the Euler-Lagrange system is
-    A v + mu |v| v + sigma_eps v - f_src - tau (J*v) = 0.
+    a_inner is the inner block of A - tau B, with B the convolution matrix
+    (tau = 0 leaves A alone).  E(v) = 1/2 h v^T a_inner v
+    + h sum(mu |v|^3/3 + sigma_eps v^2/2 - f_src v); the Euler-Lagrange
+    system is A v + mu |v| v + sigma_eps v - f_src - tau (J*v) = 0.
     Returns (v, energy, residual); v is nonnegative because the source is.
     """
     if np.min(f_src) < -solver_tol:
         raise ValueError("the forcing must be nonnegative")
-    a_eff = a_inner
-    if tau > 0.0 and kernel is not None:
-        d = np.abs(inner_nodes[:, None] - inner_nodes[None, :])
-        a_eff = a_inner - tau * h * kernel.profile(d)
     model = _EnergyModel(
-        a_eff=a_eff,
+        a_eff=a_inner,
         h=h,
         mu=np.asarray(mu, dtype=float),
         lin=np.asarray(sigma_eps, dtype=float),
@@ -264,16 +249,10 @@ def build_strategic(
     f_eps_vals = np.maximum(f_eps_vals, 0.0)
 
     a_inner = op.a[np.ix_(b1, b1)]
+    if tau > 0.0:
+        a_inner = a_inner - tau * conv[np.ix_(b1, b1)]
     v, _, _ = minimize_with_source(
-        f_eps_vals,
-        sigma_eps_vals,
-        mu_nodes[b1],
-        tau,
-        kernel,
-        s,
-        a_inner,
-        grid.h,
-        x[b1],
+        f_eps_vals, sigma_eps_vals, mu_nodes[b1], a_inner, grid.h,
         solver_tol=solver_tol,
     )
     u_vals = w_cap.copy()

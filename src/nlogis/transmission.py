@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Field
-from .logistic import _EnergyModel, _multistart
-from .operators import NonlocalMatrix, TransmissionSpec, assemble_transmission
+from .logistic import _EnergyModel, _eigen_start, _multistart, _zero_trivial
+from .operators import TransmissionSpec, assemble_transmission
 from .spectral import EigenPair, first_eigenpair
 
 __all__ = [
@@ -47,46 +47,27 @@ def lambda_star(tspec: TransmissionSpec, tol: float = 1e-10) -> EigenPair:
     return first_eigenpair(assemble_transmission(tspec), tol=tol)
 
 
-def _model(tspec: TransmissionSpec, op: NonlocalMatrix) -> _EnergyModel:
-    return _EnergyModel(
-        a_eff=op.a,
-        h=tspec.grid.h,
-        mu=tspec.mu.values,
-        lin=-tspec.sigma.values,
-        src=np.zeros(tspec.grid.n),
-    )
-
-
 def minimize_transmission(
     tspec: TransmissionSpec, max_iter: int = 800
 ) -> TransmissionReport:
     """Minimize form/2 + int(mu |u|^3/3 - sigma u^2/2) over both habitats."""
     op = assemble_transmission(tspec)
-    model = _model(tspec, op)
+    model = _EnergyModel(op.a, tspec.grid.h, tspec.mu.values, -tspec.sigma.values)
     pair = first_eigenpair(op, tol=min(1e-10, tspec.solver_tol * 100))
-    e = pair.vector.values
-    h = tspec.grid.h
-    c1 = 0.5 * (h * np.sum(tspec.sigma.values * e**2) - pair.lambda_)
-    c2 = h * np.sum(tspec.mu.values * np.abs(e) ** 3) / 3.0
     tiny = 0.1 * tspec.triviality_tol
-    eps = 2.0 * c1 / (3.0 * c2) if (c1 > 0.0 and c2 > 0.0) else tiny
-    starts = [(eps * e, max_iter), (np.full(tspec.grid.n, tiny), min(max_iter, 300))]
+    starts = [(_eigen_start(model, pair, pair.lambda_, tiny), max_iter),
+              (np.full(tspec.grid.n, tiny), min(max_iter, 300))]
     u, history, iters, residual = _multistart(model, starts, tspec.solver_tol)
-    trivial = float(np.max(np.abs(u))) <= tspec.triviality_tol
-    if trivial:
-        u = np.zeros_like(u)
-        energy_val, residual = 0.0, 0.0
-        if history and history[-1] >= 0.0:
-            history = history + [0.0]
-    else:
-        energy_val = model.energy(u)
+    u, energy_val, history, residual, classification = _zero_trivial(
+        model, u, history, residual, tspec.triviality_tol
+    )
     return TransmissionReport(
         u=Field(grid=tspec.grid, values=u),
         energy=energy_val,
         lambda_star=pair.lambda_,
         el_residual=residual,
         iterations=iters,
-        classification="trivial" if trivial else "nontrivial",
+        classification=classification,
         positive_on_local=bool(
             np.all(u[tspec.grid.interval_nodes(tspec.local_id)]
                    > tspec.triviality_tol)
@@ -102,9 +83,8 @@ def minimize_transmission(
 def transmission_el_residual(u: Field, tspec: TransmissionSpec) -> float:
     """Sup norm of the coupled nodal equations A u + mu |u| u - sigma u."""
     op = assemble_transmission(tspec)
-    g = op.a @ u.values + tspec.mu.values * np.abs(u.values) * u.values \
-        - tspec.sigma.values * u.values
-    return float(np.max(np.abs(g)))
+    model = _EnergyModel(op.a, tspec.grid.h, tspec.mu.values, -tspec.sigma.values)
+    return float(np.max(np.abs(model.gradient(u.values))))
 
 
 def mp_check(u: Field, tspec: TransmissionSpec) -> str:

@@ -29,10 +29,9 @@ from nlogis import (
     solve_periodic,
     transmission_spec,
 )
-from nlogis.logistic import _assemble_variant_local, _spec_model
-from nlogis.operators import assemble_dirichlet, assemble_periodic, \
+from nlogis.logistic import _EnergyModel, _spec_model
+from nlogis.operators import assemble, assemble_dirichlet, assemble_periodic, \
     assemble_transmission
-from nlogis.transmission import _model as _transmission_model
 
 BOUND_CHECKS: list[tuple[str, bool]] = []
 HISTORIES: list[list[float]] = []
@@ -78,7 +77,7 @@ def test_criterion_03_extinction_survival_matrix():
     grid = build_grid([(0.0, 1.0)], h)
     results = []
     for s in (0.25, 0.5, 0.75):
-        lam = first_eigenpair(_assemble_variant_local(grid, s)).lambda_
+        lam = first_eigenpair(assemble(grid, s)).lambda_
         for side, expected in ((-0.2, "trivial"), (0.2, "nontrivial")):
             spec = problem_spec(grid, s, (1.0 + side) * lam, 1.0)
             rep = solve_dirichlet(spec)
@@ -255,12 +254,11 @@ def test_criterion_12_numerical_hygiene():
     # transmission energy
     ts = transmission_spec((0.0, 1.0), (1.5, 2.5), h, s=0.5, s1=0.4, s2=0.6,
                            nu1=1.0, nu2=1.0, sigma=2.0, mu=1.0)
-    tmodel = _transmission_model(ts, assemble_transmission(ts))
+    tmodel = _EnergyModel(assemble_transmission(ts).a, ts.grid.h, ts.mu.values,
+                          -ts.sigma.values)
     checks.append(fd_check(tmodel, rng.uniform(0.5, 1.5, ts.grid.n), h))
 
     # forced energy of the strategic correction
-    from nlogis.logistic import _EnergyModel
-
     op = assemble_dirichlet(grid, 0.5)
     n = grid.n
     gmodel = _EnergyModel(a_eff=op.a, h=h, mu=np.ones(n), lin=np.ones(n),

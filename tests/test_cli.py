@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import nlogis.cli as cli
 from nlogis.cli import (
     COLUMNS,
     ConfigError,
@@ -210,6 +211,40 @@ def test_jobs_env_fallback(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps(_eigen_config()))
     assert main(["eigen", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, cpus, n_items, expected", [
+    (10**6, 4, 3, 3),     # capped by the number of points
+    (10**6, 4, 100, 4),   # capped by the processors
+    (2, 4, 100, 2),       # the request itself
+    (10**6, None, 100, None),  # cpu_count unknown: one worker, no pool
+    (10**6, 4, 1, None),  # a single point runs in-process
+])
+def test_pmap_caps_workers(monkeypatch, jobs, cpus, n_items, expected):
+    _RecordingPool.sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    items = list(range(n_items))
+    assert cli._pmap(lambda x: x * x, items, jobs) == [x * x for x in items]
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
 
 
 def test_solve_experiment_with_eigenvalue_multiple(tmp_path):

@@ -261,9 +261,12 @@ def test_beat_found_for_dipped_resource_only():
                            [0.01, 0.1, 0.5])
     assert scan.first_m == 0.01
     assert np.all(scan.beat_counts > 0)
+    assert scan.max_principle_ok.dtype == bool
+    assert np.all(scan.max_principle_ok)
     control = beat_experiment(sample_function(grid, level), 0.5, [0.01, 0.5])
     assert control.first_m is None
     assert np.all(control.beat_counts == 0)
+    assert np.all(control.max_principle_ok)
 
 
 def test_beat_requires_nontrivial():

@@ -5,6 +5,7 @@ import oracles
 from nlogis import (
     CLASSICAL_LIMIT_CONSTANT,
     Field,
+    assemble,
     assemble_classical,
     assemble_dirichlet,
     assemble_periodic,
@@ -134,6 +135,21 @@ def test_invalid_exponent():
         assemble_dirichlet(grid, 1.0)
     with pytest.raises(ValueError, match="lie in"):
         assemble_dirichlet(grid, 0.0)
+
+
+def test_assemble_dispatches_on_grid_and_exponent():
+    grid = build_grid([(0.0, 1.0), (1.5, 2.0)], 2.0**-4)
+    pgrid = build_periodic_grid(16)
+    for habitat, s, expected in (
+        (grid, 0.5, assemble_dirichlet(grid, 0.5)),
+        (grid, 1.0, assemble_classical(grid)),
+        (pgrid, 0.5, assemble_periodic(pgrid, 0.5)),
+    ):
+        op = assemble(habitat, s)
+        assert op.variant == expected.variant
+        assert np.array_equal(op.a, expected.a)
+    with pytest.raises(ValueError, match="lie in"):
+        assemble(pgrid, 1.0)
 
 
 # ---------------------------------------------------------------------------

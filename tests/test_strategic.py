@@ -70,8 +70,7 @@ def test_zero_source_gives_zero():
     grid, b1, a_inner = _inner_setup()
     n1 = int(b1.sum())
     v, energy, residual = minimize_with_source(
-        np.zeros(n1), np.ones(n1), np.ones(n1), 0.0, None, 0.5,
-        a_inner, H, grid.nodes[b1],
+        np.zeros(n1), np.ones(n1), np.ones(n1), a_inner, H,
     )
     assert np.max(np.abs(v)) <= 1e-12
     assert energy == pytest.approx(0.0, abs=1e-20)
@@ -84,8 +83,7 @@ def test_source_minimizer_nonnegative():
     for _ in range(20):
         f = rng.uniform(0.0, 2.0, n1)
         v, _, residual = minimize_with_source(
-            f, np.ones(n1), np.ones(n1), 0.0, None, 0.5,
-            a_inner, H, grid.nodes[b1],
+            f, np.ones(n1), np.ones(n1), a_inner, H,
         )
         assert np.all(v >= 0.0)
         assert residual <= 1e-9
@@ -97,8 +95,7 @@ def test_source_rejects_negative_forcing():
     f = np.zeros(n1)
     f[0] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
-        minimize_with_source(f, np.ones(n1), np.ones(n1), 0.0, None, 0.5,
-                             a_inner, H, grid.nodes[b1])
+        minimize_with_source(f, np.ones(n1), np.ones(n1), a_inner, H)
 
 
 def test_source_gradient_matches_finite_differences():

@@ -68,11 +68,11 @@ def test_threshold_dichotomy():
 
 
 def test_energy_never_increases_under_absolute_value():
-    from nlogis.transmission import _model
+    from nlogis.logistic import _EnergyModel
 
     ts = make_spec(sigma=2.0)
     op = assemble_transmission(ts)
-    model = _model(ts, op)
+    model = _EnergyModel(op.a, ts.grid.h, ts.mu.values, -ts.sigma.values)
     rng = np.random.default_rng(13)
     for _ in range(50):
         u = rng.standard_normal(ts.grid.n)
