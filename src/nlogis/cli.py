@@ -5,20 +5,14 @@ corresponding library experiment, writes one CSV (LF line endings, floats
 as %.12e, fixed column sets), prints a pass/fail summary keyed by the
 claim the experiment checks, and exits 0 on all-pass, 2 on solver
 non-convergence, 3 on any failed check, 4 on an output I/O failure, and
-64 on a malformed config or usage error.
+64 on a malformed config or a value the library rejects.
 
-Coefficient values in configs are either numbers (constants) or objects:
-
-    {"kind": "constant", "value": 2.0}
-    {"kind": "indicator", "ball": [-0.5, 0.5], "inside": 20.0, "outside": 0.0}
-    {"kind": "cosine", "mean": 2.0, "amplitude": 1.0, "frequency": 1}
-    {"kind": "dip", "level": 30.0, "center": 0.7, "width": 0.2}
-    {"kind": "eigenvalue-multiple", "factor": 1.2}
-
-The last form resolves to factor times the first eigenvalue of the
-configured operator, which is how threshold experiments place the resource
-rate relative to the survival level.  Kernels are {"shape": ..., "rho": ...}
-with optional "samples" for the sampled shape.
+_SCHEMA gives each experiment's keys as (validator, default) pairs.  The
+--h, --s, --out and --jobs flags and NLOGIS_JOBS replace the config keys
+h, s, out and jobs before validation, so they are checked the same way;
+--s is an error for an experiment without a scalar s.  Coefficients are
+numbers or objects of kind constant, indicator, cosine, dip or (solve's
+sigma only) eigenvalue-multiple; README lists their fields.
 """
 
 from __future__ import annotations
@@ -119,7 +113,7 @@ COLUMNS = {
                      "positive_nonlocal", "mixed_pattern", "pass"],
     "strategic": ["experiment", "s", "eps", "r_used", "approx_error",
                   "harmonic_residual", "el_residual", "sigma_gap",
-                  "lower_bound_margin", "support_ok", "pass"],
+                  "lower_bound_margin", "pass"],
 }
 
 
@@ -143,78 +137,229 @@ class ResultRow:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config schema
 # ---------------------------------------------------------------------------
+#
+# A validator takes where a value came from (for its messages) and the raw
+# JSON value, and returns the normalized value or raises ConfigError.
+# Numbers must be finite, and a bool is never a number.
 
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
 
 
-def _check_number(cfg, key, default=None, positive=False, nonnegative=False):
-    val = cfg.get(key, default)
-    if val is None:
-        return None
-    _expect(isinstance(val, (int, float)) and not isinstance(val, bool),
-            f"config.{key}: expected a number, got {val!r}")
-    if positive:
-        _expect(val > 0, f"config.{key}: must be positive, got {val}")
-    if nonnegative:
-        _expect(val >= 0, f"config.{key}: violates the constraint {key} >= 0")
+def _number(where, val):
+    # the comparisons also reject nan, and ints too large for a float
+    _expect(isinstance(val, (int, float)) and not isinstance(val, bool)
+            and -sys.float_info.max <= val <= sys.float_info.max,
+            f"{where}: expected a finite number, got {val!r}")
     return float(val)
 
 
-def _check_pair(cfg, key, default):
-    raw = cfg.get(key, list(default))
-    _expect(
-        isinstance(raw, list) and len(raw) == 2
-        and all(isinstance(v, (int, float)) for v in raw) and raw[0] < raw[1],
-        f"config.{key}: expected a [left, right] pair",
-    )
-    return (float(raw[0]), float(raw[1]))
+def _bounded(test, rule):
+    """A finite number passing test; in rule, {} stands for the key."""
+    def check(where, val):
+        val = _number(where, val)
+        _expect(test(val), f"{where}: "
+                f"{rule.format(where.removeprefix('config.'))}, got {val}")
+        return val
+    return check
 
 
-def _check_intervals(cfg, key="intervals", default=((0.0, 1.0),)):
-    raw = cfg.get(key, [list(p) for p in default])
-    _expect(isinstance(raw, list) and raw, f"config.{key}: expected a nonempty list")
-    out = []
-    for i, pair in enumerate(raw):
-        _expect(
-            isinstance(pair, list) and len(pair) == 2
-            and all(isinstance(v, (int, float)) for v in pair),
-            f"config.{key}[{i}]: expected a [left, right] pair",
-        )
-        _expect(pair[0] < pair[1],
-                f"config.{key}[{i}]: left endpoint must be below right")
-        out.append((float(pair[0]), float(pair[1])))
-    return out
+_positive = _bounded(lambda v: v > 0, "must be positive")
+_nonnegative = _bounded(lambda v: v >= 0, "violates the constraint {} >= 0")
+_exponent = _bounded(lambda v: 0 < v <= 1, "must lie in (0, 1]")
+_fraction = _bounded(lambda v: 0 < v < 1, "must lie in (0, 1)")
 
 
-_COEFF_KINDS = {"constant", "indicator", "cosine", "dip", "eigenvalue-multiple"}
+def _integer(least):
+    def check(where, val):
+        _expect(isinstance(val, int) and not isinstance(val, bool)
+                and val >= least,
+                f"{where}: expected an integer >= {least}, got {val!r}")
+        return val
+    return check
 
 
-def _check_coefficient(cfg, key, default=None):
-    val = cfg.get(key, default)
-    _expect(val is not None, f"config.{key}: required")
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
-        return {"kind": "constant", "value": float(val)}
-    _expect(isinstance(val, dict), f"config.{key}: expected a number or object")
-    kind = val.get("kind")
-    _expect(kind in _COEFF_KINDS,
-            f"config.{key}.kind: unknown coefficient kind {kind!r}")
-    fields = {
-        "constant": {"value"},
-        "indicator": {"ball", "inside", "outside"},
-        "cosine": {"mean", "amplitude", "frequency"},
-        "dip": {"level", "center", "width"},
-        "eigenvalue-multiple": {"factor"},
-    }[kind]
-    for k in val:
-        _expect(k == "kind" or k in fields,
-                f"config.{key}.{k}: unknown key for kind {kind!r}")
-    for k in fields:
-        _expect(k in val, f"config.{key}.{k}: required for kind {kind!r}")
-    return val
+def _typed(cls, what):
+    def check(where, val):
+        _expect(isinstance(val, cls), f"{where}: expected {what}, got {val!r}")
+        return val
+    return check
+
+
+def _one_of(*choices):
+    def check(where, val):
+        _expect(val in choices, f"{where}: expected one of "
+                f"{', '.join(map(repr, choices))}, got {val!r}")
+        return val
+    return check
+
+
+def _optional(check):
+    return lambda where, val: None if val is None else check(where, val)
+
+
+def _list_of(item, least=1):
+    def check(where, val):
+        _expect(isinstance(val, list) and len(val) >= least,
+                f"{where}: expected a list of at least {least} item(s)")
+        return [item(f"{where}[{i}]", v) for i, v in enumerate(val)]
+    return check
+
+
+def _pair(where, val):
+    _expect(isinstance(val, list) and len(val) == 2,
+            f"{where}: expected a [left, right] pair")
+    left, right = (_number(f"{where}[{i}]", v) for i, v in enumerate(val))
+    _expect(left < right, f"{where}: left endpoint must be below right")
+    return (left, right)
+
+
+_COEFF_FIELDS = {
+    "constant": {"value": _number},
+    "indicator": {"ball": _pair, "inside": _number, "outside": _number},
+    "cosine": {"mean": _number, "amplitude": _number, "frequency": _number},
+    "dip": {"level": _number, "center": _number, "width": _positive},
+    "eigenvalue-multiple": {"factor": _number},
+}
+_PROFILES = ("constant", "indicator", "cosine", "dip")
+
+
+def _coefficient(*kinds):
+    """A number (a constant) or a {"kind": ...} object of one of kinds."""
+    def check(where, val):
+        if not isinstance(val, dict):
+            return {"kind": "constant", "value": _number(where, val)}
+        kind = val.get("kind")
+        _expect(kind in kinds, f"{where}.kind: unknown coefficient kind "
+                f"{kind!r} (this key takes {', '.join(kinds)})")
+        fields = _COEFF_FIELDS[kind]
+        for key in val:
+            _expect(key == "kind" or key in fields,
+                    f"{where}.{key}: unknown key for kind {kind!r}")
+        for key, field in fields.items():
+            _expect(key in val, f"{where}.{key}: required for kind {kind!r}")
+            field(f"{where}.{key}", val[key])
+        return val
+    return check
+
+
+_KERNEL_FIELDS = {"shape": _one_of("uniform", "triangular", "sampled"),
+                  "rho": _positive, "samples": _list_of(_number)}
+
+
+def _kernel_spec(where, val):
+    _expect(isinstance(val, dict), f"{where}: expected an object, got {val!r}")
+    _expect("shape" in val, f"{where}.shape: required")
+    for key in val:
+        _expect(key in _KERNEL_FIELDS, f"{where}.{key}: unknown key")
+        _KERNEL_FIELDS[key](f"{where}.{key}", val[key])
+    return dict(val)
+
+
+# key -> (validator, default).  Defaults pass through their validator too,
+# params keep the table's key order, and out and jobs are run settings that
+# every experiment takes but that are not params.
+_COMMON = {"h": (_positive, 2.0**-9), "solver_tol": (_positive, 1e-10),
+           "triviality_tol": (_optional(_positive), None),
+           "out": (_optional(_typed(str, "a path")), None),
+           "jobs": (_integer(1), 1)}
+_ANY = _coefficient(*_PROFILES)
+_SCHEMA = {
+    "eigen": {
+        "intervals": (_list_of(_pair), [[0.0, 1.0]]),
+        "s_values": (_list_of(_exponent), [0.25, 0.5, 0.75]),
+        "radii": (_list_of(_positive), [1.0, 2.0, 3.0]),
+        "tolerance": (_positive, 0.01)},
+    "solve": {
+        "intervals": (_list_of(_pair), [[0.0, 1.0]]), "s": (_exponent, 0.5),
+        "sigma": (_coefficient(*_PROFILES, "eigenvalue-multiple"), None),
+        "mu": (_ANY, 1.0), "tau": (_nonnegative, 0.0),
+        "kernel": (_optional(_kernel_spec), None),
+        "expect": (_optional(_one_of("trivial", "nontrivial")), None)},
+    "threshold-radius": {
+        "interval": (_pair, [0.0, 1.0]),
+        "s_values": (_list_of(_fraction), [0.5, 0.75]),
+        "tolerance": (_positive, 0.05)},
+    # wider default spacings keep the dense matrices desk-scale: ext-crossing
+    # spans dilations up to r_max and strategic spans (-R, R)
+    "ext-crossing": {
+        "h": (_positive, 2.0**-6), "interval": (_pair, [0.0, 1.0]),
+        "s": (_exponent, 0.25), "S": (_exponent, 1.0),
+        "r_min": (_positive, 0.05), "r_max": (_positive, 20.0),
+        "r_count": (_integer(4), 25)},
+    "congruence": {
+        "length": (_positive, 1.0), "separation": (_positive, 1.0),
+        "s": (_fraction, 0.5),
+        "classical_control": (_typed(bool, "a bool"), True)},
+    "abundance": {
+        "interval": (_pair, [-1.0, 1.0]),
+        "ball_resource": (_pair, [-0.5, 0.5]),
+        "ball_check": (_pair, [-0.25, 0.25]),
+        "s": (_exponent, 0.5), "m_start": (_positive, 5.0),
+        "sweep_factors": (_list_of(_positive, least=2), [1.0, 2.0, 4.0]),
+        "variation_tol": (_positive, 0.25)},
+    "beat": {
+        "interval": (_pair, [-1.0, 1.0]), "s": (_exponent, 0.5),
+        "level": (_positive, 30.0),
+        "dip_center": (_number, 0.7), "dip_width": (_positive, 0.2),
+        "m_values": (_list_of(_number), [0.01, 0.05, 0.2, 0.5, 1.0])},
+    "periodic": {
+        "n": (_integer(4), 128), "s": (_fraction, 0.5),
+        # the experiment checks the constant-coefficient state
+        "sigma": (_coefficient("constant"), 2.0),
+        "mu": (_coefficient("constant"), 1.0), "tau": (_nonnegative, 0.5),
+        "kernel": (_kernel_spec, {"shape": "uniform", "rho": 0.25}),
+        "image_cutoff": (_integer(2), 16), "tolerance": (_positive, 1e-8)},
+    "transmission": {
+        "interval_local": (_pair, [0.0, 1.0]),
+        "interval_nonlocal": (_pair, [1.5, 2.5]),
+        "s": (_fraction, 0.5), "s1": (_fraction, 0.4), "s2": (_fraction, 0.6),
+        "nu1": (_nonnegative, 1.0), "nu2": (_nonnegative, 1.0),
+        "margin": (_fraction, 0.2)},
+    "strategic": {
+        "h": (_positive, 1.0 / 16.0), "s": (_fraction, 0.5),
+        "eps": (_positive, 0.1),
+        "r_schedule": (_list_of(_positive), [4.0, 6.0, 8.0]),
+        "sigma": (_ANY, 1.0), "mu": (_ANY, 1.0), "tau": (_nonnegative, 0.0),
+        "kernel": (_optional(_kernel_spec), None)},
+}
+
+
+def _load(text: str) -> dict:
+    try:
+        cfg = json.loads(text)
+    except ValueError as exc:  # also integers too long to convert
+        raise ConfigError(f"config: invalid JSON ({exc})") from None
+    _expect(isinstance(cfg, dict), "config: expected a JSON object")
+    return cfg
+
+
+def _validate(cfg: dict, names: dict[str, str]) -> ExperimentConfig:
+    """Check a loaded config against its experiment's table; names says how
+    messages cite a key whose value came from a flag or the environment."""
+    experiment = cfg.get("experiment")
+    _expect(experiment in EXPERIMENTS,
+            f"config.experiment: unknown experiment {experiment!r}")
+    table = {**_COMMON, **_SCHEMA[experiment]}
+    for key in cfg:
+        _expect(key == "experiment" or key in table,
+                f"{names.get(key, 'config.' + key)}: unknown key for the "
+                f"{experiment} experiment")
+    params = {k: check(names.get(k, "config." + k), cfg.get(k, default))
+              for k, (check, default) in table.items()}
+    if experiment == "ext-crossing":
+        _expect(params["s"] < params["S"],
+                "config.s/S: must satisfy 0 < s < S <= 1")
+    out, jobs = params.pop("out"), params.pop("jobs")
+    return ExperimentConfig(experiment, params, out, jobs)
+
+
+def parse_config(text: str) -> ExperimentConfig:
+    """Validate a JSON experiment config; unknown keys are rejected."""
+    return _validate(_load(text), {})
 
 
 def _coefficient_fn(spec_dict, lam=None):
@@ -235,204 +380,8 @@ def _coefficient_fn(spec_dict, lam=None):
             lvl if abs(x - c) >= w
             else lvl * 0.5 * (1.0 - math.cos(math.pi * (x - c) / w))
         )
-    if lam is None:
-        raise ConfigError(
-            "config: eigenvalue-multiple coefficient needs an operator context"
-        )
+    # eigenvalue-multiple, which the schema admits only where lam is known
     return float(spec_dict["factor"]) * lam
-
-
-def _check_kernel(cfg, key="kernel"):
-    val = cfg.get(key)
-    if val is None:
-        return None
-    _expect(isinstance(val, dict), f"config.{key}: expected an object")
-    for k in val:
-        _expect(k in {"shape", "rho", "samples"},
-                f"config.{key}.{k}: unknown key")
-    _expect(val.get("shape") in {"uniform", "triangular", "sampled"},
-            f"config.{key}.shape: unknown kernel shape {val.get('shape')!r}")
-    return val
-
-
-_COMMON_KEYS = {"experiment", "h", "solver_tol", "triviality_tol", "out", "jobs"}
-
-_SCHEMA = {
-    "eigen": {"intervals", "s_values", "radii", "tolerance"},
-    "solve": {"intervals", "s", "sigma", "mu", "tau", "kernel", "expect"},
-    "threshold-radius": {"interval", "s_values", "tolerance"},
-    "ext-crossing": {"interval", "s", "S", "r_min", "r_max", "r_count"},
-    "congruence": {"length", "separation", "s", "classical_control"},
-    "abundance": {"interval", "ball_resource", "ball_check", "s", "m_start",
-                  "sweep_factors", "variation_tol"},
-    "beat": {"interval", "s", "level", "dip_center", "dip_width", "m_values"},
-    "periodic": {"n", "s", "sigma", "mu", "tau", "kernel", "image_cutoff",
-                 "tolerance"},
-    "transmission": {"interval_local", "interval_nonlocal", "s", "s1", "s2",
-                     "nu1", "nu2", "margin"},
-    "strategic": {"s", "eps", "r_schedule", "sigma", "mu", "tau", "kernel"},
-}
-
-
-def parse_config(text: str) -> ExperimentConfig:
-    """Validate a JSON experiment config; unknown keys are rejected."""
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: invalid JSON ({exc})") from None
-    _expect(isinstance(cfg, dict), "config: expected a JSON object")
-    experiment = cfg.get("experiment")
-    _expect(experiment in EXPERIMENTS,
-            f"config.experiment: unknown experiment {experiment!r}")
-    allowed = _COMMON_KEYS | _SCHEMA[experiment]
-    for key in cfg:
-        _expect(key in allowed, f"config.{key}: unknown key")
-    # per-experiment spacing defaults keep the dense matrices at desk scale:
-    # ext-crossing spans dilations up to r_max and strategic spans (-R, R)
-    h_default = {"ext-crossing": 2.0**-6, "strategic": 1.0 / 16.0}.get(
-        experiment, 2.0**-9
-    )
-    params = {
-        "h": _check_number(cfg, "h", default=h_default, positive=True),
-        "solver_tol": _check_number(cfg, "solver_tol", default=1e-10,
-                                    positive=True),
-        "triviality_tol": _check_number(cfg, "triviality_tol", default=None,
-                                        positive=True),
-    }
-    out = cfg.get("out")
-    _expect(out is None or isinstance(out, str), "config.out: expected a path")
-    jobs = cfg.get("jobs", 1)
-    _expect(isinstance(jobs, int) and jobs >= 1,
-            "config.jobs: expected a positive integer")
-
-    if experiment == "eigen":
-        params["intervals"] = _check_intervals(cfg)
-        svals = cfg.get("s_values", [0.25, 0.5, 0.75])
-        _expect(isinstance(svals, list) and svals,
-                "config.s_values: expected a nonempty list")
-        for s in svals:
-            _expect(isinstance(s, (int, float)) and 0 < s <= 1,
-                    f"config.s_values: s={s} must lie in (0, 1]")
-        params["s_values"] = [float(s) for s in svals]
-        radii = cfg.get("radii", [1.0, 2.0, 3.0])
-        _expect(isinstance(radii, list) and radii,
-                "config.radii: expected a nonempty list")
-        params["radii"] = [float(r) for r in radii]
-        params["tolerance"] = _check_number(cfg, "tolerance", default=0.01,
-                                            positive=True)
-    elif experiment == "solve":
-        params["intervals"] = _check_intervals(cfg)
-        params["s"] = _check_number(cfg, "s", default=0.5, positive=True)
-        _expect(params["s"] <= 1.0, "config.s: must lie in (0, 1]")
-        params["sigma"] = _check_coefficient(cfg, "sigma")
-        params["mu"] = _check_coefficient(cfg, "mu", default=1.0)
-        params["tau"] = _check_number(cfg, "tau", default=0.0, nonnegative=True)
-        params["kernel"] = _check_kernel(cfg)
-        expect = cfg.get("expect")
-        _expect(expect in (None, "trivial", "nontrivial"),
-                "config.expect: must be 'trivial' or 'nontrivial'")
-        params["expect"] = expect
-    elif experiment == "threshold-radius":
-        params["interval"] = _check_pair(cfg, "interval", (0.0, 1.0))
-        svals = cfg.get("s_values", [0.5, 0.75])
-        _expect(isinstance(svals, list) and svals,
-                "config.s_values: expected a nonempty list")
-        for s in svals:
-            _expect(isinstance(s, (int, float)) and 0 < s < 1,
-                    f"config.s_values: s={s} must lie in (0, 1)")
-        params["s_values"] = [float(s) for s in svals]
-        params["tolerance"] = _check_number(cfg, "tolerance", default=0.05,
-                                            positive=True)
-    elif experiment == "ext-crossing":
-        params["interval"] = _check_pair(cfg, "interval", (0.0, 1.0))
-        params["s"] = _check_number(cfg, "s", default=0.25, positive=True)
-        params["S"] = _check_number(cfg, "S", default=1.0, positive=True)
-        _expect(params["s"] < params["S"] <= 1.0,
-                "config.s/S: must satisfy 0 < s < S <= 1")
-        params["r_min"] = _check_number(cfg, "r_min", default=0.05, positive=True)
-        params["r_max"] = _check_number(cfg, "r_max", default=20.0, positive=True)
-        count = cfg.get("r_count", 25)
-        _expect(isinstance(count, int) and count >= 4,
-                "config.r_count: expected an integer >= 4")
-        params["r_count"] = count
-    elif experiment == "congruence":
-        params["length"] = _check_number(cfg, "length", default=1.0, positive=True)
-        params["separation"] = _check_number(cfg, "separation", default=1.0,
-                                             positive=True)
-        params["s"] = _check_number(cfg, "s", default=0.5, positive=True)
-        _expect(params["s"] < 1.0, "config.s: must lie in (0, 1)")
-        ctrl = cfg.get("classical_control", True)
-        _expect(isinstance(ctrl, bool), "config.classical_control: expected a bool")
-        params["classical_control"] = ctrl
-    elif experiment == "abundance":
-        params["interval"] = _check_pair(cfg, "interval", (-1.0, 1.0))
-        params["ball_resource"] = _check_pair(cfg, "ball_resource", (-0.5, 0.5))
-        params["ball_check"] = _check_pair(cfg, "ball_check", (-0.25, 0.25))
-        params["s"] = _check_number(cfg, "s", default=0.5, positive=True)
-        params["m_start"] = _check_number(cfg, "m_start", default=5.0,
-                                          positive=True)
-        factors = cfg.get("sweep_factors", [1.0, 2.0, 4.0])
-        _expect(isinstance(factors, list) and len(factors) >= 2,
-                "config.sweep_factors: expected a list of at least 2 factors")
-        params["sweep_factors"] = [float(f) for f in factors]
-        params["variation_tol"] = _check_number(cfg, "variation_tol",
-                                                default=0.25, positive=True)
-    elif experiment == "beat":
-        params["interval"] = _check_pair(cfg, "interval", (-1.0, 1.0))
-        params["s"] = _check_number(cfg, "s", default=0.5, positive=True)
-        params["level"] = _check_number(cfg, "level", default=30.0, positive=True)
-        params["dip_center"] = _check_number(cfg, "dip_center", default=0.7)
-        params["dip_width"] = _check_number(cfg, "dip_width", default=0.2,
-                                            positive=True)
-        ms = cfg.get("m_values", [0.01, 0.05, 0.2, 0.5, 1.0])
-        _expect(isinstance(ms, list) and ms,
-                "config.m_values: expected a nonempty list")
-        params["m_values"] = [float(m) for m in ms]
-    elif experiment == "periodic":
-        n = cfg.get("n", 128)
-        _expect(isinstance(n, int) and n >= 4, "config.n: expected an integer >= 4")
-        params["n"] = n
-        params["s"] = _check_number(cfg, "s", default=0.5, positive=True)
-        _expect(params["s"] < 1.0, "config.s: must lie in (0, 1)")
-        params["sigma"] = _check_coefficient(cfg, "sigma", default=2.0)
-        params["mu"] = _check_coefficient(cfg, "mu", default=1.0)
-        for key in ("sigma", "mu"):
-            _expect(params[key]["kind"] == "constant",
-                    f"config.{key}: the periodic experiment checks the "
-                    "constant-coefficient state; give a number")
-        params["tau"] = _check_number(cfg, "tau", default=0.5, nonnegative=True)
-        params["kernel"] = _check_kernel(cfg) or {"shape": "uniform", "rho": 0.25}
-        cut = cfg.get("image_cutoff", 16)
-        _expect(isinstance(cut, int) and cut >= 2,
-                "config.image_cutoff: expected an integer >= 2")
-        params["image_cutoff"] = cut
-        params["tolerance"] = _check_number(cfg, "tolerance", default=1e-8,
-                                            positive=True)
-    elif experiment == "transmission":
-        params["interval_local"] = _check_pair(cfg, "interval_local", (0.0, 1.0))
-        params["interval_nonlocal"] = _check_pair(cfg, "interval_nonlocal",
-                                                  (1.5, 2.5))
-        for key, default in (("s", 0.5), ("s1", 0.4), ("s2", 0.6)):
-            params[key] = _check_number(cfg, key, default=default, positive=True)
-            _expect(params[key] < 1.0, f"config.{key}: must lie in (0, 1)")
-        params["nu1"] = _check_number(cfg, "nu1", default=1.0, nonnegative=True)
-        params["nu2"] = _check_number(cfg, "nu2", default=1.0, nonnegative=True)
-        params["margin"] = _check_number(cfg, "margin", default=0.2, positive=True)
-    elif experiment == "strategic":
-        params["s"] = _check_number(cfg, "s", default=0.5, positive=True)
-        _expect(params["s"] < 1.0, "config.s: must lie in (0, 1)")
-        params["eps"] = _check_number(cfg, "eps", default=0.1, positive=True)
-        schedule = cfg.get("r_schedule", [4.0, 6.0, 8.0])
-        _expect(isinstance(schedule, list) and schedule,
-                "config.r_schedule: expected a nonempty list")
-        params["r_schedule"] = [float(r) for r in schedule]
-        params["sigma"] = _check_coefficient(cfg, "sigma", default=1.0)
-        params["mu"] = _check_coefficient(cfg, "mu", default=1.0)
-        params["tau"] = _check_number(cfg, "tau", default=0.0, nonnegative=True)
-        params["kernel"] = _check_kernel(cfg)
-
-    return ExperimentConfig(experiment=experiment, params=params, out=out,
-                            jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +697,7 @@ def _run_strategic(p, jobs):
         "r_used": res.r_used, "approx_error": res.approx_error,
         "harmonic_residual": res.harmonic_residual,
         "el_residual": res.el_residual, "sigma_gap": res.sigma_gap,
-        "lower_bound_margin": res.lower_bound_margin, "support_ok": True,
+        "lower_bound_margin": res.lower_bound_margin,
     }, passed=bool(ok))]
 
 
@@ -839,15 +788,26 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run the {name} experiment")
         cmd.add_argument("--config", required=True,
                          help="path to the JSON experiment config")
-        cmd.add_argument("--out", default=None,
-                         help="CSV output path (overrides config)")
-        cmd.add_argument("--h", type=float, default=None,
-                         help="grid spacing override")
-        cmd.add_argument("--s", type=float, default=None,
-                         help="fractional exponent override")
-        cmd.add_argument("--jobs", type=int, default=None,
+        cmd.add_argument("--out", help="CSV output path (overrides config)")
+        cmd.add_argument("--h", type=float, help="grid spacing override")
+        cmd.add_argument("--s", type=float,
+                         help="fractional exponent override (scalar s only)")
+        cmd.add_argument("--jobs", type=int,
                          help="worker pool size (default: NLOGIS_JOBS or 1)")
     return parser
+
+
+def _overrides(args) -> dict[str, tuple[str, object]]:
+    """Config keys the command line or the environment replaces, each with
+    the name its messages cite; the merged config is validated as a whole."""
+    found = {key: (f"--{key}", getattr(args, key))
+             for key in ("h", "s", "out", "jobs")}
+    env = os.environ.get("NLOGIS_JOBS")
+    if args.jobs is None and env:
+        # a value int() cannot read is left for the jobs validator to reject
+        found["jobs"] = ("NLOGIS_JOBS",
+                         int(env) if env.strip().isdecimal() else env)
+    return {key: item for key, item in found.items() if item[1] is not None}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -856,37 +816,27 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 64
     try:
-        config = parse_config(text)
-        if config.experiment != args.experiment:
-            raise ConfigError(
-                f"config.experiment: {config.experiment!r} does not match "
-                f"the {args.experiment!r} subcommand"
-            )
-        if args.h is not None:
-            config.params["h"] = args.h
-        if args.s is not None and "s" in config.params:
-            config.params["s"] = args.s
-        if args.out is not None:
-            config.out = args.out
-        if args.jobs is not None:
-            config.jobs = args.jobs
-        elif os.environ.get("NLOGIS_JOBS"):
-            config.jobs = max(1, int(os.environ["NLOGIS_JOBS"]))
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
-    try:
-        rows = run(config)
+        cfg = _load(text)
+        _expect(cfg.get("experiment") == args.experiment,
+                f"config.experiment: {cfg.get('experiment')!r} does not match "
+                f"the {args.experiment!r} subcommand")
+        overrides = _overrides(args)
+        cfg.update({key: value for key, (_, value) in overrides.items()})
+        rows = run(_validate(cfg, {key: name for key, (name, _) in
+                                   overrides.items()}))
     except ConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: output failed: {exc}", file=sys.stderr)
         return 4
+    except ValueError as exc:  # a ConfigError, or a value the library rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return 64
     print(report_summary(rows))
     failed = [r for r in rows if r.passed is False]
     if failed:

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nlogis.cli as cli
 from nlogis.cli import (
@@ -70,6 +73,92 @@ def test_coefficient_object_validation():
                                  "sigma": {"kind": "dip", "level": 1.0}}))
 
 
+# every experiment's minimal-config params, pinned as literals so that no
+# default can drift unnoticed
+_GOLDEN_DEFAULTS = {
+    "eigen": {"h": 0.001953125, "solver_tol": 1e-10, "triviality_tol": None,
+              "intervals": [(0.0, 1.0)], "s_values": [0.25, 0.5, 0.75],
+              "radii": [1.0, 2.0, 3.0], "tolerance": 0.01},
+    "solve": {"h": 0.001953125, "solver_tol": 1e-10, "triviality_tol": None,
+              "intervals": [(0.0, 1.0)], "s": 0.5,
+              "sigma": {"kind": "constant", "value": 1.0},
+              "mu": {"kind": "constant", "value": 1.0}, "tau": 0.0,
+              "kernel": None, "expect": None},
+    "threshold-radius": {"h": 0.001953125, "solver_tol": 1e-10,
+                         "triviality_tol": None, "interval": (0.0, 1.0),
+                         "s_values": [0.5, 0.75], "tolerance": 0.05},
+    "ext-crossing": {"h": 0.015625, "solver_tol": 1e-10,
+                     "triviality_tol": None, "interval": (0.0, 1.0),
+                     "s": 0.25, "S": 1.0, "r_min": 0.05, "r_max": 20.0,
+                     "r_count": 25},
+    "congruence": {"h": 0.001953125, "solver_tol": 1e-10,
+                   "triviality_tol": None, "length": 1.0, "separation": 1.0,
+                   "s": 0.5, "classical_control": True},
+    "abundance": {"h": 0.001953125, "solver_tol": 1e-10,
+                  "triviality_tol": None, "interval": (-1.0, 1.0),
+                  "ball_resource": (-0.5, 0.5), "ball_check": (-0.25, 0.25),
+                  "s": 0.5, "m_start": 5.0, "sweep_factors": [1.0, 2.0, 4.0],
+                  "variation_tol": 0.25},
+    "beat": {"h": 0.001953125, "solver_tol": 1e-10, "triviality_tol": None,
+             "interval": (-1.0, 1.0), "s": 0.5, "level": 30.0,
+             "dip_center": 0.7, "dip_width": 0.2,
+             "m_values": [0.01, 0.05, 0.2, 0.5, 1.0]},
+    "periodic": {"h": 0.001953125, "solver_tol": 1e-10,
+                 "triviality_tol": None, "n": 128, "s": 0.5,
+                 "sigma": {"kind": "constant", "value": 2.0},
+                 "mu": {"kind": "constant", "value": 1.0}, "tau": 0.5,
+                 "kernel": {"shape": "uniform", "rho": 0.25},
+                 "image_cutoff": 16, "tolerance": 1e-08},
+    "transmission": {"h": 0.001953125, "solver_tol": 1e-10,
+                     "triviality_tol": None, "interval_local": (0.0, 1.0),
+                     "interval_nonlocal": (1.5, 2.5), "s": 0.5, "s1": 0.4,
+                     "s2": 0.6, "nu1": 1.0, "nu2": 1.0, "margin": 0.2},
+    "strategic": {"h": 0.0625, "solver_tol": 1e-10, "triviality_tol": None,
+                  "s": 0.5, "eps": 0.1, "r_schedule": [4.0, 6.0, 8.0],
+                  "sigma": {"kind": "constant", "value": 1.0},
+                  "mu": {"kind": "constant", "value": 1.0}, "tau": 0.0,
+                  "kernel": None},
+}
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_golden_defaults(experiment):
+    raw = {"experiment": experiment}
+    if experiment == "solve":
+        raw["sigma"] = 1.0
+    cfg = parse_config(json.dumps(raw))
+    # repr pins key order and int/float/tuple types, which == would not
+    assert repr(cfg.params) == repr(_GOLDEN_DEFAULTS[experiment])
+    assert (cfg.out, cfg.jobs) == (None, 1)
+
+
+_JSON_KEYS = ["kind", "shape", "rho", "samples", "value", "ball", "inside",
+              "outside", "mean", "amplitude", "frequency", "level", "center",
+              "width", "factor"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=3)
+    | st.sampled_from(["uniform", "sampled", "constant", "indicator", "dip",
+                       "cosine", "eigenvalue-multiple", "trivial"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(_JSON_KEYS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parse_config_returns_or_raises_config_error(experiment, data):
+    keys = sorted({**cli._COMMON, **cli._SCHEMA[experiment]})
+    values = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES,
+                                       max_size=4))
+    try:
+        parse_config(json.dumps({"experiment": experiment, **values}))
+    except ConfigError:
+        pass
+
+
 def _eigen_config(**extra):
     # generous tolerance: these tests exercise plumbing at a coarse grid,
     # the acceptance suite pins the 1% accuracy at h = 2^-9
@@ -106,6 +195,11 @@ def test_golden_column_sets():
         "pass",
     ]
     assert COLUMNS["periodic"][:5] == ["experiment", "case", "n", "s", "tau"]
+    assert COLUMNS["strategic"] == [
+        "experiment", "s", "eps", "r_used", "approx_error",
+        "harmonic_residual", "el_residual", "sigma_gap",
+        "lower_bound_margin", "pass",
+    ]
     for columns in COLUMNS.values():
         assert columns[-1] == "pass"
         assert columns[0] == "experiment"
@@ -170,6 +264,10 @@ def test_main_exit_codes(tmp_path, capsys):
     # missing config file
     assert main(["eigen", "--config", str(tmp_path / "absent.json")]) == 64
     capsys.readouterr()
+    # config file that is not UTF-8
+    cfg_path.write_bytes(b"\xff\xfe{}")
+    assert main(["eigen", "--config", str(cfg_path)]) == 64
+    capsys.readouterr()
     # subcommand / config mismatch
     cfg_path.write_text(json.dumps(_eigen_config()))
     assert main(["solve", "--config", str(cfg_path)]) == 64
@@ -211,6 +309,81 @@ def test_jobs_env_fallback(tmp_path, capsys, monkeypatch):
     cfg_path.write_text(json.dumps(_eigen_config()))
     assert main(["eigen", "--config", str(cfg_path)]) == 0
     capsys.readouterr()
+
+
+_H = 1.0 / 16.0
+_EIGEN = {"experiment": "eigen", "h": _H, "s_values": [0.5],
+          "radii": [1.0, 2.0], "tolerance": 0.05}
+_SOLVE = {"experiment": "solve", "h": _H, "sigma": 2.0}
+_THRESHOLD = {"experiment": "threshold-radius", "h": _H}
+_STRATEGIC = {"experiment": "strategic", "h": _H}
+
+# id: (config, flags, NLOGIS_JOBS or None, text the error must contain)
+_MALFORMED = {
+    "jobs-flag-zero": (_EIGEN, ["--jobs", "0"], None, "--jobs"),
+    "jobs-env-zero": (_EIGEN, [], "0", "NLOGIS_JOBS"),
+    "jobs-env-text": (_EIGEN, [], "x", "NLOGIS_JOBS"),
+    "h-flag-negative": (_EIGEN, ["--h", "-1"], None, "--h"),
+    "h-flag-nan": (_EIGEN, ["--h", "nan"], None, "--h"),
+    "s-flag-out-of-range": (_SOLVE, ["--s", "5"], None, "--s"),
+    "s-flag-eigen": (_EIGEN, ["--s", "0.5"], None, "--s"),
+    "s-flag-threshold": (_THRESHOLD, ["--s", "0.5"], None, "--s"),
+    "kernel-rho-text": (
+        {**_SOLVE, "tau": 0.5, "kernel": {"shape": "uniform", "rho": "x"}},
+        [], None, "config.kernel.rho"),
+    "margin-above-one": (
+        {"experiment": "transmission", "h": _H, "margin": 1.5},
+        [], None, "config.margin"),
+    "eigenvalue-multiple-outside-solve-sigma": (
+        {**_STRATEGIC, "sigma": {"kind": "eigenvalue-multiple",
+                                 "factor": 1.2}},
+        [], None, "config.sigma.kind"),
+    "coefficient-field-text": (
+        {**_SOLVE, "sigma": {"kind": "dip", "level": "a", "center": 0.5,
+                             "width": 0.1}},
+        [], None, "config.sigma.level"),
+    "coefficient-ball-not-a-pair": (
+        {**_SOLVE, "sigma": {"kind": "indicator", "ball": [0.5],
+                             "inside": 1.0, "outside": 0.0}},
+        [], None, "config.sigma.ball"),
+    "tau-infinite": ({**_SOLVE, "tau": math.inf}, [], None, "config.tau"),
+    "tolerance-nan": ({**_EIGEN, "tolerance": math.nan}, [], None,
+                      "config.tolerance"),
+    "radius-negative": ({**_EIGEN, "radii": [-1.0]}, [], None,
+                        "config.radii[0]"),
+    "radius-off-lattice": ({**_EIGEN, "radii": [1.01]}, [], None,
+                           "not a multiple of h"),
+    "r-schedule-inside-harmonic-ball": (
+        {**_STRATEGIC, "r_schedule": [1.0]}, [], None, "support radius"),
+    "s-values-bool": ({**_EIGEN, "s_values": [True]}, [], None,
+                      "config.s_values[0]"),
+    "interval-bools": ({**_THRESHOLD, "interval": [False, True]}, [], None,
+                       "config.interval[0]"),
+    "intervals-text": ({**_EIGEN, "intervals": [[0, "1"]]}, [], None,
+                       "config.intervals[0][1]"),
+    "tau-without-kernel": ({**_SOLVE, "tau": 0.5}, [], None,
+                           "requires a convolution kernel"),
+    "sampled-kernel-without-samples": (
+        {**_SOLVE, "tau": 0.5, "kernel": {"shape": "sampled"}},
+        [], None, "requires samples"),
+}
+
+
+@pytest.mark.parametrize("config, flags, jobs_env, cited",
+                         _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_exits_64_without_traceback(
+        tmp_path, capsys, monkeypatch, config, flags, jobs_env, cited):
+    if jobs_env is None:
+        monkeypatch.delenv("NLOGIS_JOBS", raising=False)
+    else:
+        monkeypatch.setenv("NLOGIS_JOBS", jobs_env)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([config["experiment"], "--config", str(cfg_path),
+                 *flags]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cited in err
+    assert "Traceback" not in err
 
 
 class _RecordingPool:
