@@ -5,7 +5,8 @@ corresponding library experiment, writes one CSV (LF line endings, floats
 as %.12e, fixed column sets), prints a pass/fail summary keyed by the
 claim the experiment checks, and exits 0 on all-pass, 2 on solver
 non-convergence, 3 on any failed check, 4 on an output I/O failure, and
-64 on a malformed config or a value the library rejects.
+64 on a malformed command line or config or a value the library rejects
+(a grid finer than grids.MAX_NODES nodes included).
 
 _SCHEMA gives each experiment's keys as (validator, default) pairs.  The
 --h, --s, --out and --jobs flags and NLOGIS_JOBS replace the config keys
@@ -778,8 +779,18 @@ def report_summary(rows: list[ResultRow]) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Ends a malformed command line with exit 64, not argparse's 2, which
+    this CLI reserves for solver non-convergence."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        self.print_usage(sys.stderr)
+        self.exit(64)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nlogis",
         description="Nonlocal logistic steady-state experiments",
     )
@@ -811,8 +822,10 @@ def _overrides(args) -> dict[str, tuple[str, object]]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (64)
+        return exc.code
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()

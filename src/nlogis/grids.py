@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "MAX_NODES",
     "Grid",
     "PeriodicGrid",
     "Field",
@@ -32,6 +33,22 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-12
+
+# Largest node count of a grid.  The operators are dense: one n x n float64
+# matrix takes 8 n^2 bytes, 512 MiB at this cap, and a solve holds about
+# five of them at its peak (4.4 measured at n = 2047), so about 2.5 GiB
+# here, within a 7 GB machine; twice the cap would need about 10 GiB.
+MAX_NODES = 8192
+
+
+def _check_node_count(count: float, what: str) -> None:
+    # a count computed from interval lengths is an integer only to within
+    # rounding; an infinite one (h underflowing the length) is rejected too
+    if count > MAX_NODES + 0.5:
+        raise ValueError(
+            f"{what} has {count:.0f} nodes, more than the {MAX_NODES} "
+            "(MAX_NODES) a dense operator is built for"
+        )
 
 
 @dataclass(frozen=True)
@@ -80,6 +97,7 @@ class PeriodicGrid:
             raise ValueError(f"periodic grid needs at least 4 nodes, got {self.n}")
         if self.image_cutoff < 2:
             raise ValueError("image_cutoff must be at least 2")
+        _check_node_count(self.n, "periodic grid")
 
     @property
     def h(self) -> float:
@@ -141,6 +159,8 @@ def build_grid(intervals: Sequence[tuple[float, float]], h: float) -> Grid:
     if not intervals:
         raise ValueError("at least one interval is required")
     ivals = sorted((float(a), float(b)) for a, b in intervals)
+    _check_node_count(sum((b - a) / h - 1.0 for a, b in ivals),
+                      f"a grid with h={h}")
     for a, b in ivals:
         if not b > a:
             raise ValueError(f"degenerate interval ({a}, {b})")

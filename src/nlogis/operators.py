@@ -22,6 +22,11 @@ antiderivatives of the kernel, so assembly is quadrature-free:
 
 The resulting matrix is symmetric, strictly diagonally dominant with
 nonpositive off-diagonal entries (an M-matrix), and A @ ones == 2s(1-s) T.
+
+Every weight depends only on the lattice distance between two nodes, so
+the weights are tabulated once per distance, O(n) kernel evaluations, and
+spread over the dense n x n matrix: Toeplitz blocks between the intervals
+of a grid, a circulant on the periodic cell.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import circulant, toeplitz
 from scipy.special import zeta
 
 from .grids import Field, Grid, Kernel, PeriodicGrid, build_grid, sample_function
@@ -128,24 +134,48 @@ class NonlocalMatrix:
         return self.a.shape[0]
 
 
+def _distance_weights(r, h, s):
+    """Hat weights at node distances r, zero at r <= 1.5 h: a node and its
+    neighbors get their weights elsewhere."""
+    w = np.zeros(r.size)
+    far = r > 1.5 * h
+    w[far] = _far_weight(r[far], h, s)
+    return w
+
+
+def _far_block(x_rows, x_cols, h, s):
+    """Hat weights between the nodes of two intervals of spacing h.
+
+    The distance of two nodes, and with it their weight, depends only on
+    the difference of their indices, so the block is Toeplitz: the kernel
+    is evaluated on its first column and first row only.
+    """
+    return toeplitz(
+        _distance_weights(np.abs(x_rows - x_cols[0]), h, s),
+        _distance_weights(np.abs(x_rows[0] - x_cols), h, s),
+    )
+
+
 def _pair_weights(grid: Grid, s: float) -> np.ndarray:
     """Symmetric interaction weights w_ij for the kernel with exponent s."""
     x = grid.nodes
     n = x.size
     h = grid.h
-    diff = np.abs(x[:, None] - x[None, :])
-    w = np.zeros((n, n))
-    mask = diff > 1.5 * h
-    w[mask] = _far_weight(diff[mask], h, s)
+    blocks = [grid.interval_nodes(k) for k in range(len(grid.intervals))]
+    spans = [slice(idx[0], idx[-1] + 1) for idx in blocks]
+    w = np.empty((n, n))
+    for k, rows in enumerate(spans):
+        w[rows, rows] = _far_block(x[rows], x[rows], h, s)
+        for cols in spans[k + 1:]:
+            w[rows, cols] = _far_block(x[rows], x[cols], h, s)
+            w[cols, rows] = w[rows, cols].T
     neighbor = _singular_weight(h, s) + _half_weight(h, s)
-    for k in range(len(grid.intervals)):
-        idx = grid.interval_nodes(k)
+    for idx in blocks:
         w[idx[:-1], idx[1:]] = neighbor
         w[idx[1:], idx[:-1]] = neighbor
     # fold the two uncovered boundary half cells of every interval onto the
     # nearest interior node; constants stay annihilated
-    for k, (a, b) in enumerate(grid.intervals):
-        idx = grid.interval_nodes(k)
+    for (a, b), idx in zip(grid.intervals, blocks):
         for endpoint, p in ((a, idx[0]), (b, idx[-1])):
             xp = x[p]
             same_side = np.sign(x - endpoint) == np.sign(xp - endpoint)
@@ -202,30 +232,40 @@ def assemble_classical(grid: Grid) -> NonlocalMatrix:
 
 
 def _periodic_pair_weights(pgrid: PeriodicGrid, s: float) -> np.ndarray:
-    """omega[d]: summed image weights for cell offset d = 0..n-1."""
+    """omega[d]: summed image weights for cell offset d = 0..n-1.
+
+    Offset d gathers two image families, at lattice distances d + m n and
+    (n - d) + m n for m >= 0.  The terms of each family f = 1..n-1 are
+    tabulated once; omega[d] adds those of family d, then those of family
+    n - d, always in the same order.
+    """
     n = pgrid.n
     h = pgrid.h
     cutoff = pgrid.image_cutoff
     neighbor = _singular_weight(h, s) + _half_weight(h, s)
-    m = np.arange(cutoff)
+    fam = np.arange(1, n)
+    q = fam[:, None] + np.arange(cutoff) * n  # lattice distances in units of h
+    far = np.empty(n - 1)
+    # q = 1, the only neighbor, is the first image of family 1
+    far[0] = np.sum(_far_weight(q[0, 1:] * h, h, s))
+    far[1:] = _far_weight(q[1:] * h, h, s).sum(axis=1)
+    # analytic remainder of the image series from m = cutoff on; the
+    # hat-kernel convolution expands as h K + h^3 K''/12 + h^5 K''''/360
+    # and the image distances are m + fam/n in length units
+    astart = cutoff + fam / n
+    c2 = (1 + 2 * s) * (2 + 2 * s)
+    c4 = c2 * (3 + 2 * s) * (4 + 2 * s)
+    terms = (
+        np.where(fam == 1, neighbor, 0.0),
+        far,
+        h * zeta(1 + 2 * s, astart),
+        h**3 * c2 / 12.0 * zeta(3 + 2 * s, astart),
+        h**5 * c4 / 360.0 * zeta(5 + 2 * s, astart),
+    )
     omega = np.zeros(n)
-    for d in range(1, n):
-        total = 0.0
-        for fam in (d, n - d):
-            q = fam + m * n  # lattice distances in units of h
-            far_mask = q >= 2
-            total += neighbor * np.sum(q == 1)
-            total += np.sum(_far_weight(q[far_mask] * h, h, s))
-            # analytic remainder of the image series from m = cutoff on; the
-            # hat-kernel convolution expands as h K + h^3 K''/12 + h^5 K''''/360
-            # and the image distances are m + fam/n in length units
-            astart = cutoff + fam / n
-            c2 = (1 + 2 * s) * (2 + 2 * s)
-            c4 = c2 * (3 + 2 * s) * (4 + 2 * s)
-            total += h * zeta(1 + 2 * s, astart)
-            total += h**3 * c2 / 12.0 * zeta(3 + 2 * s, astart)
-            total += h**5 * c4 / 360.0 * zeta(5 + 2 * s, astart)
-        omega[d] = total
+    for f in (fam, n - fam):
+        for term in terms:
+            omega[1:] += term[f - 1]
     return omega
 
 
@@ -238,9 +278,7 @@ def assemble_periodic(pgrid: PeriodicGrid, s: float) -> NonlocalMatrix:
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional exponent s={s} must lie in (0, 1)")
     omega = _periodic_pair_weights(pgrid, s)
-    n = pgrid.n
-    d = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    a = -omega[d]
+    a = -circulant(omega)
     np.fill_diagonal(a, omega[1:].sum())
     a *= 2.0 * s * (1.0 - s)
     return NonlocalMatrix(grid=pgrid, a=a, s=s, variant="periodic")
@@ -278,13 +316,19 @@ def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
             )
         n = grid.n
         wrap = int(np.ceil(kernel.rho)) + 1
+        q = np.arange(n)[:, None] + np.arange(-wrap, wrap + 1) * n
+        sel = np.abs(q) <= kernel.k_max
+        # the stencil offsets of one cell offset are a contiguous run of
+        # images; summing the runs of one length as the rows of one array
+        # adds each in offset order, the same sums at any kernel radius
+        count = sel.sum(axis=1)
+        first = sel.argmax(axis=1)
         b_off = np.zeros(n)
-        for d in range(n):
-            q = d + np.arange(-wrap, wrap + 1) * n
-            sel = np.abs(q) <= kernel.k_max
-            b_off[d] = h * kernel.weights[kernel.k_max + q[sel]].sum()
-        d = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        return b_off[d]
+        for c in np.unique(count[count > 0]):
+            rows = np.nonzero(count == c)[0]
+            run = q[rows[:, None], first[rows, None] + np.arange(c)]
+            b_off[rows] = h * kernel.weights[kernel.k_max + run].sum(axis=1)
+        return circulant(b_off)
     x = grid.nodes
     diff = x[:, None] - x[None, :]
     k = np.rint(diff / h).astype(int)
@@ -427,7 +471,7 @@ def _cross_coupling(
     a[other, other] += coeff * _tail_segment(near, far, s_i)
     # -2 u(x) u(y): hat weights, plus the other component's boundary half
     # cells folded onto its outermost nodes
-    w = _far_weight(np.abs(x[own][:, None] - x[other][None, :]), h, s_i)
+    w = _far_block(x[own], x[other], h, s_i)
     for endpoint, p_local in ((a_oth, 0), (b_oth, other.size - 1)):
         xp = x[other[p_local]]
         same_side = np.sign(x[own] - endpoint) == np.sign(xp - endpoint)

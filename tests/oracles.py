@@ -1,8 +1,10 @@
 """Independent numerical oracles used by the test suite.
 
-Everything here recomputes quantities the library obtains in closed form,
-using scipy's adaptive quadrature instead, so the two paths share no
-arithmetic beyond the kernel definition itself.
+The quadrature oracles recompute quantities the library obtains in closed
+form, using scipy's adaptive quadrature instead, so the two paths share no
+arithmetic beyond the kernel definition itself.  The ref_* functions at the
+end are the other kind: the library's own closed forms, assembled entry by
+entry, as references for the tabulated assembly.
 """
 
 from __future__ import annotations
@@ -145,3 +147,99 @@ def pv_fractional(u, x0, s, support, far=50.0):
         prev = b
     total += 2.0 * ux * quad_tail(far, s)
     return 2.0 * s * (1.0 - s) * total
+
+
+# ---------------------------------------------------------------------------
+# per-entry assembly loops, the references for the tabulated assembly
+# ---------------------------------------------------------------------------
+#
+# These evaluate the library's closed-form weights once per matrix entry
+# (or, for the periodic cell, in a Python loop over offsets), as the
+# assembly did before it tabulated them by lattice distance.  On grids whose
+# nodes are exact binary fractions every node distance is an exact multiple
+# of h, so the tabulated assembly must reproduce them bit for bit.
+
+def ref_far_block(x_rows, x_cols, h, s):
+    """Hat weights of every (row, column) node pair farther apart than 1.5 h,
+    zero for nearer pairs, one kernel evaluation per entry."""
+    from nlogis.operators import _far_weight
+
+    diff = np.abs(x_rows[:, None] - x_cols[None, :])
+    w = np.zeros(diff.shape)
+    mask = diff > 1.5 * h
+    w[mask] = _far_weight(diff[mask], h, s)
+    return w
+
+
+def ref_pair_weights(grid, s):
+    """Symmetric interaction weights w_ij, one kernel evaluation per entry."""
+    from nlogis.operators import (_half_weight, _ramp_in, _ramp_out,
+                                  _singular_weight)
+
+    x = grid.nodes
+    h = grid.h
+    w = ref_far_block(x, x, h, s)
+    neighbor = _singular_weight(h, s) + _half_weight(h, s)
+    for k in range(len(grid.intervals)):
+        idx = grid.interval_nodes(k)
+        w[idx[:-1], idx[1:]] = neighbor
+        w[idx[1:], idx[:-1]] = neighbor
+    for k, (a, b) in enumerate(grid.intervals):
+        idx = grid.interval_nodes(k)
+        for endpoint, p in ((a, idx[0]), (b, idx[-1])):
+            xp = x[p]
+            same_side = np.sign(x - endpoint) == np.sign(xp - endpoint)
+            q_in = np.abs(x - xp)
+            q_in[p] = h
+            fold = np.where(
+                same_side,
+                _ramp_in(q_in, h, s),
+                _ramp_out(np.abs(x - endpoint), h, s),
+            )
+            fold[p] = 0.0
+            w[:, p] += fold
+            w[p, :] += fold
+    return w
+
+
+def ref_periodic_pair_weights(pgrid, s):
+    """omega[d] for d = 0..n-1, accumulated offset by offset."""
+    from scipy.special import zeta
+
+    from nlogis.operators import _far_weight, _half_weight, _singular_weight
+
+    n = pgrid.n
+    h = pgrid.h
+    cutoff = pgrid.image_cutoff
+    neighbor = _singular_weight(h, s) + _half_weight(h, s)
+    m = np.arange(cutoff)
+    omega = np.zeros(n)
+    for d in range(1, n):
+        total = 0.0
+        for fam in (d, n - d):
+            q = fam + m * n
+            far_mask = q >= 2
+            total += neighbor * np.sum(q == 1)
+            total += np.sum(_far_weight(q[far_mask] * h, h, s))
+            astart = cutoff + fam / n
+            c2 = (1 + 2 * s) * (2 + 2 * s)
+            c4 = c2 * (3 + 2 * s) * (4 + 2 * s)
+            total += h * zeta(1 + 2 * s, astart)
+            total += h**3 * c2 / 12.0 * zeta(3 + 2 * s, astart)
+            total += h**5 * c4 / 360.0 * zeta(5 + 2 * s, astart)
+        omega[d] = total
+    return omega
+
+
+def ref_periodic_convolution(kernel, pgrid):
+    """Periodic convolution matrix, its first column summed offset by offset."""
+    n = pgrid.n
+    h = pgrid.h
+    wrap = int(np.ceil(kernel.rho)) + 1
+    b_off = np.zeros(n)
+    for d in range(n):
+        q = d + np.arange(-wrap, wrap + 1) * n
+        sel = np.abs(q) <= kernel.k_max
+        b_off[d] = h * kernel.weights[kernel.k_max + q[sel]].sum()
+    d = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return b_off[d]

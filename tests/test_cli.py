@@ -325,6 +325,7 @@ _MALFORMED = {
     "jobs-env-text": (_EIGEN, [], "x", "NLOGIS_JOBS"),
     "h-flag-negative": (_EIGEN, ["--h", "-1"], None, "--h"),
     "h-flag-nan": (_EIGEN, ["--h", "nan"], None, "--h"),
+    "h-flag-too-fine": (_EIGEN, ["--h", "1e-5"], None, "99999 nodes"),
     "s-flag-out-of-range": (_SOLVE, ["--s", "5"], None, "--s"),
     "s-flag-eigen": (_EIGEN, ["--s", "0.5"], None, "--s"),
     "s-flag-threshold": (_THRESHOLD, ["--s", "0.5"], None, "--s"),
@@ -384,6 +385,34 @@ def test_malformed_input_exits_64_without_traceback(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and cited in err
     assert "Traceback" not in err
+
+
+# id: (subcommand, whether --config is given, further flags, text the
+# error must contain)
+_USAGE_ERRORS = {
+    "jobs-not-an-integer": ("eigen", True, ["--jobs", "abc"], "--jobs"),
+    "h-not-a-number": ("eigen", True, ["--h", "x"], "--h"),
+    "config-missing": ("eigen", False, [], "--config"),
+    "unknown-subcommand": ("bogus", True, [], "'bogus'"),
+}
+
+
+@pytest.mark.parametrize("experiment, with_config, flags, cited",
+                         _USAGE_ERRORS.values(), ids=_USAGE_ERRORS.keys())
+def test_usage_error_exits_64_without_traceback(
+        tmp_path, capsys, experiment, with_config, flags, cited):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(_EIGEN))
+    config = ["--config", str(cfg_path)] if with_config else []
+    assert main([experiment, *config, *flags]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cited in err
+    assert "usage: nlogis" in err and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["eigen", "--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 class _RecordingPool:

@@ -12,6 +12,7 @@ from nlogis import (
     problem_spec,
     sample_function,
 )
+from nlogis.grids import MAX_NODES
 
 
 def test_unit_interval_nodes():
@@ -45,6 +46,17 @@ def test_noncommensurate_length_rejected():
 def test_nonpositive_spacing_rejected():
     with pytest.raises(ValueError, match="positive"):
         build_grid([(0.0, 1.0)], 0.0)
+
+
+def test_node_cap_checked_before_allocation():
+    assert build_grid([(0.0, 1.0)], 1.0 / (MAX_NODES + 1)).n == MAX_NODES
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        build_grid([(0.0, 1.0), (2.0, 3.0)], 1.0 / (MAX_NODES // 2 + 2))
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        build_grid([(0.0, 1.0)], 5e-324)  # the length over h overflows
+    assert build_periodic_grid(MAX_NODES).n == MAX_NODES
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        build_periodic_grid(MAX_NODES + 1)
 
 
 def test_node_construction_is_deterministic():

@@ -20,6 +20,7 @@ from nlogis import (
     sample_function,
     transmission_spec,
 )
+from nlogis import operators
 from nlogis.operators import _exterior_tail
 
 
@@ -406,3 +407,82 @@ def test_transmission_validation():
     with pytest.raises(ValueError, match="bounded away"):
         transmission_spec((0, 1), (2, 3), 0.25, s=0.5, s1=0.5, s2=0.5,
                           nu1=1.0, nu2=1.0, sigma=1.0, mu=0.0)
+
+
+# ---------------------------------------------------------------------------
+# tabulated assembly against the per-entry references
+# ---------------------------------------------------------------------------
+
+_S_SWEEP = [round(0.05 * k, 2) for k in range(1, 20)]
+
+# nodes at exact binary fractions: every node distance is an exact multiple
+# of h, so tabulating the weights by distance must change no bit
+_DYADIC_GRIDS = {
+    "unit": ([(0.0, 1.0)], 2.0**-6),
+    "symmetric": ([(-1.0, 1.0)], 2.0**-5),
+    "aligned-union": ([(0.0, 1.0), (1.5, 2.25)], 2.0**-6),
+    "three-intervals": ([(-3.0, -1.0), (0.5, 1.0), (2.0, 4.0)], 2.0**-4),
+}
+
+
+@pytest.mark.parametrize("s", _S_SWEEP)
+@pytest.mark.parametrize("intervals, h", _DYADIC_GRIDS.values(),
+                         ids=_DYADIC_GRIDS.keys())
+def test_pair_weights_match_per_entry_reference(intervals, h, s):
+    grid = build_grid(intervals, h)
+    assert np.array_equal(operators._pair_weights(grid, s),
+                          oracles.ref_pair_weights(grid, s))
+
+
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95])
+def test_transmission_matches_per_entry_reference(s, monkeypatch):
+    ts = _tspec(s=s, s1=1.0 - s, s2=0.5 * s)
+    a = assemble_transmission(ts).a
+    monkeypatch.setattr(operators, "_far_block", oracles.ref_far_block)
+    assert np.array_equal(a, assemble_transmission(ts).a)
+
+
+@pytest.mark.parametrize("s", _S_SWEEP)
+@pytest.mark.parametrize("n, cutoff", [(4, 16), (5, 16), (128, 16),
+                                       (1024, 16), (64, 3), (64, 48)])
+def test_periodic_weights_match_loop_reference(n, cutoff, s):
+    pg = build_periodic_grid(n, image_cutoff=cutoff)
+    assert np.array_equal(operators._periodic_pair_weights(pg, s),
+                          oracles.ref_periodic_pair_weights(pg, s))
+
+
+# kernels wider than the cell sum several stencil entries per offset; at
+# rho = 2.7 and 6 a zero-padded row sum would add them in another order
+@pytest.mark.parametrize("n, shape, rho, samples", [
+    (128, "uniform", 0.25, None),
+    (128, "triangular", 0.3, None),
+    (16, "uniform", 4.0, None),
+    (20, "triangular", 2.7, None),
+    (32, "triangular", 6.0, None),
+    (5, "triangular", 1.5, None),
+    (64, "sampled", None, [1.0, 2.0, 3.0, 5.0, 3.0, 2.0, 1.0]),
+    (4, "sampled", None, [1.0, 2.0, 4.0, 7.0, 4.0, 2.0, 1.0]),
+])
+def test_periodic_convolution_matches_loop_reference(n, shape, rho, samples):
+    pg = build_periodic_grid(n)
+    k = build_kernel(shape, rho, pg.h, samples=samples)
+    assert np.array_equal(convolution_matrix(k, pg),
+                          oracles.ref_periodic_convolution(k, pg))
+
+
+# off binary fractions node distances round differently along a diagonal;
+# far weights are second differences, so that rounding is amplified by
+# (r / h)^2 but stays within a few ulps of the largest entry
+@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+@pytest.mark.parametrize("intervals, h", [
+    ([(0.0, 1.0)], 0.1),
+    ([(0.0, 1.0)], 1.0 / 12.0),
+    ([(0.0, 0.5), (0.6, 1.1)], 1.0 / 48.0),
+])
+def test_tabulated_assembly_close_off_binary_fractions(intervals, h, s,
+                                                       monkeypatch):
+    grid = build_grid(intervals, h)
+    a = assemble_dirichlet(grid, s).a
+    monkeypatch.setattr(operators, "_pair_weights", oracles.ref_pair_weights)
+    ref = assemble_dirichlet(grid, s).a
+    assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
