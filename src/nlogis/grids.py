@@ -35,9 +35,13 @@ __all__ = [
 _REL_TOL = 1e-12
 
 # Largest node count of a grid.  The operators are dense: one n x n float64
-# matrix takes 8 n^2 bytes, 512 MiB at this cap, and a solve holds about
-# five of them at its peak (4.4 measured at n = 2047), so about 2.5 GiB
-# here, within a 7 GB machine; twice the cap would need about 10 GiB.
+# matrix takes 8 n^2 bytes, 512 MiB at this cap.  The heaviest paths are a
+# solve with a kernel and tau > 0 and the strategic construction (operator,
+# convolution matrix and the solver's matrices held together): their peak
+# resident memory above the import was 7.5 matrices at n = 1023 and 2047 and
+# 6.6 at n = 4095, so at most 3.8 GiB here, within a 7 GB machine; eigen
+# peaks at 4.3, the transmission form at 4.5 and the periodic solve at 5.1
+# matrices.  Twice the cap would need about 15 GiB.
 MAX_NODES = 8192
 
 

@@ -1,14 +1,13 @@
 """Time operator assembly at two checkouts and compare their traced counts.
 
-    python3 tools/bench_assembly.py --before PARENT --after CHANGE \
-        [--rounds 3] [--repeats 5] [--trace-seed 7] --out BENCH.json
+    python3 tools/bench_assembly.py --before PARENT --out BENCH.json
 
-PARENT and CHANGE are checkouts (each with src/ and perfbench/).  Each
-round runs one child process per checkout, alternating which goes first;
-a child imports nlogis from its checkout's src/, pins BLAS to one thread,
-and times every assembly case --repeats times after one untimed call.  The
-report gives each case's node count and, per side, the median and quartiles
-of all samples.
+PARENT is a checkout (with src/ and perfbench/) compared against the one
+this script lives in.  Each of ROUNDS rounds runs one child process per
+checkout, alternating which goes first; a child imports nlogis from its
+checkout's src/, pins BLAS to one thread, and times every assembly case
+REPEATS times after one untimed call.  The report gives each case's node
+count and, per side, the median and quartiles of all samples.
 
 Cases: the fractional Dirichlet and classical operators on the unit
 interval, and the transmission form on (0, 1) and (1.5, 2.5), at
@@ -16,7 +15,7 @@ n = 255, 511, 1023, 2047 (the transmission form at the nearest size its two
 intervals allow); the periodic operator and the periodic convolution matrix
 (uniform kernel, rho = 1/4) at n = 256 ... 4096.
 
-With --trace-seed, each checkout's perfbench/run.py --trace 1 also runs
+Then each checkout's perfbench/run.py --trace 1 --seed TRACE_SEED runs
 every workload once, and the report lists the counts (calls, iterations,
 factorizations, bytes computed, rows) of both sides and whether they agree,
 with the operator span times of both.
@@ -38,6 +37,10 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+AFTER = Path(__file__).resolve().parent.parent
+ROUNDS = 3
+REPEATS = 5
+TRACE_SEED = 7
 S = 0.3
 SIZES = (255, 511, 1023, 2047)
 PERIODIC_SIZES = (256, 512, 1024, 2048, 4096)
@@ -72,7 +75,7 @@ def _cases(nl):
     return out
 
 
-def _time_child(src: Path, repeats: int) -> None:
+def _time_child(src: Path) -> None:
     sys.path.insert(0, str(src))
     import nlogis as nl
 
@@ -80,7 +83,7 @@ def _time_child(src: Path, repeats: int) -> None:
     for name, n, fn in _cases(nl):
         fn()
         samples = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
             fn()
             samples.append(time.perf_counter() - t0)
@@ -88,10 +91,10 @@ def _time_child(src: Path, repeats: int) -> None:
     print(json.dumps(result))
 
 
-def _child_samples(checkout: Path, repeats: int) -> dict:
+def _child_samples(checkout: Path) -> dict:
     proc = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--time-src",
-         str(checkout / "src"), "--repeats", str(repeats)],
+         str(checkout / "src")],
         capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -102,19 +105,19 @@ def _summary(samples: list[float]) -> dict:
             "samples": len(samples)}
 
 
-def _traced(checkout: Path, workload: str, seed: int) -> dict:
+def _traced(checkout: Path, workload: str) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", "25", "--trace", "1"],
+         "--seed", str(TRACE_SEED), "--seconds", "25", "--trace", "1"],
         cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
-def _trace_report(sides: dict[str, Path], seed: int) -> dict:
+def _trace_report(sides: dict[str, Path]) -> dict:
     report = {}
     for workload in WORKLOADS:
-        metrics = {side: _traced(path, workload, seed)
+        metrics = {side: _traced(path, workload)
                    for side, path in sides.items()}
         counts = {side: {k: v for k, v in m.items()
                          if k.endswith(COUNT_SUFFIXES)}
@@ -131,26 +134,20 @@ def _trace_report(sides: dict[str, Path], seed: int) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--before", type=Path)
-    p.add_argument("--after", type=Path,
-                   default=Path(__file__).resolve().parent.parent)
-    p.add_argument("--rounds", type=int, default=3)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--trace-seed", type=int)
     p.add_argument("--out", type=Path)
     p.add_argument("--time-src", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.time_src is not None:
-        _time_child(args.time_src, args.repeats)
+        _time_child(args.time_src)
         return 0
     if args.before is None or args.out is None:
         p.error("--before and --out are required")
-    sides = {"before": args.before.resolve(), "after": args.after.resolve()}
+    sides = {"before": args.before.resolve(), "after": AFTER}
     pooled: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for side in order:
-            for case, samples in _child_samples(sides[side],
-                                                args.repeats).items():
+            for case, samples in _child_samples(sides[side]).items():
                 pooled[side].setdefault(case, []).extend(samples)
     assembly = {}
     for case in pooled["before"]:
@@ -166,17 +163,15 @@ def main(argv=None) -> int:
                     "python": platform.python_version(),
                     "numpy": numpy.__version__, "scipy": scipy.__version__,
                     "blas_threads": 1},
-        "method": {"rounds": args.rounds, "repeats": args.repeats, "s": S},
+        "method": {"rounds": ROUNDS, "repeats": REPEATS, "s": S},
         "assembly": assembly,
+        "trace": {"seed": TRACE_SEED, **_trace_report(sides)},
     }
-    if args.trace_seed is not None:
-        report["trace"] = {"seed": args.trace_seed,
-                           **_trace_report(sides, args.trace_seed)}
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for case, row in assembly.items():
         print(f"{case:24s} {row['before']['median_s'] * 1e3:9.2f} ms -> "
               f"{row['after']['median_s'] * 1e3:9.2f} ms")
-    for workload, row in report.get("trace", {}).items():
+    for workload, row in report["trace"].items():
         if isinstance(row, dict):
             print(f"{workload:24s} counts identical: {row['counts_identical']}")
     return 0
