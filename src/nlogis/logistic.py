@@ -11,10 +11,15 @@ whose nodal gradient (scaled by 1/h) is the steady logistic equation
 
     A u + mu |u| u - sigma u - tau (J*u) = 0.
 
-Minimization is monotone: accepted steps strictly decrease the energy, a
-Newton step on the nodal system is tried first and a backtracking gradient
-step is the fallback, and the final iterate is replaced by its absolute
-value, which can only lower the energy.
+Minimization is monotone: every line-searched step strictly decreases the
+computed energy, so no step is accepted on a roundoff tie.  A Newton step
+on the nodal system is tried first, its Hessian factored by Cholesky and
+by a symmetric-indefinite solve only when it is not positive definite; a
+backtracking gradient step is the fallback.  A Newton step whose predicted
+decrease lies below what the energy resolves goes to an endgame that
+accepts it on a halved residual.  The final iterate is replaced by its
+absolute value, which can only lower the energy.  A report is converged
+only when the residual is within the tolerance.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import ConvergenceError
 from .grids import (
@@ -86,6 +92,19 @@ class _EnergyModel:
         self.mu = mu
         self.lin = lin
         self.src = src
+        self.abs_diag = np.abs(np.diagonal(a_eff))
+
+    def resolution(self, u: np.ndarray, e: float) -> float:
+        """Smallest energy change the computed energy e = E(u) resolves.
+
+        This is 1e-12 relative to e, or 16 ulps of the sum of the quadratic
+        part's terms h a_ii u_i^2 when that is larger: for a stiff operator
+        (s = 1 on a fine grid) these terms cancel to an energy many orders
+        of magnitude smaller than their sum, but their rounding errors do
+        not cancel.
+        """
+        terms = self.h * float(self.abs_diag @ (u * u))
+        return max(1e-12 * (1.0 + abs(e)), 16.0 * np.finfo(float).eps * terms)
 
     def energy(self, u: np.ndarray) -> float:
         bulk = self.mu * np.abs(u) ** 3 / 3.0 + self.lin * u**2 / 2.0 - self.src * u
@@ -94,14 +113,39 @@ class _EnergyModel:
     def gradient(self, u: np.ndarray) -> np.ndarray:
         return self.a_eff @ u + self.mu * np.abs(u) * u + self.lin * u - self.src
 
-    def hessian(self, u: np.ndarray) -> np.ndarray:
-        hess = self.a_eff.copy()
+    def hessian(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The Hessian (scaled by 1/h) in C order, written into out if given."""
+        hess = np.empty(self.a_eff.shape) if out is None else out
+        np.copyto(hess, self.a_eff)
         hess[np.diag_indices_from(hess)] += 2.0 * self.mu * np.abs(u) + self.lin
         return hess
 
 
-def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int):
-    e = model.energy(u)
+def _newton_direction(model: _EnergyModel, u: np.ndarray, g: np.ndarray):
+    """Solution d of H d = -g, or None when H is singular.
+
+    H is built in C order, so H.T is the Fortran-ordered matrix LAPACK
+    works on, and Cholesky factors it in its own storage (H is symmetric
+    and only its upper triangle is read).  Only when H is not positive
+    definite is it rebuilt in place for the symmetric-indefinite solve, so
+    one n x n Hessian is alive at a time.
+    """
+    hess = model.hessian(u)
+    factor, info = dpotrf(hess.T, lower=True, overwrite_a=True, clean=False)
+    if info == 0:
+        d, info = dpotrs(factor, -g, lower=True)
+        return d if info == 0 else None
+    model.hessian(u, out=hess)
+    try:
+        return solve(hess.T, -g, assume_a="sym", lower=True, overwrite_a=True)
+    except LinAlgError:
+        return None
+
+
+def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
+                  e: float | None = None):
+    """Descend from u, whose energy is e (computed when not given)."""
+    e = model.energy(u) if e is None else e
     history = [e]
     grad_step = 1.0
     prev_u = None
@@ -119,30 +163,30 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int)
         # Newton step on the nodal system; skipped with exponential backoff
         # while the Hessian is indefinite (early, near the unstable zero)
         if newton_skip == 0:
-            try:
-                d = solve(model.hessian(u), -g, assume_a="sym")
-            except LinAlgError:
-                d = None
+            d = _newton_direction(model, u, g)
             if d is not None and np.all(np.isfinite(d)):
                 slope = float(g @ d)
-                if slope < 0.0:
+                # a step whose predicted decrease -h slope / 2 is below what
+                # the energy resolves would only find roundoff ties
+                resolution = model.resolution(u, e)
+                if slope < 0.0 and -0.5 * model.h * slope > resolution:
                     t = 1.0
                     for _ in range(30):
                         trial = u + t * d
                         e_trial = model.energy(trial)
-                        if e_trial <= e + 1e-4 * t * slope:
+                        if e_trial < e and e_trial <= e + 1e-4 * t * slope:
                             u, e, accepted = trial, e_trial, True
                             break
                         t *= 0.5
                 if not accepted:
                     # endgame: the Newton correction may move the energy by
                     # less than roundoff resolves; accept on a solid residual
-                    # drop as long as the energy stays flat to 1e-12 relative
+                    # drop as long as the energy stays flat to its resolution
                     trial = u + d
                     g_trial = model.gradient(trial)
                     e_trial = model.energy(trial)
                     if (np.max(np.abs(g_trial)) <= 0.5 * np.max(np.abs(g))
-                            and e_trial <= e + 1e-12 * (1.0 + abs(e))):
+                            and e_trial <= e + resolution):
                         u, e, accepted = trial, min(e_trial, e), True
             if accepted:
                 newton_failures = 0
@@ -166,14 +210,14 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int)
             for _ in range(60):
                 trial = u - t * g
                 e_trial = model.energy(trial)
-                if e_trial <= e - 1e-4 * t * gnorm2:
+                if e_trial < e and e_trial <= e - 1e-4 * t * gnorm2:
                     u, e, accepted = trial, e_trial, True
                     grad_step = 2.0 * t
                     break
                 t *= 0.5
             if not accepted:
                 # line search exhausted: numerically stationary
-                converged = np.max(np.abs(model.gradient(u))) <= 10.0 * tol
+                converged = np.max(np.abs(model.gradient(u))) <= tol
                 break
         history.append(e)
     return u, history, it, converged
@@ -184,15 +228,20 @@ def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
     u, history, it1, conv1 = _descend_loop(model, init.astype(float), tol, max_iter)
     ua = np.abs(u)
     if not np.array_equal(ua, u):
+        # E(|u|) <= E(u) holds exactly (A and -tau J have no positive
+        # off-diagonal entries), so |u| is taken unless E(|u|) is above E(u)
+        # by more than roundoff; its energy is recorded as at most E(u)
         e_abs = model.energy(ua)
-        if e_abs <= history[-1]:
+        if e_abs <= history[-1] + model.resolution(u, history[-1]):
             u = ua
+            e_abs = min(e_abs, history[-1])
             history.append(e_abs)
-            u, hist2, it2, conv1 = _descend_loop(model, u, tol, max(50, max_iter // 4))
+            u, hist2, it2, conv1 = _descend_loop(model, u, tol, max(50, max_iter // 4),
+                                                 e_abs)
             history.extend(hist2[1:])
             it1 += it2
     residual = float(np.max(np.abs(model.gradient(u))))
-    return u, history, it1, residual, residual <= 10.0 * tol
+    return u, history, it1, residual, residual <= tol
 
 
 def _multistart(model: _EnergyModel, starts, tol: float):
@@ -263,6 +312,7 @@ def _finalize(spec: ProblemSpec, model: _EnergyModel, u, history, iterations,
     u, e, history, residual, classification = _zero_trivial(
         model, u, history, residual, spec.triviality_tol
     )
+    assert np.all(u >= 0.0), f"final iterate has min {np.min(u):.3e} < 0"
     positive = u > spec.triviality_tol
     dichotomy_ok = bool(np.all(positive) or not np.any(positive))
     return SolveReport(

@@ -442,6 +442,11 @@ def transmission_spec(
     )
 
 
+def _span(idx: np.ndarray) -> slice:
+    """The node indices of one interval, a contiguous run, as a slice."""
+    return slice(int(idx[0]), int(idx[-1]) + 1)
+
+
 def _cross_coupling(
     a: np.ndarray,
     grid: Grid,
@@ -481,8 +486,8 @@ def _cross_coupling(
             _ramp_out(np.abs(x[own] - endpoint), h, s_i),
         )
         w[:, p_local] += fold
-    a[np.ix_(own, other)] -= coeff * w
-    a[np.ix_(other, own)] -= coeff * w.T
+    a[_span(own), _span(other)] -= coeff * w
+    a[_span(other), _span(own)] -= coeff * w.T
 
 
 def assemble_transmission(tspec: TransmissionSpec) -> NonlocalMatrix:
@@ -507,7 +512,7 @@ def assemble_transmission(tspec: TransmissionSpec) -> NonlocalMatrix:
     w2 = _pair_weights(sub, tspec.s)
     block = -w2
     np.fill_diagonal(block, w2.sum(axis=1))
-    a[np.ix_(non, non)] += 2.0 * tspec.s * (1.0 - tspec.s) * block
+    a[_span(non), _span(non)] += 2.0 * tspec.s * (1.0 - tspec.s) * block
     # cross couplings of each component with its complement
     _cross_coupling(
         a, grid, tspec.local_id, tspec.nu1 * tspec.s1 * (1.0 - tspec.s1), tspec.s1

@@ -43,26 +43,36 @@ class EigenPair:
 def first_eigenpair(
     op: NonlocalMatrix, tol: float = 1e-10, max_iter: int = 400
 ) -> EigenPair:
-    """Smallest eigenpair by inverse power iteration with Rayleigh shifts.
+    """Smallest eigenpair by inverse power iteration with one Rayleigh shift.
 
-    Deterministic: the start vector is all ones, the shift schedule is a
-    function of the iterates only.  A tiny diagonal jitter handles positive
+    Deterministic: the start vector is all ones, the shift is a function of
+    the iterates only.  A tiny diagonal jitter handles positive
     semidefinite matrices whose smallest eigenvalue is zero (periodic
-    variant).
+    variant).  Once the residual is within 1e-2 of the eigenvalue the
+    matrix is refactored once, shifted just below the Rayleigh quotient;
+    a Dirichlet eigenpair thus takes two Cholesky factorizations.
     """
     a = op.a
     n = a.shape[0]
-    scale = float(np.max(np.abs(np.diag(a))))
+    diag = np.diag_indices(n)
+    scale = float(np.max(np.abs(a[diag])))
+
+    def shifted_factor(c: float):
+        # a + c I in Fortran order, factored in its own storage
+        work = np.array(a, order="F")
+        work[diag] += c
+        return cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
+
     jitter = 0.0
-    shift = 0.0
     factor = None
     while factor is None:
         try:
-            factor = cho_factor(a + (jitter - shift) * np.eye(n), lower=True)
+            factor = shifted_factor(jitter)
         except LinAlgError:
             jitter = max(1e-14 * scale, 4.0 * jitter)
             if jitter > 1e-6 * scale:
                 raise
+    shifted = False
     x = np.ones(n) / np.sqrt(n)
     lam = float(x @ (a @ x))
     res = np.inf
@@ -70,19 +80,21 @@ def first_eigenpair(
     for it in range(1, max_iter + 1):
         y = cho_solve(factor, x)
         y /= np.linalg.norm(y)
-        lam = float(y @ (a @ y))
-        res = float(np.linalg.norm(a @ y - lam * y))
+        ay = a @ y
+        lam = float(y @ ay)
+        res = float(np.linalg.norm(ay - lam * y))
         x = y
         if res <= tol * max(1.0, abs(lam)):
             break
-        # once roughly converged, move to Rayleigh-shifted iteration for the
-        # endgame; retreat when the shifted matrix loses definiteness
-        if res <= 1e-2 * max(1.0, abs(lam)):
+        # once roughly converged, refactor once at a shift just below the
+        # Rayleigh quotient for the endgame; while the shifted matrix is
+        # not positive definite, keep the current factor and retry later
+        if not shifted and res <= 1e-2 * max(1.0, abs(lam)):
             trial = lam - 2.0 * res - jitter
-            if trial > shift:
+            if trial > 0.0:
                 try:
-                    factor = cho_factor(a + (jitter - trial) * np.eye(n), lower=True)
-                    shift = trial
+                    factor = shifted_factor(jitter - trial)
+                    shifted = True
                 except LinAlgError:
                     pass
     else:

@@ -61,6 +61,7 @@ def minimize_transmission(
     u, energy_val, history, residual, classification = _zero_trivial(
         model, u, history, residual, tspec.triviality_tol
     )
+    assert np.all(u >= 0.0), f"final iterate has min {np.min(u):.3e} < 0"
     return TransmissionReport(
         u=Field(grid=tspec.grid, values=u),
         energy=energy_val,

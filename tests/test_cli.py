@@ -257,6 +257,11 @@ def test_main_exit_codes(tmp_path, capsys):
     cfg_path.write_text(json.dumps(_eigen_config(tolerance=1e-15)))
     assert main(["eigen", "--config", str(cfg_path)]) == 3
     capsys.readouterr()
+    # invariant failure: a grid too coarse to resolve the threshold radius
+    cfg_path.write_text(json.dumps({"experiment": "threshold-radius",
+                                    "h": 0.0625}))
+    assert main(["threshold-radius", "--config", str(cfg_path)]) == 3
+    capsys.readouterr()
     # malformed config
     cfg_path.write_text(json.dumps({"experiment": "eigen", "sgima": 2}))
     assert main(["eigen", "--config", str(cfg_path)]) == 64

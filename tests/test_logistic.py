@@ -4,6 +4,7 @@ import pytest
 from nlogis import (
     ConvergenceError,
     Field,
+    assemble_classical,
     assemble_dirichlet,
     assemble_periodic,
     beat_experiment,
@@ -18,12 +19,14 @@ from nlogis import (
     ext_crossing,
     first_eigenpair,
     minimize,
+    minimize_transmission,
     problem_spec,
     sample_function,
     solve_dirichlet,
     solve_periodic,
+    transmission_spec,
 )
-from nlogis.logistic import _spec_model
+from nlogis.logistic import _residual_scale, _spec_model
 
 
 def fd_gradient(fn, u, step=1e-6):
@@ -131,6 +134,92 @@ def test_histories_non_increasing(unit_problem):
         rep = solve_dirichlet(problem_spec(grid, 0.5, sigma, 1.0))
         hist = np.array(rep.history)
         assert np.all(np.diff(hist) <= 0.0)
+
+
+def _dipped(x, level=30.0, c=0.7, w=0.2):
+    """A resource at level with a cosine dip to zero at c, of half-width w."""
+    if abs(x - c) >= w:
+        return level
+    return level * 0.5 * (1.0 - np.cos(np.pi * (x - c) / w))
+
+
+def _dirichlet_report(case):
+    grid = build_grid([(-1.0, 1.0)], 2.0**-6)
+    lam = first_eigenpair(assemble_dirichlet(grid, 0.5)).lambda_
+    if case == "dipped":
+        spec = problem_spec(grid, 0.5, sample_function(grid, _dipped).values + 0.01,
+                            1.0)
+    elif case == "reach":
+        spec = problem_spec(grid, 0.5, lam + 1.0, 1.0, tau=0.5,
+                            kernel=build_kernel("uniform", 0.25, grid.h))
+    else:
+        spec = problem_spec(grid, 0.5, {"below": 0.5, "above": 2.0}[case] * lam,
+                            1.0)
+    rep = solve_dirichlet(spec)
+    return rep.u.values, rep.history, rep.el_residual, \
+        spec.solver_tol * _residual_scale(spec)
+
+
+def _periodic_report(case):
+    pg = build_periodic_grid(64)
+    sigma = 2.0 if case == "constant" else (lambda x: 2.0 + np.cos(2.0 * np.pi * x))
+    spec = problem_spec(pg, 0.5, sigma, 1.0)
+    rep = solve_periodic(spec)
+    return rep.u.values, rep.history, rep.el_residual, \
+        spec.solver_tol * _residual_scale(spec)
+
+
+def _transmission_report(case):
+    ts = transmission_spec((0.0, 1.0), (1.5, 2.5), 2.0**-5, s=0.5, s1=0.4,
+                           s2=0.6, nu1=1.0, nu2=1.0, mu=1.0,
+                           sigma={"below": 0.5, "above": 8.0}[case])
+    rep = minimize_transmission(ts)
+    return rep.u.values, rep.history, rep.el_residual, ts.solver_tol
+
+
+@pytest.mark.parametrize("solver, case", [
+    (_dirichlet_report, "below"), (_dirichlet_report, "above"),
+    (_dirichlet_report, "reach"), (_dirichlet_report, "dipped"),
+    (_periodic_report, "constant"), (_periodic_report, "oscillatory"),
+    (_transmission_report, "below"), (_transmission_report, "above"),
+])
+def test_reports_meet_postconditions(solver, case):
+    u, history, residual, tol = solver(case)
+    assert np.min(u) >= 0.0
+    assert residual <= tol
+    assert np.all(np.diff(history) <= 0.0)
+
+
+def test_large_dilation_classical_solve_converges_in_few_steps():
+    # ext_crossing's large-dilation classical species (S = 1, L = 20,
+    # h = 2^-6, n = 1279): its residual used to sit just above the
+    # tolerance while line searches accepted roundoff ties for all 800
+    # iterations; a full Newton step reaches the tolerance at once
+    h = 2.0**-6
+    grid = build_grid([(0.0, 20.0)], h)
+    lam_fast = first_eigenpair(assemble_dirichlet(grid, 0.25)).lambda_
+    lam_slow = first_eigenpair(assemble_classical(grid)).lambda_
+    gap = lam_fast - lam_slow
+    spec = problem_spec(grid, 1.0, lam_slow + gap / 3.0, 1.0, tau=gap / 3.0,
+                        kernel=build_kernel("uniform", 2.5, h))
+    rep = solve_dirichlet(spec)
+    assert rep.classification == "nontrivial"
+    assert rep.iterations <= 10
+    assert rep.el_residual <= spec.solver_tol * _residual_scale(spec)
+
+
+def test_stiff_classical_solve_reaches_tolerance():
+    # s = 1 at h = 2^-8: the energy (-0.109) is summed from terms
+    # h a_ii u_i^2 totalling 1.1e5, so it is computed to about 1e-11, not
+    # to 1e-12 relative; the Newton step that halves the residual must
+    # still be accepted although its computed energy rises by 1.3e-11
+    grid = build_grid([(-1.0, 1.0)], 2.0**-8)
+    spec = problem_spec(grid, 1.0, 3.0, 1.0, tau=0.25,
+                        kernel=build_kernel("uniform", 0.25, grid.h))
+    rep = solve_dirichlet(spec)
+    assert rep.classification == "nontrivial"
+    assert rep.iterations <= 10
+    assert rep.el_residual <= spec.solver_tol * _residual_scale(spec)
 
 
 def test_mixed_sign_init_agrees(unit_problem):
@@ -250,14 +339,8 @@ def test_abundance_linear_response():
 
 def test_beat_found_for_dipped_resource_only():
     grid = build_grid([(-1.0, 1.0)], 2.0**-6)
-    level, c, w = 30.0, 0.7, 0.2
-
-    def dipped(x):
-        if abs(x - c) >= w:
-            return level
-        return level * 0.5 * (1.0 - np.cos(np.pi * (x - c) / w))
-
-    scan = beat_experiment(sample_function(grid, dipped), 0.5,
+    level = 30.0
+    scan = beat_experiment(sample_function(grid, _dipped), 0.5,
                            [0.01, 0.1, 0.5])
     assert scan.first_m == 0.01
     assert np.all(scan.beat_counts > 0)

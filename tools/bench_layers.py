@@ -1,24 +1,30 @@
-"""Time operator assembly at two checkouts and compare their traced counts.
+"""Time the solver's layers at two checkouts and compare their traced counts.
 
-    python3 tools/bench_assembly.py --before PARENT --out BENCH.json
+    python3 tools/bench_layers.py --before PARENT --out BENCH.json
 
 PARENT is a checkout (with src/ and perfbench/) compared against the one
 this script lives in.  Each of ROUNDS rounds runs one child process per
 checkout, alternating which goes first; a child imports nlogis from its
-checkout's src/, pins BLAS to one thread, and times every assembly case
-REPEATS times after one untimed call.  The report gives each case's node
-count and, per side, the median and quartiles of all samples.
+checkout's src/, pins BLAS to one thread, and times every case REPEATS
+times after one untimed call.  The report gives each case's node count,
+per side the median and quartiles of all samples, and the dense
+factorizations one call makes (counted on a further call, by name of the
+LAPACK entry point the module calls: spectral's cho_factor, logistic's
+dpotrf and its symmetric-indefinite solve).
 
 Cases: the fractional Dirichlet and classical operators on the unit
 interval, and the transmission form on (0, 1) and (1.5, 2.5), at
 n = 255, 511, 1023, 2047 (the transmission form at the nearest size its two
 intervals allow); the periodic operator and the periodic convolution matrix
-(uniform kernel, rho = 1/4) at n = 256 ... 4096.
+(uniform kernel, rho = 1/4) at n = 256 ... 4096; the first eigenpair of the
+Dirichlet operator and one Dirichlet solve (sigma = 1.2 times the first
+eigenvalue, mu = 1, so the solve has a nontrivial state) on the unit
+interval at n = 255 ... 2047.  All at s = S.
 
 Then each checkout's perfbench/run.py --trace 1 --seed TRACE_SEED runs
 every workload once, and the report lists the counts (calls, iterations,
-factorizations, bytes computed, rows) of both sides and whether they agree,
-with the operator span times of both.
+factorizations, bytes computed, rows) of both sides, each count that
+differs between them, and the span times of both.
 """
 
 from __future__ import annotations
@@ -50,11 +56,15 @@ COUNT_SUFFIXES = (".calls", ".iters", ".iters_max", ".factorizations",
                   ".bytes_computed", ".stalled", ".radii", ".rows")
 SPAN_TIMES = ("operators.dirichlet.s", "operators.classical.s",
               "operators.periodic.s", "operators.transmission.s",
-              "operators.conv.s", "operators.self_s")
+              "operators.conv.s", "operators.self_s", "spectral.eig.s",
+              "logistic.solve.s", "logistic.factorize_s")
+# (module, name) of every dense factorization entry point a case may call
+FACTORIZATIONS = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
+                  ("logistic", "solve"))
 
 
 def _cases(nl):
-    """(name, n, zero-argument assembly) for every case."""
+    """(name, n, zero-argument call) for every case."""
     out = []
     for n in SIZES:
         grid = nl.build_grid([(0.0, 1.0)], 1.0 / (n + 1))
@@ -72,23 +82,57 @@ def _cases(nl):
         out.append(("periodic", n, lambda p=pg: nl.assemble_periodic(p, S)))
         out.append(("convolution", n,
                     lambda k=kernel, p=pg: nl.convolution_matrix(k, p)))
+    for n in SIZES:
+        grid = nl.build_grid([(0.0, 1.0)], 1.0 / (n + 1))
+        op = nl.assemble_dirichlet(grid, S)
+        lam = nl.first_eigenpair(op).lambda_
+        spec = nl.problem_spec(grid, S, 1.2 * lam, 1.0)
+        out.append(("eigenpair", n, lambda o=op: nl.first_eigenpair(o)))
+        out.append(("dirichlet-solve", n,
+                    lambda p=spec: nl.solve_dirichlet(p)))
     return out
+
+
+def _factorizations(nl, fn) -> dict:
+    """Calls of each factorization entry point made by one call of fn."""
+    counts = {}
+    undo = []
+    for module_name, attr in FACTORIZATIONS:
+        module = getattr(nl, module_name)
+        original = getattr(module, attr, None)
+        if original is None:
+            continue
+        key = f"{module_name}.{attr}"
+        counts[key] = 0
+
+        def counted(*args, _key=key, _fn=original, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+        setattr(module, attr, counted)
+        undo.append((module, attr, original))
+    try:
+        fn()
+    finally:
+        for module, attr, original in undo:
+            setattr(module, attr, original)
+    return {key: calls for key, calls in counts.items() if calls}
 
 
 def _time_child(src: Path) -> None:
     sys.path.insert(0, str(src))
     import nlogis as nl
 
-    result = {}
+    samples, counts = {}, {}
     for name, n, fn in _cases(nl):
         fn()
-        samples = []
+        case = f"{name}/n={n}"
+        samples[case] = []
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             fn()
-            samples.append(time.perf_counter() - t0)
-        result[f"{name}/n={n}"] = samples
-    print(json.dumps(result))
+            samples[case].append(time.perf_counter() - t0)
+        counts[case] = _factorizations(nl, fn)
+    print(json.dumps({"samples": samples, "factorizations": counts}))
 
 
 def _child_samples(checkout: Path) -> dict:
@@ -122,8 +166,12 @@ def _trace_report(sides: dict[str, Path]) -> dict:
         counts = {side: {k: v for k, v in m.items()
                          if k.endswith(COUNT_SUFFIXES)}
                   for side, m in metrics.items()}
+        keys = sorted(set(counts["before"]) | set(counts["after"]))
         report[workload] = {
-            "counts_identical": counts["before"] == counts["after"],
+            "count_differences": {
+                k: {side: counts[side].get(k) for side in sides}
+                for k in keys
+                if counts["before"].get(k) != counts["after"].get(k)},
             "counts": counts,
             "span_s": {side: {k: m.get(k, 0.0) for k in SPAN_TIMES}
                        for side, m in metrics.items()},
@@ -144,17 +192,22 @@ def main(argv=None) -> int:
         p.error("--before and --out are required")
     sides = {"before": args.before.resolve(), "after": AFTER}
     pooled: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
+    factorizations: dict[str, dict] = {}
     for r in range(ROUNDS):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for side in order:
-            for case, samples in _child_samples(sides[side]).items():
+            child = _child_samples(sides[side])
+            for case, samples in child["samples"].items():
                 pooled[side].setdefault(case, []).extend(samples)
-    assembly = {}
+            factorizations[side] = child["factorizations"]
+    layers = {}
     for case in pooled["before"]:
         before = _summary(pooled["before"][case])
         after = _summary(pooled["after"][case])
-        assembly[case] = {"before": before, "after": after,
-                          "ratio": after["median_s"] / before["median_s"]}
+        layers[case] = {"before": before, "after": after,
+                        "ratio": after["median_s"] / before["median_s"],
+                        "factorizations": {side: factorizations[side][case]
+                                           for side in sides}}
     import numpy
     import scipy
     report = {
@@ -164,16 +217,20 @@ def main(argv=None) -> int:
                     "numpy": numpy.__version__, "scipy": scipy.__version__,
                     "blas_threads": 1},
         "method": {"rounds": ROUNDS, "repeats": REPEATS, "s": S},
-        "assembly": assembly,
+        "layers": layers,
         "trace": {"seed": TRACE_SEED, **_trace_report(sides)},
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    for case, row in assembly.items():
+    for case, row in layers.items():
+        counts = row["factorizations"]
         print(f"{case:24s} {row['before']['median_s'] * 1e3:9.2f} ms -> "
-              f"{row['after']['median_s'] * 1e3:9.2f} ms")
+              f"{row['after']['median_s'] * 1e3:9.2f} ms"
+              + (f"  factorizations {counts['before']} -> {counts['after']}"
+                 if counts["before"] or counts["after"] else ""))
     for workload, row in report["trace"].items():
         if isinstance(row, dict):
-            print(f"{workload:24s} counts identical: {row['counts_identical']}")
+            print(f"{workload:24s} counts that differ: "
+                  f"{row['count_differences'] or 'none'}")
     return 0
 
 
