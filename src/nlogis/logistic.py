@@ -11,15 +11,22 @@ whose nodal gradient (scaled by 1/h) is the steady logistic equation
 
     A u + mu |u| u - sigma u - tau (J*u) = 0.
 
+A Dirichlet or transmission solve first factors the Hessian at zero once.
+When it is positive definite the energy is strictly convex (mu >= 0 makes
+the cubic term convex), zero is its only minimizer and the solve returns
+the trivial state without descending; only when zero is unstable does it
+descend from two starts.
+
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
 on the nodal system is tried first, its Hessian factored by Cholesky and
-by a symmetric-indefinite solve only when it is not positive definite; a
-backtracking gradient step is the fallback.  A Newton step whose predicted
-decrease lies below what the energy resolves goes to an endgame that
-accepts it on a halved residual.  The final iterate is replaced by its
-absolute value, which can only lower the energy.  A report is converged
-only when the residual is within the tolerance.
+by a symmetric-indefinite solve only when it is not positive definite
+(known without factoring when the curvature along the first eigenvector
+is negative); a backtracking gradient step is the fallback.  A Newton
+step whose predicted decrease lies below what the energy resolves goes to
+an endgame that accepts it on a halved residual.  The final iterate is
+replaced by its absolute value, which can only lower the energy.  A report
+is converged only when the residual is within the tolerance.
 """
 
 from __future__ import annotations
@@ -83,7 +90,11 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 class _EnergyModel:
-    """E(u) = 1/2 h u^T A_eff u + h sum(mu |u|^3/3 + lin u^2/2 - src u)."""
+    """E(u) = 1/2 h u^T A_eff u + h sum(mu |u|^3/3 + lin u^2/2 - src u).
+
+    probe, when set, is (e, A_eff e) for a field e along which the Hessian
+    is expected to have negative curvature: the first eigenvector.
+    """
 
     def __init__(self, a_eff: np.ndarray, h: float, mu: np.ndarray,
                  lin: np.ndarray, src: np.ndarray | float = 0.0):
@@ -93,6 +104,27 @@ class _EnergyModel:
         self.lin = lin
         self.src = src
         self.abs_diag = np.abs(np.diagonal(a_eff))
+        self.probe = None
+
+    def set_probe(self, e: np.ndarray) -> np.ndarray:
+        """Carry (e, A_eff e) as the probe; returns A_eff e."""
+        ae = self.a_eff @ e
+        self.probe = (e, ae)
+        return ae
+
+    def indefinite_along(self, u: np.ndarray, e: np.ndarray,
+                         ae: np.ndarray) -> bool:
+        """True when e^T H(u) e < 0, which proves H(u) not positive definite.
+
+        The O(n) quadratic form must be negative by more than its rounding
+        error (n ulps of the sum of its terms' magnitudes), so a Cholesky
+        factorization this skips could not have succeeded.
+        """
+        bulk = 2.0 * self.mu * np.abs(u) + self.lin
+        e2 = e * e
+        curvature = float(e @ ae) + float(bulk @ e2)
+        magnitude = float(self.abs_diag @ e2) + float(np.abs(bulk) @ e2)
+        return curvature < -e.size * np.finfo(float).eps * magnitude
 
     def resolution(self, u: np.ndarray, e: float) -> float:
         """Smallest energy change the computed energy e = E(u) resolves.
@@ -128,14 +160,16 @@ def _newton_direction(model: _EnergyModel, u: np.ndarray, g: np.ndarray):
     works on, and Cholesky factors it in its own storage (H is symmetric
     and only its upper triangle is read).  Only when H is not positive
     definite is it rebuilt in place for the symmetric-indefinite solve, so
-    one n x n Hessian is alive at a time.
+    one n x n Hessian is alive at a time.  Cholesky is not tried when the
+    model's probe already shows negative curvature.
     """
     hess = model.hessian(u)
-    factor, info = dpotrf(hess.T, lower=True, overwrite_a=True, clean=False)
-    if info == 0:
-        d, info = dpotrs(factor, -g, lower=True)
-        return d if info == 0 else None
-    model.hessian(u, out=hess)
+    if model.probe is None or not model.indefinite_along(u, *model.probe):
+        factor, info = dpotrf(hess.T, lower=True, overwrite_a=True, clean=False)
+        if info == 0:
+            d, info = dpotrs(factor, -g, lower=True)
+            return d if info == 0 else None
+        model.hessian(u, out=hess)
     try:
         return solve(hess.T, -g, assume_a="sym", lower=True, overwrite_a=True)
     except LinAlgError:
@@ -221,6 +255,27 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
                 break
         history.append(e)
     return u, history, it, converged
+
+
+def _zero_is_minimizer(model: _EnergyModel) -> bool:
+    """True when the Hessian at zero is positive definite.
+
+    With src = 0 and mu >= 0 the energy is then strictly convex and zero is
+    its only minimizer.  A probe field with negative curvature at zero (the
+    model's probe when set, the constant field otherwise) settles the
+    question without factoring; else one Cholesky factorization does.
+    """
+    zeros = np.zeros(model.lin.size)
+    if model.probe is not None:
+        probe = model.probe
+    else:
+        ones = np.ones(model.lin.size)
+        probe = (ones, model.a_eff @ ones)
+    if model.indefinite_along(zeros, *probe):
+        return False
+    _, info = dpotrf(model.hessian(zeros).T, lower=True, overwrite_a=True,
+                     clean=False)
+    return info == 0
 
 
 def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
@@ -369,11 +424,6 @@ def minimize(
     return report
 
 
-def _eigform(model: _EnergyModel, e: np.ndarray, h: float) -> float:
-    """h e^T A_eff e: the quadratic part of the energy at the eigenvector."""
-    return float(h * (e @ (model.a_eff @ e)))
-
-
 def _eigen_start(model: _EnergyModel, pair: EigenPair, form: float,
                  floor: float) -> np.ndarray:
     """Amplitude from the small-amplitude expansion of the energy.
@@ -392,19 +442,25 @@ def _eigen_start(model: _EnergyModel, pair: EigenPair, form: float,
 
 
 def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
-    """Assemble, minimize from two starts, return the lower-energy report.
+    """Assemble; certify extinction or minimize from two starts.
 
-    Start one is a microscopic constant perturbation of zero, start two
-    rides the first eigenvector with the amplitude suggested by the
-    small-amplitude expansion; ties break toward the trivial state.
+    When the Hessian at zero is positive definite, zero is the only
+    minimizer and the trivial report is returned at once.  Otherwise start
+    one is a microscopic constant perturbation of zero, start two rides
+    the first eigenvector with the amplitude suggested by the
+    small-amplitude expansion, and the lower-energy report is returned;
+    ties break toward the trivial state.
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
     op = assemble(spec.grid, spec.s)
     model = _spec_model(spec, op)
+    if _zero_is_minimizer(model):
+        return _finalize(spec, model, np.zeros(spec.grid.n), [0.0], 0, 0.0, True)
     tiny = 0.1 * spec.triviality_tol
     pair = first_eigenpair(op, tol=min(1e-10, spec.solver_tol * 100))
-    form = _eigform(model, pair.vector.values, spec.grid.h)
+    e = pair.vector.values
+    form = float(spec.grid.h * (e @ model.set_probe(e)))
     floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
     starts = [
         (_eigen_start(model, pair, form, floor), max_iter),

@@ -298,12 +298,35 @@ def assemble(grid: Grid | PeriodicGrid, s: float) -> NonlocalMatrix:
 # convolution
 # ---------------------------------------------------------------------------
 
+def _stencil_blocks(kernel: Kernel, grid: Grid, lattice: np.ndarray) -> np.ndarray:
+    """B on nodes at integer lattice positions: entry (i, j) is
+    h weights[k_max + k] at offset k = lattice[i] - lattice[j] with
+    |k| <= k_max, and zero beyond, where every kernel profile vanishes.
+    Each block between two intervals is Toeplitz."""
+    h = grid.h
+
+    def stencil(k):
+        index = np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)
+        return np.where(np.abs(k) <= kernel.k_max, h * kernel.weights[index], 0.0)
+
+    spans = [_span(grid.interval_nodes(k)) for k in range(len(grid.intervals))]
+    b = np.empty((grid.n, grid.n))
+    for rows in spans:
+        for cols in spans:
+            b[rows, cols] = toeplitz(stencil(lattice[rows] - lattice[cols][0]),
+                                     stencil(lattice[rows][0] - lattice[cols]))
+    return b
+
+
 def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
     """Matrix B with (J*u)_i = (B u)_i = h sum_j J(x_i - x_j) u_j.
 
     Lattice-aligned pairs use the renormalized stencil weights so that the
     discrete unit-mass identity is inherited exactly; pairs across
-    non-aligned intervals fall back to the renormalized profile.
+    non-aligned intervals fall back to the renormalized profile.  When all
+    nodes lie on one lattice, as on every grid whose interval endpoints
+    are multiples of h apart, B is spread from the stencil as Toeplitz
+    blocks between the intervals.
     """
     h = grid.h
     if abs(kernel.h - h) > 1e-12 * h:
@@ -330,6 +353,11 @@ def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
             b_off[rows] = h * kernel.weights[kernel.k_max + run].sum(axis=1)
         return circulant(b_off)
     x = grid.nodes
+    lattice = np.rint((x - x[0]) / h)
+    # a tenth of the per-pair on-lattice tolerance below, so that every pair
+    # of these nodes passes it with offset lattice[i] - lattice[j]
+    if np.all(np.abs((x - x[0]) - lattice * h) <= 1e-10 * h):
+        return _stencil_blocks(kernel, grid, lattice.astype(int))
     diff = x[:, None] - x[None, :]
     k = np.rint(diff / h).astype(int)
     on_lattice = np.abs(diff - k * h) <= 1e-9 * h

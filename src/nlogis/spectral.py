@@ -78,7 +78,7 @@ def first_eigenpair(
     res = np.inf
     it = 0
     for it in range(1, max_iter + 1):
-        y = cho_solve(factor, x)
+        y = cho_solve(factor, x, check_finite=False)
         y /= np.linalg.norm(y)
         ay = a @ y
         lam = float(y @ ay)

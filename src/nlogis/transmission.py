@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import Field
-from .logistic import _EnergyModel, _eigen_start, _multistart, _zero_trivial
+from .logistic import (
+    _EnergyModel,
+    _eigen_start,
+    _multistart,
+    _zero_is_minimizer,
+    _zero_trivial,
+)
 from .operators import TransmissionSpec, assemble_transmission
 from .spectral import EigenPair, first_eigenpair
 
@@ -50,14 +56,23 @@ def lambda_star(tspec: TransmissionSpec, tol: float = 1e-10) -> EigenPair:
 def minimize_transmission(
     tspec: TransmissionSpec, max_iter: int = 800
 ) -> TransmissionReport:
-    """Minimize form/2 + int(mu |u|^3/3 - sigma u^2/2) over both habitats."""
+    """Minimize form/2 + int(mu |u|^3/3 - sigma u^2/2) over both habitats.
+
+    When the Hessian at zero is positive definite (sigma below lambda_star
+    where sigma is constant) zero is the only minimizer and is returned
+    without descending.
+    """
     op = assemble_transmission(tspec)
     model = _EnergyModel(op.a, tspec.grid.h, tspec.mu.values, -tspec.sigma.values)
     pair = first_eigenpair(op, tol=min(1e-10, tspec.solver_tol * 100))
-    tiny = 0.1 * tspec.triviality_tol
-    starts = [(_eigen_start(model, pair, pair.lambda_, tiny), max_iter),
-              (np.full(tspec.grid.n, tiny), min(max_iter, 300))]
-    u, history, iters, residual = _multistart(model, starts, tspec.solver_tol)
+    model.set_probe(pair.vector.values)
+    if _zero_is_minimizer(model):
+        u, history, iters, residual = np.zeros(tspec.grid.n), [0.0], 0, 0.0
+    else:
+        tiny = 0.1 * tspec.triviality_tol
+        starts = [(_eigen_start(model, pair, pair.lambda_, tiny), max_iter),
+                  (np.full(tspec.grid.n, tiny), min(max_iter, 300))]
+        u, history, iters, residual = _multistart(model, starts, tspec.solver_tol)
     u, energy_val, history, residual, classification = _zero_trivial(
         model, u, history, residual, tspec.triviality_tol
     )

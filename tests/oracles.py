@@ -243,3 +243,21 @@ def ref_periodic_convolution(kernel, pgrid):
         b_off[d] = h * kernel.weights[kernel.k_max + q[sel]].sum()
     d = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return b_off[d]
+
+
+def ref_convolution_matrix(kernel, grid):
+    """Convolution matrix on a bounded grid, one stencil or profile lookup
+    per entry: the stencil weight for on-lattice pairs within k_max, the
+    renormalized profile for every other pair."""
+    h = grid.h
+    x = grid.nodes
+    diff = x[:, None] - x[None, :]
+    k = np.rint(diff / h).astype(int)
+    on_lattice = np.abs(diff - k * h) <= 1e-9 * h
+    in_range = np.abs(k) <= kernel.k_max
+    b = np.where(
+        on_lattice & in_range,
+        kernel.weights[np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)],
+        kernel.profile(diff),
+    )
+    return h * b

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -489,3 +493,86 @@ def test_congruence_experiment_row_shape():
     assert classes["habitat-1"] == "trivial"
     assert classes["habitat-2"] == "trivial"
     assert classes["union"] == "nontrivial"
+
+
+# Fuzzing through main: each experiment starts from a small config (sizes
+# cut so that one run stays well under a second at h >= 1/16) whose keys
+# are left out, scaled, negated or replaced by arbitrary JSON.  Whatever
+# the input, main must exit with a contract code and never raise.
+_FUZZ_BASE = {
+    "eigen": {"radii": [1.0, 2.0]},
+    "solve": {"sigma": {"kind": "eigenvalue-multiple", "factor": 1.2}},
+    "threshold-radius": {"s_values": [0.5]},
+    "ext-crossing": {"r_max": 4.0, "r_count": 8},
+    "periodic": {"n": 16},
+    "strategic": {"r_schedule": [4.0, 6.0]},
+}
+# values for the keys whose default is None, which scaling cannot produce
+_FUZZ_OPTIONAL = {
+    "kernel": st.sampled_from([{"shape": "uniform", "rho": 0.25},
+                               {"shape": "triangular", "rho": 0.5},
+                               {"shape": "sampled", "samples": [1, 2, 1]}]),
+    "sigma": st.sampled_from([
+        {"kind": "eigenvalue-multiple", "factor": 0.8},
+        {"kind": "constant", "value": 40.0},
+        {"kind": "dip", "level": 30.0, "center": 0.5, "width": 0.25},
+        {"kind": "cosine", "mean": 20.0, "amplitude": 15.0, "frequency": 2.0},
+        {"kind": "indicator", "ball": [0.25, 0.75], "inside": 40.0,
+         "outside": 0.0}]),
+    "triviality_tol": st.sampled_from([1e-6, 1e-3]),
+    "expect": st.sampled_from(["trivial", "nontrivial"]),
+}
+# out and jobs would write files or start worker processes; h is drawn
+# from spacings coarse enough to keep every grid small
+_FUZZ_FIXED = {"out", "jobs", "h"}
+
+
+def _scaled(value, factor):
+    """value with every number in it multiplied by factor."""
+    if isinstance(value, list):
+        return [_scaled(v, factor) for v in value]
+    if isinstance(value, dict):
+        return {k: _scaled(v, factor) for k, v in value.items()}
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return value
+    return int(round(value * factor)) if isinstance(value, int) else value * factor
+
+
+@st.composite
+def _fuzzed_config(draw, experiment):
+    """The base config with each key left out or scaled, and at most one
+    key negated or replaced by arbitrary JSON."""
+    table = {**cli._COMMON, **cli._SCHEMA[experiment]}
+    base = _FUZZ_BASE.get(experiment, {})
+    keys = sorted(set(table) - _FUZZ_FIXED)
+    config = {"experiment": experiment,
+              "h": draw(st.sampled_from([0.25, 0.125, 0.0625]))}
+    for key in keys:
+        default = base.get(key, table[key][1])
+        if default is None and key in _FUZZ_OPTIONAL:
+            if draw(st.booleans()):
+                config[key] = draw(_FUZZ_OPTIONAL[key])
+        elif key in base or draw(st.booleans()):
+            factor = draw(st.sampled_from([0.5, 1.0, 1.0, 1.5, 2.0]))
+            config[key] = _scaled(default, factor)
+    if draw(st.integers(0, 2)) == 0:
+        broken = draw(st.sampled_from(keys))
+        config[broken] = draw(
+            _JSON_VALUES | st.just(_scaled(config.get(broken, 1.0), -1.0)))
+    return config
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_main_exits_with_a_contract_code_on_fuzzed_configs(experiment, data):
+    config = data.draw(_fuzzed_config(experiment))
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(stderr):
+            code = main([experiment, "--config", str(path)])
+    assert code in (0, 2, 3, 4, 64), (config, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()

@@ -26,7 +26,14 @@ from nlogis import (
     solve_periodic,
     transmission_spec,
 )
-from nlogis.logistic import _residual_scale, _spec_model
+from nlogis import logistic
+from nlogis.logistic import (
+    _EnergyModel,
+    _newton_direction,
+    _residual_scale,
+    _spec_model,
+)
+from nlogis.operators import assemble, assemble_transmission
 
 
 def fd_gradient(fn, u, step=1e-6):
@@ -407,3 +414,116 @@ def test_congruence_window_narrows_with_separation():
     near = congruence_experiment((0.0, 1.0), (2.0, 3.0), 0.5, 2.0**-6)
     far = congruence_experiment((0.0, 1.0), (17.0, 18.0), 0.5, 2.0**-6)
     assert far.gap < near.gap
+
+
+# ---------------------------------------------------------------------------
+# the extinction certificate and the Rayleigh skip
+# ---------------------------------------------------------------------------
+
+def _certificate_spec(s, case):
+    grid = build_grid([(0.0, 1.0)], 2.0**-5)
+    lam = first_eigenpair(assemble(grid, s)).lambda_
+    if case == "dip":
+        sigma = sample_function(grid, lambda x: _dipped(x, 2.0 * lam, 0.5, 0.3))
+        return problem_spec(grid, s, sigma, 1.0)
+    if case == "reach":
+        return problem_spec(grid, s, 0.5 * lam, 1.0, tau=0.7 * lam,
+                            kernel=build_kernel("uniform", 0.25, grid.h))
+    return problem_spec(grid, s, float(case) * lam, 1.0)
+
+
+def _counting(monkeypatch, name):
+    """Replace logistic.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(logistic, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(logistic, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["0.9", "1.1", "dip", "reach"])
+@pytest.mark.parametrize("s", [0.3, 0.5, 1.0])
+def test_trivial_exactly_when_hessian_at_zero_is_positive_definite(
+        s, case, monkeypatch):
+    spec = _certificate_spec(s, case)
+    h0 = _spec_model(spec, assemble(spec.grid, s)).hessian(np.zeros(spec.grid.n))
+    definite = bool(np.linalg.eigvalsh(h0)[0] > 0.0)
+    rep = solve_dirichlet(spec)
+    assert (rep.classification == "trivial") == definite
+    if definite:
+        # the certified report is the one the two-start descent reaches
+        monkeypatch.setattr(logistic, "_zero_is_minimizer", lambda model: False)
+        descended = solve_dirichlet(spec)
+        assert descended.classification == "trivial"
+        assert np.array_equal(descended.u.values, rep.u.values)
+        assert (descended.energy, descended.el_residual) == \
+            (rep.energy, rep.el_residual)
+
+
+def test_certificate_cases_cover_both_outcomes():
+    classes = {solve_dirichlet(_certificate_spec(0.5, case)).classification
+               for case in ("0.9", "1.1", "dip", "reach")}
+    assert classes == {"trivial", "nontrivial"}
+
+
+def test_extinct_solve_factors_once_without_an_eigenpair(monkeypatch):
+    spec = _certificate_spec(0.5, "0.9")
+    eigenpairs = _counting(monkeypatch, "first_eigenpair")
+    factorizations = _counting(monkeypatch, "dpotrf")
+    rep = solve_dirichlet(spec)
+    assert rep.classification == "trivial"
+    assert (len(eigenpairs), len(factorizations)) == (0, 1)
+    assert rep.history == [0.0, 0.0] and rep.iterations == 0
+
+
+def _directions_with_and_without_probe(model, e, u, monkeypatch):
+    """Newton directions at u with e as the probe and with none, and the
+    dpotrf calls each made."""
+    factorizations = _counting(monkeypatch, "dpotrf")
+    g = model.gradient(u)
+    out = []
+    for probe in (e, None):
+        model.probe = None
+        if probe is not None:
+            model.set_probe(probe)
+        before = len(factorizations)
+        out.append((_newton_direction(model, u, g),
+                    len(factorizations) - before))
+    return out
+
+
+def test_rayleigh_skip_keeps_the_newton_direction(monkeypatch):
+    spec = _certificate_spec(0.5, "1.1")
+    op = assemble(spec.grid, spec.s)
+    model = _spec_model(spec, op)
+    e = first_eigenpair(op).vector.values
+    u = np.full(spec.grid.n, 0.1 * spec.triviality_tol)
+    (skipped, calls_skipped), (tried, calls_tried) = \
+        _directions_with_and_without_probe(model, e, u, monkeypatch)
+    assert (calls_skipped, calls_tried) == (0, 1)
+    assert np.array_equal(skipped, tried)
+
+
+@pytest.mark.parametrize("factor, expected", [(0.8, "trivial"),
+                                              (1.2, "nontrivial")])
+def test_transmission_rayleigh_skip_on_each_side_of_lambda_star(
+        factor, expected, monkeypatch):
+    def tspec(sigma):
+        return transmission_spec((0.0, 1.0), (1.5, 2.5), 2.0**-5, s=0.5,
+                                 s1=0.4, s2=0.6, nu1=1.0, nu2=1.0, mu=1.0,
+                                 sigma=sigma)
+    op = assemble_transmission(tspec(1.0))
+    pair = first_eigenpair(op)
+    ts = tspec(factor * pair.lambda_)
+    model = _EnergyModel(op.a, ts.grid.h, ts.mu.values, -ts.sigma.values)
+    u = np.full(ts.grid.n, 0.1 * ts.triviality_tol)
+    (probed, calls_probed), (tried, calls_tried) = \
+        _directions_with_and_without_probe(model, pair.vector.values, u,
+                                           monkeypatch)
+    assert calls_tried == 1
+    assert calls_probed == (0 if expected == "nontrivial" else 1)
+    assert np.array_equal(probed, tried)
+    assert minimize_transmission(ts).classification == expected

@@ -287,6 +287,30 @@ def test_convolution_matrix_symmetric():
     assert np.max(np.abs(b - b.T)) == 0.0
 
 
+_KERNELS = [("uniform", 0.25, None), ("triangular", 0.3, None),
+            ("sampled", None, [1.0, 2.0, 3.0, 5.0, 3.0, 2.0, 1.0])]
+
+
+# one spacing off binary fractions, aligned unions, a kernel wider than a
+# gap, and a union whose second interval is off the first one's lattice
+# (every cross pair then takes the profile)
+@pytest.mark.parametrize("shape, rho, samples", _KERNELS)
+@pytest.mark.parametrize("intervals, h", [
+    ([(0.0, 1.0)], 2.0**-6),
+    ([(0.0, 1.0)], 0.1),
+    ([(-3.0, -1.0), (2.0, 2.5)], 2.0**-4),
+    ([(0.0, 0.5), (0.6, 1.1)], 1.0 / 48.0),
+    ([(0.0, 0.5), (0.5625, 1.0), (1.25, 2.0)], 2.0**-5),
+    ([(0.0, 1.0), (1.03, 2.03)], 2.0**-5),
+])
+def test_convolution_matrix_matches_per_entry_reference(intervals, h, shape,
+                                                        rho, samples):
+    grid = build_grid(intervals, h)
+    k = build_kernel(shape, rho, h, samples=samples)
+    assert np.array_equal(convolution_matrix(k, grid),
+                          oracles.ref_convolution_matrix(k, grid))
+
+
 def test_kernel_radius_vs_image_cutoff():
     pg = build_periodic_grid(16, image_cutoff=3)
     k = build_kernel("uniform", 2.5, pg.h)

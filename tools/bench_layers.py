@@ -10,16 +10,19 @@ times after one untimed call.  The report gives each case's node count,
 per side the median and quartiles of all samples, and the dense
 factorizations one call makes (counted on a further call, by name of the
 LAPACK entry point the module calls: spectral's cho_factor, logistic's
-dpotrf and its symmetric-indefinite solve).
+dpotrf and its symmetric-indefinite solve; a dpotrf that finds the matrix
+not positive definite is counted apart, as "logistic.dpotrf failed").
 
-Cases: the fractional Dirichlet and classical operators on the unit
-interval, and the transmission form on (0, 1) and (1.5, 2.5), at
-n = 255, 511, 1023, 2047 (the transmission form at the nearest size its two
-intervals allow); the periodic operator and the periodic convolution matrix
+Cases: the fractional Dirichlet and classical operators and the
+convolution matrix (uniform kernel, rho = 1/4) on the unit interval, and
+the transmission form on (0, 1) and (1.5, 2.5), at n = 255, 511, 1023,
+2047 (the transmission form at the nearest size its two intervals allow);
+the periodic operator and the periodic convolution matrix
 (uniform kernel, rho = 1/4) at n = 256 ... 4096; the first eigenpair of the
-Dirichlet operator and one Dirichlet solve (sigma = 1.2 times the first
-eigenvalue, mu = 1, so the solve has a nontrivial state) on the unit
-interval at n = 255 ... 2047.  All at s = S.
+Dirichlet operator and two Dirichlet solves, mu = 1, on the unit interval
+at n = 255 ... 2047: sigma = 1.2 times the first eigenvalue, so the solve
+has a nontrivial state, and sigma = 0.8 times it, an extinct one.  All at
+s = S.
 
 Then each checkout's perfbench/run.py --trace 1 --seed TRACE_SEED runs
 every workload once, and the report lists the counts (calls, iterations,
@@ -71,6 +74,9 @@ def _cases(nl):
         out.append(("dirichlet", n,
                     lambda g=grid: nl.assemble_dirichlet(g, S)))
         out.append(("classical", n, lambda g=grid: nl.assemble_classical(g)))
+        kernel = nl.build_kernel("uniform", 0.25, grid.h)
+        out.append(("grid-convolution", n,
+                    lambda k=kernel, g=grid: nl.convolution_matrix(k, g)))
         h = 2.0 / (n + 1)
         ts = nl.transmission_spec((0.0, 1.0), (1.5, 2.5), h, s=S, s1=0.4,
                                   s2=0.6, nu1=1.0, nu2=1.0, sigma=1.0, mu=1.0)
@@ -86,10 +92,10 @@ def _cases(nl):
         grid = nl.build_grid([(0.0, 1.0)], 1.0 / (n + 1))
         op = nl.assemble_dirichlet(grid, S)
         lam = nl.first_eigenpair(op).lambda_
-        spec = nl.problem_spec(grid, S, 1.2 * lam, 1.0)
         out.append(("eigenpair", n, lambda o=op: nl.first_eigenpair(o)))
-        out.append(("dirichlet-solve", n,
-                    lambda p=spec: nl.solve_dirichlet(p)))
+        for name, factor in (("dirichlet-solve", 1.2), ("extinct-solve", 0.8)):
+            spec = nl.problem_spec(grid, S, factor * lam, 1.0)
+            out.append((name, n, lambda p=spec: nl.solve_dirichlet(p)))
     return out
 
 
@@ -103,11 +109,13 @@ def _factorizations(nl, fn) -> dict:
         if original is None:
             continue
         key = f"{module_name}.{attr}"
-        counts[key] = 0
 
         def counted(*args, _key=key, _fn=original, **kwargs):
-            counts[_key] += 1
-            return _fn(*args, **kwargs)
+            result = _fn(*args, **kwargs)
+            if _key == "logistic.dpotrf" and result[1] != 0:
+                _key += " failed"
+            counts[_key] = counts.get(_key, 0) + 1
+            return result
         setattr(module, attr, counted)
         undo.append((module, attr, original))
     try:
@@ -115,7 +123,7 @@ def _factorizations(nl, fn) -> dict:
     finally:
         for module, attr, original in undo:
             setattr(module, attr, original)
-    return {key: calls for key, calls in counts.items() if calls}
+    return counts
 
 
 def _time_child(src: Path) -> None:
