@@ -11,11 +11,11 @@ whose nodal gradient (scaled by 1/h) is the steady logistic equation
 
     A u + mu |u| u - sigma u - tau (J*u) = 0.
 
-A Dirichlet or transmission solve first factors the Hessian at zero once.
-When it is positive definite the energy is strictly convex (mu >= 0 makes
-the cubic term convex), zero is its only minimizer and the solve returns
-the trivial state without descending; only when zero is unstable does it
-descend from two starts.
+The Dirichlet, periodic and transmission solves share one core,
+_steady_state.  When the Hessian at zero is positive definite the energy is
+strictly convex (mu >= 0 makes the cubic term convex), zero is its only
+minimizer and the core returns the trivial state without descending; only
+when zero is unstable does it descend from two starts.
 
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
@@ -49,7 +49,7 @@ from .grids import (
     problem_spec,
 )
 from .operators import NonlocalMatrix, assemble, convolution_matrix
-from .spectral import EigenPair, first_eigenpair, union_eigen_study
+from .spectral import first_eigenpair, union_eigen_study
 
 __all__ = [
     "SolveReport",
@@ -299,36 +299,6 @@ def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
     return u, history, it1, residual, residual <= tol
 
 
-def _multistart(model: _EnergyModel, starts, tol: float):
-    """Descend from several starts; certify the lowest converged energy.
-
-    An unconverged start is tolerated only while its stalled energy stays
-    above the best converged one, otherwise the minimum is uncertain and a
-    ConvergenceError is raised.  Ties break toward the smaller iterate
-    (the trivial state).
-    """
-    outcomes = []
-    for u0, budget in starts:
-        u, history, iters, residual, ok = _minimize_model(model, u0, tol, budget)
-        outcomes.append(
-            (model.energy(u), float(np.max(np.abs(u))), ok, u, history, iters, residual)
-        )
-    converged = [o for o in outcomes if o[2]]
-    if not converged:
-        best_res = min(o[6] for o in outcomes)
-        raise ConvergenceError(f"no start converged (best residual {best_res:.3e})")
-    converged.sort(key=lambda o: (o[0], o[1]))
-    best = converged[0]
-    slack = 1e-9 * max(1.0, abs(best[0]))
-    for o in outcomes:
-        if not o[2] and o[0] < best[0] - slack:
-            raise ConvergenceError(
-                f"an unconverged start (residual {o[6]:.3e}) undercut the "
-                "certified minimum"
-            )
-    return best[3], best[4], best[5], best[6]
-
-
 def _spec_model(spec: ProblemSpec, op: NonlocalMatrix) -> _EnergyModel:
     if spec.tau > 0.0:
         b = convolution_matrix(spec.kernel, spec.grid)
@@ -348,8 +318,10 @@ def _residual_scale(spec: ProblemSpec) -> float:
     return max(1.0, (spec.sigma.max() + spec.tau) ** 2)
 
 
-def _zero_trivial(model: _EnergyModel, u, history, residual, tol: float):
-    """(u, energy, history, residual, classification) of a final iterate.
+def _zero_trivial(model: _EnergyModel, u, history, iterations, residual,
+                  tol: float):
+    """(u, energy, history, iterations, residual, classification) of a
+    final iterate, which must be nonnegative.
 
     An iterate no larger than tol in sup norm is the trivial state: it is
     set to zero, with zero energy and residual, and a zero is appended to
@@ -358,18 +330,56 @@ def _zero_trivial(model: _EnergyModel, u, history, residual, tol: float):
     if float(np.max(np.abs(u))) <= tol:
         if history and history[-1] >= 0.0:
             history = history + [0.0]
-        return np.zeros_like(u), 0.0, history, 0.0, "trivial"
-    return u, model.energy(u), history, residual, "nontrivial"
-
-
-def _finalize(spec: ProblemSpec, model: _EnergyModel, u, history, iterations,
-              residual, converged) -> SolveReport:
-    u, e, history, residual, classification = _zero_trivial(
-        model, u, history, residual, spec.triviality_tol
-    )
+        return np.zeros_like(u), 0.0, history, iterations, 0.0, "trivial"
     assert np.all(u >= 0.0), f"final iterate has min {np.min(u):.3e} < 0"
+    return u, model.energy(u), history, iterations, residual, "nontrivial"
+
+
+def _steady_state(model: _EnergyModel, first_start, tol: float,
+                  triviality_tol: float, max_iter: int):
+    """(u, energy, history, iterations, residual, classification) of the
+    steady state: zero when certified, else the lowest converged energy.
+
+    first_start() is called only when zero is not certified; the descent
+    runs from it (budget max_iter) and from a microscopic constant
+    perturbation of zero (budget min(max_iter, 300)).  An unconverged start
+    is tolerated only while its stalled energy stays above the best
+    converged one, otherwise the minimum is uncertain and a
+    ConvergenceError is raised.  Ties break toward the smaller iterate (the
+    trivial state).
+    """
+    n = model.lin.size
+    if _zero_is_minimizer(model):
+        return _zero_trivial(model, np.zeros(n), [0.0], 0, 0.0, triviality_tol)
+    starts = [(first_start(), max_iter),
+              (np.full(n, 0.1 * triviality_tol), min(max_iter, 300))]
+    outcomes = []
+    for u0, budget in starts:
+        u, history, iters, residual, ok = _minimize_model(model, u0, tol, budget)
+        outcomes.append(
+            (model.energy(u), float(np.max(np.abs(u))), ok, u, history, iters, residual)
+        )
+    converged = [o for o in outcomes if o[2]]
+    if not converged:
+        best_res = min(o[6] for o in outcomes)
+        raise ConvergenceError(f"no start converged (best residual {best_res:.3e})")
+    converged.sort(key=lambda o: (o[0], o[1]))
+    best = converged[0]
+    slack = 1e-9 * max(1.0, abs(best[0]))
+    for o in outcomes:
+        if not o[2] and o[0] < best[0] - slack:
+            raise ConvergenceError(
+                f"an unconverged start (residual {o[6]:.3e}) undercut the "
+                "certified minimum"
+            )
+    return _zero_trivial(model, *best[3:], triviality_tol)
+
+
+def _report(spec: ProblemSpec, state, converged: bool = True) -> SolveReport:
+    """SolveReport of a final state (u, energy, history, iterations,
+    residual, classification)."""
+    u, e, history, iterations, residual, classification = state
     positive = u > spec.triviality_tol
-    dichotomy_ok = bool(np.all(positive) or not np.any(positive))
     return SolveReport(
         u=Field(grid=spec.grid, values=u),
         energy=e,
@@ -378,7 +388,7 @@ def _finalize(spec: ProblemSpec, model: _EnergyModel, u, history, iterations,
         classification=classification,
         history=history,
         converged=converged,
-        dichotomy_ok=dichotomy_ok,
+        dichotomy_ok=bool(np.all(positive) or not np.any(positive)),
     )
 
 
@@ -415,7 +425,10 @@ def minimize(
     u, history, iters, residual, ok = _minimize_model(
         model, init.values, spec.solver_tol * _residual_scale(spec), max_iter
     )
-    report = _finalize(spec, model, u, history, iters, residual, ok)
+    report = _report(
+        spec, _zero_trivial(model, u, history, iters, residual, spec.triviality_tol),
+        ok,
+    )
     if not ok:
         raise ConvergenceError(
             f"descent stalled at residual {residual:.3e} after {iters} iterations",
@@ -424,17 +437,18 @@ def minimize(
     return report
 
 
-def _eigen_start(model: _EnergyModel, pair: EigenPair, form: float,
-                 floor: float) -> np.ndarray:
-    """Amplitude from the small-amplitude expansion of the energy.
+def _eigen_start(model: _EnergyModel, e: np.ndarray, floor: float) -> np.ndarray:
+    """A start along e, set as the model's probe, at the amplitude from the
+    small-amplitude expansion of the energy.
 
     E(eps e) = eps^2/2 [form - int sigma e^2] + eps^3/3 int mu e^3, where
-    form is the quadratic part at e (tau's convolution included) and sigma
-    is read back from the model as -lin; descend to its minimizer when the
-    quadratic coefficient is negative, otherwise start at amplitude floor.
+    form = h e^T A_eff e is the quadratic part at e (tau's convolution
+    included) and sigma is read back from the model as -lin; descend to its
+    minimizer when the quadratic coefficient is negative, otherwise start
+    at amplitude floor.
     """
-    e = pair.vector.values
     h = model.h
+    form = h * float(e @ model.set_probe(e))
     c1 = 0.5 * (h * np.sum(-model.lin * e**2) - form)
     c2 = h * np.sum(model.mu * np.abs(e) ** 3) / 3.0
     eps = 2.0 * c1 / (3.0 * c2) if (c1 > 0.0 and c2 > 0.0) else floor
@@ -444,56 +458,46 @@ def _eigen_start(model: _EnergyModel, pair: EigenPair, form: float,
 def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """Assemble; certify extinction or minimize from two starts.
 
-    When the Hessian at zero is positive definite, zero is the only
-    minimizer and the trivial report is returned at once.  Otherwise start
-    one is a microscopic constant perturbation of zero, start two rides
-    the first eigenvector with the amplitude suggested by the
-    small-amplitude expansion, and the lower-energy report is returned;
-    ties break toward the trivial state.
+    The first start rides the first eigenvector, computed only when zero
+    is not certified, with the amplitude suggested by the small-amplitude
+    expansion (see _steady_state).
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
     op = assemble(spec.grid, spec.s)
     model = _spec_model(spec, op)
-    if _zero_is_minimizer(model):
-        return _finalize(spec, model, np.zeros(spec.grid.n), [0.0], 0, 0.0, True)
-    tiny = 0.1 * spec.triviality_tol
-    pair = first_eigenpair(op, tol=min(1e-10, spec.solver_tol * 100))
-    e = pair.vector.values
-    form = float(spec.grid.h * (e @ model.set_probe(e)))
-    floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
-    starts = [
-        (_eigen_start(model, pair, form, floor), max_iter),
-        (np.full(spec.grid.n, tiny), min(max_iter, 300)),
-    ]
-    u, history, iters, residual = _multistart(
-        model, starts, spec.solver_tol * _residual_scale(spec)
-    )
-    return _finalize(spec, model, u, history, iters, residual, True)
+
+    def eigen_start():
+        pair = first_eigenpair(op, tol=min(1e-10, spec.solver_tol * 100))
+        floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
+        return _eigen_start(model, pair.vector.values, floor)
+
+    return _report(spec, _steady_state(
+        model, eigen_start, spec.solver_tol * _residual_scale(spec),
+        spec.triviality_tol, max_iter,
+    ))
 
 
 def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """Minimize the periodic energy over one cell.
 
-    The second start is the constant suggested by the cell averages,
-    which for constant coefficients is already the exact solution
-    (mean sigma + tau) / mean mu.
+    The certificate's constant probe has curvature -sum sigma - tau n at
+    zero, so an unstable zero costs it one matrix-vector product.  The
+    first start is the constant suggested by the cell averages, which for
+    constant coefficients is already the exact solution
+    (mean sigma + tau) / mean mu, and zero when sigma and tau vanish.
     """
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
     op = assemble(spec.grid, spec.s)
     model = _spec_model(spec, op)
     h = spec.grid.h
-    tiny = 0.1 * spec.triviality_tol
     mean_mu = h * np.sum(spec.mu.values)
     level = (h * np.sum(spec.sigma.values) + spec.tau) / mean_mu if mean_mu > 0 else 0.0
-    starts = [(np.full(spec.grid.n, tiny), min(max_iter, 300))]
-    if level > 0.0:
-        starts.insert(0, (np.full(spec.grid.n, level), max_iter))
-    u, history, iters, residual = _multistart(
-        model, starts, spec.solver_tol * _residual_scale(spec)
-    )
-    return _finalize(spec, model, u, history, iters, residual, True)
+    return _report(spec, _steady_state(
+        model, lambda: np.full(spec.grid.n, level),
+        spec.solver_tol * _residual_scale(spec), spec.triviality_tol, max_iter,
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +551,6 @@ class CriticalRadius:
     r_star: float
     predicted: float
     rel_gap: float
-    lambda_base: float
-    n_solves: int
 
 
 def critical_radius(
@@ -568,14 +570,11 @@ def critical_radius(
     lam = first_eigenpair(assemble(base, s)).lambda_
     predicted = lam ** (1.0 / (2.0 * s))
     length = interval[1] - interval[0]
-    n_solves = 0
 
     def survives(m_cells: int) -> bool:
-        nonlocal n_solves
         r = m_cells * h / length
         grid = build_grid([(r * interval[0], r * interval[1])], h)
         spec = problem_spec(grid, s, 1.0, 1.0, solver_tol=solver_tol)
-        n_solves += 1
         return solve_dirichlet(spec).classification == "nontrivial"
 
     lo = int(np.floor(0.55 * predicted * length / h))
@@ -594,8 +593,6 @@ def critical_radius(
         r_star=r_star,
         predicted=predicted,
         rel_gap=abs(r_star - predicted) / predicted,
-        lambda_base=lam,
-        n_solves=n_solves,
     )
 
 
@@ -606,8 +603,6 @@ class ExtCrossing:
     lambda_big_s: np.ndarray
     n_sign_changes: int
     crossing_estimate: float
-    r_small: float
-    r_large: float
     classifications: dict
     pattern_ok: bool
 
@@ -618,7 +613,6 @@ def ext_crossing(
     big_s: float,
     r_values: Sequence[float],
     h: float,
-    kernel_builder=None,
     solver_tol: float = 1e-10,
 ) -> ExtCrossing:
     """Survival comparison of a fast and a slow diffuser across dilations.
@@ -653,19 +647,17 @@ def ext_crossing(
     crossing = (lam_big[0] / lam_s[0] * rs[0] ** (2 * (big_s - s))) ** (
         1.0 / (2.0 * (big_s - s))
     )
-    idx_small = 0
-    idx_large = rs.size - 1
     classifications = {}
     pattern_ok = True
-    for regime, idx in (("small", idx_small), ("large", idx_large)):
+    for regime, idx in (("small", 0), ("large", rs.size - 1)):
         grid = grids[idx]
         lo, hi = sorted((lam_s[idx], lam_big[idx]))
         gap = hi - lo
         sigma_r = lo + gap / 3.0
         tau_r = gap / 3.0
         rho = max(2 * h, int(round(rs[idx] * length / (8 * h))) * h)
-        kb = kernel_builder or (lambda: build_kernel("uniform", rho, h))
-        spec_kwargs = dict(tau=tau_r, kernel=kb(), solver_tol=solver_tol)
+        spec_kwargs = dict(tau=tau_r, kernel=build_kernel("uniform", rho, h),
+                           solver_tol=solver_tol)
         rep_s = solve_dirichlet(problem_spec(grid, s, sigma_r, 1.0, **spec_kwargs))
         rep_big = solve_dirichlet(
             problem_spec(grid, big_s, sigma_r, 1.0, **spec_kwargs)
@@ -690,8 +682,6 @@ def ext_crossing(
         lambda_big_s=lam_big,
         n_sign_changes=int(changes.size),
         crossing_estimate=float(crossing),
-        r_small=float(rs[idx_small]),
-        r_large=float(rs[idx_large]),
         classifications=classifications,
         pattern_ok=bool(pattern_ok),
     )

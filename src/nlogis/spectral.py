@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, LinAlgError, norm
 
 from .errors import ConvergenceError
 from .grids import Field, build_grid, l2_norm
@@ -51,6 +51,11 @@ def first_eigenpair(
     variant).  Once the residual is within 1e-2 of the eigenvalue the
     matrix is refactored once, shifted just below the Rayleigh quotient;
     a Dirichlet eigenpair thus takes two Cholesky factorizations.
+
+    A y is computed to about eps ||A||_inf, which bounds how small the
+    residual can get.  When the residual fails to halve three times in a
+    row within 4 eps ||A||_inf of zero it has reached that floor, and a
+    ConvergenceError naming it is raised instead of iterating on.
     """
     a = op.a
     n = a.shape[0]
@@ -76,16 +81,31 @@ def first_eigenpair(
     x = np.ones(n) / np.sqrt(n)
     lam = float(x @ (a @ x))
     res = np.inf
+    floor = None
+    stalls = 0
     it = 0
     for it in range(1, max_iter + 1):
         y = cho_solve(factor, x, check_finite=False)
         y /= np.linalg.norm(y)
         ay = a @ y
         lam = float(y @ ay)
-        res = float(np.linalg.norm(ay - lam * y))
+        prev, res = res, float(np.linalg.norm(ay - lam * y))
         x = y
         if res <= tol * max(1.0, abs(lam)):
             break
+        if res > 0.5 * prev:
+            if floor is None:
+                floor = 4.0 * np.finfo(float).eps * norm(a, np.inf, check_finite=False)
+            stalls = stalls + 1 if res <= floor else 0
+            if stalls == 3:
+                raise ConvergenceError(
+                    f"eigenvalue iteration stalled at residual {res:.3e} after "
+                    f"{it} steps, within its roundoff floor 4 eps ||A||_inf = "
+                    f"{floor:.3e}; tolerance {tol * max(1.0, abs(lam)):.3e} is "
+                    "out of reach"
+                )
+        else:
+            stalls = 0
         # once roughly converged, refactor once at a shift just below the
         # Rayleigh quotient for the endgame; while the shifted matrix is
         # not positive definite, keep the current factor and retry later
@@ -119,7 +139,6 @@ def rayleigh(op: NonlocalMatrix, u: Field) -> float:
 
 @dataclass(frozen=True)
 class ScalingStudy:
-    lambda_base: float
     lambda_scaled: float
     ratio: float
     target: float
@@ -130,7 +149,6 @@ def eigen_scaling(
     r: float,
     s: float,
     h: float,
-    tol: float = 1e-10,
 ) -> ScalingStudy:
     """Eigenvalues of a domain and its r-dilation on equal-resolution grids.
 
@@ -141,10 +159,9 @@ def eigen_scaling(
         raise ValueError("scaling factor r must be positive")
     base = build_grid(intervals, h)
     scaled = build_grid([(r * a, r * b) for a, b in intervals], h)
-    lam0 = first_eigenpair(assemble(base, s), tol=tol).lambda_
-    lam1 = first_eigenpair(assemble(scaled, s), tol=tol).lambda_
+    lam0 = first_eigenpair(assemble(base, s)).lambda_
+    lam1 = first_eigenpair(assemble(scaled, s)).lambda_
     return ScalingStudy(
-        lambda_base=lam0,
         lambda_scaled=lam1,
         ratio=lam1 / lam0,
         target=r ** (-2.0 * s) if s < 1.0 else r**-2.0,
@@ -163,7 +180,6 @@ def union_eigen_study(
     interval_2: tuple[float, float],
     s: float,
     h: float,
-    tol: float = 1e-10,
 ) -> UnionStudy:
     """Compare the eigenvalue of one habitat with that of two congruent ones.
 
@@ -177,8 +193,8 @@ def union_eigen_study(
         raise ValueError("intervals must be congruent")
     single = build_grid([interval_1], h)
     union = build_grid([interval_1, interval_2], h)
-    lam_single = first_eigenpair(assemble(single, s), tol=tol).lambda_
-    lam_union = first_eigenpair(assemble(union, s), tol=tol).lambda_
+    lam_single = first_eigenpair(assemble(single, s)).lambda_
+    lam_union = first_eigenpair(assemble(union, s)).lambda_
     return UnionStudy(
         lambda_union=lam_union,
         lambda_single=lam_single,

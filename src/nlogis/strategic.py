@@ -42,14 +42,18 @@ class HarmonicApproximation:
     harmonic_residual: float
     r_used: float
     achieved: bool
-    alpha: float
     history: tuple[tuple[float, float], ...]  # (R, sup error) along the schedule
 
 
-def _region_masks(grid: Grid, inner_radius: float, fit_radius: float):
+INNER_RADIUS = 2.0   # the harmonicity region (-2, 2)
+FIT_RADIUS = 1.0     # the inner ball (-1, 1), where the target is matched
+ALPHA_SCALE = 1e-8   # first Tikhonov weight per squared largest singular value
+
+
+def _region_masks(grid: Grid):
     x = grid.nodes
-    inner = np.abs(x) < inner_radius - 1e-12
-    fit = np.abs(x) < fit_radius - 1e-12
+    inner = np.abs(x) < INNER_RADIUS - 1e-12
+    fit = np.abs(x) < FIT_RADIUS - 1e-12
     return inner, fit, ~inner
 
 
@@ -59,9 +63,6 @@ def approximate_s_harmonic(
     eps: float,
     r_schedule: Sequence[float],
     h: float,
-    inner_radius: float = 2.0,
-    fit_radius: float = 1.0,
-    alpha_scale: float = 1e-8,
 ) -> HarmonicApproximation:
     """Approximate f on (-1, 1) by a field s-harmonic on (-2, 2).
 
@@ -83,18 +84,18 @@ def approximate_s_harmonic(
     prev_g: dict[int, float] = {}
     history = []
     for r_support in r_schedule:
-        if r_support <= inner_radius:
+        if r_support <= INNER_RADIUS:
             raise ValueError("support radius must exceed the harmonicity radius")
         grid = build_grid([(-r_support, r_support)], h)
         op = assemble_dirichlet(grid, s)
-        inner, fit, ext = _region_masks(grid, inner_radius, fit_radius)
+        inner, fit, ext = _region_masks(grid)
         a_ii = op.a[np.ix_(inner, inner)]
         a_ix = op.a[np.ix_(inner, ext)]
         chol_ii = cho_factor(a_ii)
         wmap = -cho_solve(chol_ii, a_ix)  # inner values as a map of exterior data
         m = wmap[fit[inner], :]
         y = np.asarray(f(grid.nodes[fit]), dtype=float)
-        alpha = alpha_scale * svdvals(m)[0] ** 2
+        alpha = ALPHA_SCALE * svdvals(m)[0] ** 2
         g = None
         for _ in range(6):
             gram = m.T @ m + alpha * np.eye(m.shape[1])
@@ -127,7 +128,6 @@ def approximate_s_harmonic(
             harmonic_residual=hres,
             r_used=float(r_support),
             achieved=err <= eps,
-            alpha=float(alpha),
             history=tuple(history),
         )
         if best is None or candidate.approx_error <= best.approx_error:
@@ -144,7 +144,6 @@ def minimize_with_source(
     a_inner: np.ndarray,
     h: float,
     solver_tol: float = 1e-10,
-    max_iter: int = 600,
 ) -> tuple[np.ndarray, float, float]:
     """Minimize the forced energy over fields supported on the inner nodes.
 
@@ -164,7 +163,7 @@ def minimize_with_source(
         src=np.asarray(f_src, dtype=float),
     )
     v0 = np.zeros(f_src.size)
-    v, history, iters, residual, ok = _minimize_model(model, v0, solver_tol, max_iter)
+    v, history, iters, residual, ok = _minimize_model(model, v0, solver_tol, 600)
     if not ok:
         raise ConvergenceError(
             f"forced minimization stalled at residual {residual:.3e}"
@@ -225,8 +224,7 @@ def build_strategic(
     grid = approx.w.grid
     x = grid.nodes
     op = assemble_dirichlet(grid, s)
-    inner, fit, _ = _region_masks(grid, 2.0, 1.0)
-    b1 = fit
+    _, b1, _ = _region_masks(grid)
     w_vals = approx.w.values
     if np.min(w_vals[b1]) <= 0.0:
         raise ValueError(

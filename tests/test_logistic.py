@@ -296,6 +296,9 @@ def test_periodic_without_resources_trivial():
     spec = problem_spec(pg, 0.5, 0.0, 1.0)
     rep = solve_periodic(spec)
     assert rep.classification == "trivial"
+    # the cell-average start is zero itself, so no descent moves
+    assert np.array_equal(rep.u.values, np.zeros(pg.n))
+    assert rep.history == [0.0, 0.0]
 
 
 def test_periodic_oscillatory_resource():
@@ -477,6 +480,26 @@ def test_extinct_solve_factors_once_without_an_eigenpair(monkeypatch):
     assert rep.classification == "trivial"
     assert (len(eigenpairs), len(factorizations)) == (0, 1)
     assert rep.history == [0.0, 0.0] and rep.iterations == 0
+
+
+def test_periodic_solve_settles_its_certificate_with_the_constant_probe(
+        monkeypatch):
+    # -sum sigma - tau n < 0 along the constant field, so the certificate
+    # needs no factorization
+    pg = build_periodic_grid(64)
+    spec = problem_spec(pg, 0.5, lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0,
+                        tau=0.5, kernel=build_kernel("uniform", 0.25, pg.h))
+    factorizations = _counting(monkeypatch, "dpotrf")
+    verdicts = []
+    certify = logistic._zero_is_minimizer
+
+    def recorded(model):
+        before = len(factorizations)
+        verdicts.append((certify(model), len(factorizations) - before))
+        return verdicts[-1][0]
+    monkeypatch.setattr(logistic, "_zero_is_minimizer", recorded)
+    assert solve_periodic(spec).classification == "nontrivial"
+    assert verdicts == [(False, 0)]
 
 
 def _directions_with_and_without_probe(model, e, u, monkeypatch):

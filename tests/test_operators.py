@@ -153,6 +153,28 @@ def test_assemble_dispatches_on_grid_and_exponent():
         assemble(pgrid, 1.0)
 
 
+# Dyda (2012): (-Delta)^s (1 - x^2)_+^s is constant on (-1, 1); in this
+# code's 2s(1-s) normalization the constant is 2 (1 - s) pi s / sin(pi s).
+# The target behaves like d^s at the boundary, so only the nodes with
+# |x| <= 1/2 are checked.
+def _dyda_error(s, h):
+    grid = build_grid([(-1.0, 1.0)], h)
+    x = grid.nodes
+    action = assemble_dirichlet(grid, s).a @ (1.0 - x**2) ** s
+    target = 2.0 * (1.0 - s) * np.pi * s / np.sin(np.pi * s)
+    return float(np.max(np.abs(action - target)[np.abs(x) <= 0.5]))
+
+
+# measured max errors at h = 2^-10 and observed orders from h = 2^-9
+@pytest.mark.parametrize("s, error, order", [
+    (0.25, 4.3e-5, 1.23), (0.5, 9.4e-5, 0.81), (0.75, 2.3e-3, 0.49),
+])
+def test_dyda_identity_error_and_order(s, error, order):
+    coarse, fine = _dyda_error(s, 2.0**-9), _dyda_error(s, 2.0**-10)
+    assert fine == pytest.approx(error, rel=0.1)
+    assert np.log2(coarse / fine) == pytest.approx(order, abs=0.1)
+
+
 # ---------------------------------------------------------------------------
 # classical operator and the s -> 1 limit
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import eigh
 
 from nlogis import (
+    ConvergenceError,
     Field,
     assemble_classical,
     assemble_dirichlet,
@@ -139,3 +140,52 @@ def test_semidefinite_periodic_matrix_handled():
     pair = first_eigenpair(assemble_periodic(pg, 0.5))
     assert abs(pair.lambda_) <= 1e-8
     assert np.ptp(pair.vector.values) <= 1e-6  # the constant mode
+
+
+# Kulczycki, Kwasnicki, Malecki and Stos (2010): the first eigenvalue of the
+# half Laplacian on (-1, 1) is 1.1577738836977; this code's 2s(1-s)
+# normalization multiplies it by pi / 2.
+KKMS_LAMBDA = 1.1577738836977 * np.pi / 2.0
+
+
+@pytest.fixture(scope="module")
+def half_laplacian_errors():
+    """lambda_1(h) - KKMS_LAMBDA on (-1, 1) at h = 2^-8, 2^-9, 2^-10."""
+    return {k: first_eigenpair(assemble_dirichlet(
+        build_grid([(-1.0, 1.0)], 2.0**-k), 0.5)).lambda_ - KKMS_LAMBDA
+        for k in (8, 9, 10)}
+
+
+def test_half_laplacian_eigenvalue_converges_at_first_order(
+        half_laplacian_errors):
+    err = half_laplacian_errors
+    # measured errors; the discrete eigenvalue approaches from below
+    for k, measured in ((8, -6.81e-3), (9, -3.35e-3), (10, -1.65e-3)):
+        assert err[k] == pytest.approx(measured, rel=0.05)
+    for k in (8, 9):
+        assert np.log2(err[k] / err[k + 1]) == pytest.approx(1.02, abs=0.1)
+
+
+def test_extrapolated_half_laplacian_eigenvalue_matches_closed_form(
+        half_laplacian_errors):
+    err = half_laplacian_errors
+    # 2 lambda(h) - lambda(2h) cancels the first-order term
+    assert abs(2.0 * err[10] - err[9]) <= 1e-4
+
+
+def test_eigen_iteration_stops_at_the_roundoff_floor():
+    # ||A||_inf = 3.0e5 here, so A y is computed to about 6.7e-11, and
+    # the residual sits at 1.31e-10 above the 1.07e-10 tolerance: without
+    # the floor test all 400 iterations run
+    grid = build_grid([(0.0, 3.0)], 2.0**-9)
+    op = assemble_dirichlet(grid, 0.9)
+    with pytest.raises(ConvergenceError, match="roundoff floor"):
+        first_eigenpair(op, max_iter=30)
+
+
+def test_eigen_iteration_near_the_floor_still_converges():
+    # on (0, 1) the same operator scale gives the same floor, but
+    # lambda = 7.5 lifts the target above it
+    grid = build_grid([(0.0, 1.0)], 2.0**-9)
+    pair = first_eigenpair(assemble_dirichlet(grid, 0.9))
+    assert pair.residual <= 1e-10 * pair.lambda_
