@@ -45,6 +45,7 @@ from . import (
     first_eigenpair,
     lambda_star,
     minimize_transmission,
+    mp_check,
     problem_spec,
     sample_function,
     solve_dirichlet,
@@ -659,10 +660,9 @@ def _run_transmission(p, jobs):
         ("below", (1.0 - p["margin"]) * lam, "trivial"),
         ("above", (1.0 + p["margin"]) * lam, "nontrivial"),
     ):
-        rep = minimize_transmission(make(sigma))
-        mixed = rep.classification == "nontrivial" and not (
-            rep.positive_on_local and rep.positive_on_nonlocal
-        )
+        ts = make(sigma)
+        rep = minimize_transmission(ts)
+        mixed = mp_check(rep.u, ts) == "violation"
         ok = rep.classification == expected and not mixed
         rows.append(ResultRow("transmission", {
             "experiment": "transmission", "case": case, "sigma": sigma,

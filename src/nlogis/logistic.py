@@ -261,17 +261,13 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
     """True when the Hessian at zero is positive definite.
 
     With src = 0 and mu >= 0 the energy is then strictly convex and zero is
-    its only minimizer.  A probe field with negative curvature at zero (the
-    model's probe when set, the constant field otherwise) settles the
-    question without factoring; else one Cholesky factorization does.
+    its only minimizer.  Negative curvature at zero along the constant
+    field settles the question without factoring; else one Cholesky
+    factorization does.
     """
     zeros = np.zeros(model.lin.size)
-    if model.probe is not None:
-        probe = model.probe
-    else:
-        ones = np.ones(model.lin.size)
-        probe = (ones, model.a_eff @ ones)
-    if model.indefinite_along(zeros, *probe):
+    ones = np.ones(model.lin.size)
+    if model.indefinite_along(zeros, ones, model.a_eff @ ones):
         return False
     _, info = dpotrf(model.hessian(zeros).T, lower=True, overwrite_a=True,
                      clean=False)
@@ -335,6 +331,11 @@ def _zero_trivial(model: _EnergyModel, u, history, iterations, residual,
     return u, model.energy(u), history, iterations, residual, "nontrivial"
 
 
+def _extinct(n: int):
+    """The certified trivial state of n nodes, reached with no descent."""
+    return np.zeros(n), 0.0, [0.0, 0.0], 0, 0.0, "trivial"
+
+
 def _steady_state(model: _EnergyModel, first_start, tol: float,
                   triviality_tol: float, max_iter: int):
     """(u, energy, history, iterations, residual, classification) of the
@@ -350,7 +351,7 @@ def _steady_state(model: _EnergyModel, first_start, tol: float,
     """
     n = model.lin.size
     if _zero_is_minimizer(model):
-        return _zero_trivial(model, np.zeros(n), [0.0], 0, 0.0, triviality_tol)
+        return _extinct(n)
     starts = [(first_start(), max_iter),
               (np.full(n, 0.1 * triviality_tol), min(max_iter, 300))]
     outcomes = []
@@ -437,9 +438,10 @@ def minimize(
     return report
 
 
-def _eigen_start(model: _EnergyModel, e: np.ndarray, floor: float) -> np.ndarray:
-    """A start along e, set as the model's probe, at the amplitude from the
-    small-amplitude expansion of the energy.
+def _eigen_start(model: _EnergyModel, op: NonlocalMatrix, solver_tol: float,
+                 floor: float) -> np.ndarray:
+    """A start along the first eigenvector e of op, set as the model's
+    probe, at the amplitude from the small-amplitude expansion of the energy.
 
     E(eps e) = eps^2/2 [form - int sigma e^2] + eps^3/3 int mu e^3, where
     form = h e^T A_eff e is the quadratic part at e (tau's convolution
@@ -447,6 +449,7 @@ def _eigen_start(model: _EnergyModel, e: np.ndarray, floor: float) -> np.ndarray
     minimizer when the quadratic coefficient is negative, otherwise start
     at amplitude floor.
     """
+    e = first_eigenpair(op, tol=min(1e-10, solver_tol * 100)).vector.values
     h = model.h
     form = h * float(e @ model.set_probe(e))
     c1 = 0.5 * (h * np.sum(-model.lin * e**2) - form)
@@ -466,34 +469,32 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
         raise ValueError("use solve_periodic for periodic problems")
     op = assemble(spec.grid, spec.s)
     model = _spec_model(spec, op)
-
-    def eigen_start():
-        pair = first_eigenpair(op, tol=min(1e-10, spec.solver_tol * 100))
-        floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
-        return _eigen_start(model, pair.vector.values, floor)
-
+    floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
     return _report(spec, _steady_state(
-        model, eigen_start, spec.solver_tol * _residual_scale(spec),
-        spec.triviality_tol, max_iter,
+        model, lambda: _eigen_start(model, op, spec.solver_tol, floor),
+        spec.solver_tol * _residual_scale(spec), spec.triviality_tol, max_iter,
     ))
 
 
 def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """Minimize the periodic energy over one cell.
 
-    The certificate's constant probe has curvature -sum sigma - tau n at
-    zero, so an unstable zero costs it one matrix-vector product.  The
-    first start is the constant suggested by the cell averages, which for
-    constant coefficients is already the exact solution
-    (mean sigma + tau) / mean mu, and zero when sigma and tau vanish.
+    Without resources (sigma = 0, tau = 0) the energy is nonnegative, as
+    the periodic operator is positive semidefinite, so zero is returned
+    without a certificate.  Otherwise the certificate's constant probe has
+    curvature -sum sigma - tau n < 0 at zero, so the unstable zero costs it
+    one matrix-vector product.  The first start is the constant suggested
+    by the cell averages, which for constant coefficients is already the
+    exact solution (mean sigma + tau) / mean mu.
     """
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
     op = assemble(spec.grid, spec.s)
+    if spec.tau == 0.0 and not np.any(spec.sigma.values):
+        return _report(spec, _extinct(spec.grid.n))
     model = _spec_model(spec, op)
     h = spec.grid.h
-    mean_mu = h * np.sum(spec.mu.values)
-    level = (h * np.sum(spec.sigma.values) + spec.tau) / mean_mu if mean_mu > 0 else 0.0
+    level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
     return _report(spec, _steady_state(
         model, lambda: np.full(spec.grid.n, level),
         spec.solver_tol * _residual_scale(spec), spec.triviality_tol, max_iter,
@@ -516,14 +517,6 @@ def check_fitting_bounds(
     sub-interval is given, also reports the infimum of u there and its
     ratio against the resource level m_level.
     """
-    if report.classification == "trivial":
-        return {
-            "max_u": 0.0,
-            "bound_easy": spec.sigma.max() + spec.tau,
-            "ok_easy": True,
-            "inf_ball": 0.0,
-            "ratio": 0.0,
-        }
     u = report.u.values
     bound = spec.sigma.max() + spec.tau
     out = {

@@ -126,12 +126,38 @@ class NonlocalMatrix:
 
     grid: Grid | PeriodicGrid
     a: np.ndarray
-    s: float
-    variant: str
 
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
+
+def _span(idx: np.ndarray) -> slice:
+    """The node indices of one interval, a contiguous run, as a slice."""
+    return slice(int(idx[0]), int(idx[-1]) + 1)
+
+
+def _interval_blocks(grid: Grid, block) -> np.ndarray:
+    """n x n matrix filled with block(rows, cols) for every pair of the
+    grid's intervals, each given by the slice of its node indices."""
+    spans = [_span(grid.interval_nodes(k)) for k in range(len(grid.intervals))]
+    out = np.empty((grid.n, grid.n))
+    for rows in spans:
+        for cols in spans:
+            out[rows, cols] = block(rows, cols)
+    return out
+
+
+def _fold(x, endpoint, xp, h, s):
+    """Kernel mass at the nodes x of the half cell between an interval
+    endpoint and its nearest node xp, zero at xp itself."""
+    same_side = np.sign(x - endpoint) == np.sign(xp - endpoint)
+    q_in = np.abs(x - xp)
+    at_p = q_in == 0.0
+    q_in[at_p] = h  # dummy to keep the antiderivatives finite; masked below
+    fold = np.where(
+        same_side,
+        _ramp_in(q_in, h, s),
+        _ramp_out(np.abs(x - endpoint), h, s),
+    )
+    fold[at_p] = 0.0
+    return fold
 
 
 def _distance_weights(r, h, s):
@@ -159,17 +185,11 @@ def _far_block(x_rows, x_cols, h, s):
 def _pair_weights(grid: Grid, s: float) -> np.ndarray:
     """Symmetric interaction weights w_ij for the kernel with exponent s."""
     x = grid.nodes
-    n = x.size
     h = grid.h
-    blocks = [grid.interval_nodes(k) for k in range(len(grid.intervals))]
-    spans = [slice(idx[0], idx[-1] + 1) for idx in blocks]
-    w = np.empty((n, n))
-    for k, rows in enumerate(spans):
-        w[rows, rows] = _far_block(x[rows], x[rows], h, s)
-        for cols in spans[k + 1:]:
-            w[rows, cols] = _far_block(x[rows], x[cols], h, s)
-            w[cols, rows] = w[rows, cols].T
+    w = _interval_blocks(
+        grid, lambda rows, cols: _far_block(x[rows], x[cols], h, s))
     neighbor = _singular_weight(h, s) + _half_weight(h, s)
+    blocks = [grid.interval_nodes(k) for k in range(len(grid.intervals))]
     for idx in blocks:
         w[idx[:-1], idx[1:]] = neighbor
         w[idx[1:], idx[:-1]] = neighbor
@@ -177,16 +197,7 @@ def _pair_weights(grid: Grid, s: float) -> np.ndarray:
     # nearest interior node; constants stay annihilated
     for (a, b), idx in zip(grid.intervals, blocks):
         for endpoint, p in ((a, idx[0]), (b, idx[-1])):
-            xp = x[p]
-            same_side = np.sign(x - endpoint) == np.sign(xp - endpoint)
-            q_in = np.abs(x - xp)
-            q_in[p] = h  # dummy to keep the antiderivatives finite; masked below
-            fold = np.where(
-                same_side,
-                _ramp_in(q_in, h, s),
-                _ramp_out(np.abs(x - endpoint), h, s),
-            )
-            fold[p] = 0.0
+            fold = _fold(x, endpoint, x[p], h, s)
             w[:, p] += fold
             w[p, :] += fold
     return w
@@ -205,30 +216,37 @@ def _exterior_tail(grid: Grid, s: float) -> np.ndarray:
     return t
 
 
+def _fractional(grid: Grid, s: float, tail) -> np.ndarray:
+    """2s(1-s) [-w + diag(row sums of w + tail)] for the weights w of the
+    kernel with exponent s within the grid."""
+    w = _pair_weights(grid, s)
+    a = -w
+    np.fill_diagonal(a, w.sum(axis=1) + tail)
+    a *= 2.0 * s * (1.0 - s)
+    return a
+
+
+def _second_difference(a: np.ndarray, idx: np.ndarray, c: float) -> None:
+    """Add c times the second difference on the nodes idx of one interval."""
+    a[idx, idx] += 2.0 * c
+    a[idx[:-1], idx[1:]] -= c
+    a[idx[1:], idx[:-1]] -= c
+
+
 def assemble_dirichlet(grid: Grid, s: float) -> NonlocalMatrix:
     """Discrete fractional operator with zero exterior condition."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional exponent s={s} must lie in (0, 1)")
-    w = _pair_weights(grid, s)
-    t = _exterior_tail(grid, s)
-    a = -w
-    np.fill_diagonal(a, w.sum(axis=1) + t)
-    a *= 2.0 * s * (1.0 - s)
-    return NonlocalMatrix(grid=grid, a=a, s=s, variant="dirichlet-fractional")
+    return NonlocalMatrix(grid=grid, a=_fractional(grid, s, _exterior_tail(grid, s)))
 
 
 def assemble_classical(grid: Grid) -> NonlocalMatrix:
     """Second-difference operator, the s -> 1 limit of the fractional one."""
-    n = grid.n
-    h = grid.h
-    a = np.zeros((n, n))
-    c = CLASSICAL_LIMIT_CONSTANT / h**2
+    a = np.zeros((grid.n, grid.n))
     for k in range(len(grid.intervals)):
-        idx = grid.interval_nodes(k)
-        a[idx, idx] = 2.0 * c
-        a[idx[:-1], idx[1:]] = -c
-        a[idx[1:], idx[:-1]] = -c
-    return NonlocalMatrix(grid=grid, a=a, s=1.0, variant="classical")
+        _second_difference(a, grid.interval_nodes(k),
+                           CLASSICAL_LIMIT_CONSTANT / grid.h**2)
+    return NonlocalMatrix(grid=grid, a=a)
 
 
 def _periodic_pair_weights(pgrid: PeriodicGrid, s: float) -> np.ndarray:
@@ -281,7 +299,7 @@ def assemble_periodic(pgrid: PeriodicGrid, s: float) -> NonlocalMatrix:
     a = -circulant(omega)
     np.fill_diagonal(a, omega[1:].sum())
     a *= 2.0 * s * (1.0 - s)
-    return NonlocalMatrix(grid=pgrid, a=a, s=s, variant="periodic")
+    return NonlocalMatrix(grid=pgrid, a=a)
 
 
 def assemble(grid: Grid | PeriodicGrid, s: float) -> NonlocalMatrix:
@@ -309,13 +327,9 @@ def _stencil_blocks(kernel: Kernel, grid: Grid, lattice: np.ndarray) -> np.ndarr
         index = np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)
         return np.where(np.abs(k) <= kernel.k_max, h * kernel.weights[index], 0.0)
 
-    spans = [_span(grid.interval_nodes(k)) for k in range(len(grid.intervals))]
-    b = np.empty((grid.n, grid.n))
-    for rows in spans:
-        for cols in spans:
-            b[rows, cols] = toeplitz(stencil(lattice[rows] - lattice[cols][0]),
-                                     stencil(lattice[rows][0] - lattice[cols]))
-    return b
+    return _interval_blocks(grid, lambda rows, cols: toeplitz(
+        stencil(lattice[rows] - lattice[cols][0]),
+        stencil(lattice[rows][0] - lattice[cols])))
 
 
 def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
@@ -470,11 +484,6 @@ def transmission_spec(
     )
 
 
-def _span(idx: np.ndarray) -> slice:
-    """The node indices of one interval, a contiguous run, as a slice."""
-    return slice(int(idx[0]), int(idx[-1]) + 1)
-
-
 def _cross_coupling(
     a: np.ndarray,
     grid: Grid,
@@ -506,14 +515,7 @@ def _cross_coupling(
     # cells folded onto its outermost nodes
     w = _far_block(x[own], x[other], h, s_i)
     for endpoint, p_local in ((a_oth, 0), (b_oth, other.size - 1)):
-        xp = x[other[p_local]]
-        same_side = np.sign(x[own] - endpoint) == np.sign(xp - endpoint)
-        fold = np.where(
-            same_side,
-            _ramp_in(np.abs(x[own] - xp), h, s_i),
-            _ramp_out(np.abs(x[own] - endpoint), h, s_i),
-        )
-        w[:, p_local] += fold
+        w[:, p_local] += _fold(x[own], endpoint, x[other[p_local]], h, s_i)
     a[_span(own), _span(other)] -= coeff * w
     a[_span(other), _span(own)] -= coeff * w.T
 
@@ -525,22 +527,14 @@ def assemble_transmission(tspec: TransmissionSpec) -> NonlocalMatrix:
         + sum_i nu_i s_i (1-s_i) iint_{O_i x complement(O_i)} |u(x)-u(y)|^2 K_{s_i}.
     """
     grid = tspec.grid
-    n = grid.n
     h = grid.h
-    a = np.zeros((n, n))
+    a = np.zeros((grid.n, grid.n))
     # local block: exact P1 Dirichlet form of int |u'|^2
-    loc = grid.interval_nodes(tspec.local_id)
-    c = 1.0 / h**2
-    a[loc, loc] += 2.0 * c
-    a[loc[:-1], loc[1:]] -= c
-    a[loc[1:], loc[:-1]] -= c
+    _second_difference(a, grid.interval_nodes(tspec.local_id), 1.0 / h**2)
     # fractional block on the nonlocal component, interactions within it only
-    non = grid.interval_nodes(tspec.nonlocal_id)
+    non = _span(grid.interval_nodes(tspec.nonlocal_id))
     sub = build_grid([grid.intervals[tspec.nonlocal_id]], h)
-    w2 = _pair_weights(sub, tspec.s)
-    block = -w2
-    np.fill_diagonal(block, w2.sum(axis=1))
-    a[_span(non), _span(non)] += 2.0 * tspec.s * (1.0 - tspec.s) * block
+    a[non, non] += _fractional(sub, tspec.s, 0.0)
     # cross couplings of each component with its complement
     _cross_coupling(
         a, grid, tspec.local_id, tspec.nu1 * tspec.s1 * (1.0 - tspec.s1), tspec.s1
@@ -548,4 +542,4 @@ def assemble_transmission(tspec: TransmissionSpec) -> NonlocalMatrix:
     _cross_coupling(
         a, grid, tspec.nonlocal_id, tspec.nu2 * tspec.s2 * (1.0 - tspec.s2), tspec.s2
     )
-    return NonlocalMatrix(grid=grid, a=a, s=tspec.s, variant="transmission")
+    return NonlocalMatrix(grid=grid, a=a)

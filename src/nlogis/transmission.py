@@ -33,7 +33,6 @@ class TransmissionReport:
 
     u: Field
     energy: float
-    lambda_star: float
     el_residual: float
     iterations: int
     classification: str
@@ -50,24 +49,23 @@ def lambda_star(tspec: TransmissionSpec) -> EigenPair:
 def minimize_transmission(tspec: TransmissionSpec) -> TransmissionReport:
     """Minimize form/2 + int(mu |u|^3/3 - sigma u^2/2) over both habitats.
 
-    The first eigenvector is the probe of the extinction certificate and
-    the first start of the descent (see logistic._steady_state): when the
-    Hessian at zero is positive definite (sigma below lambda_star where
+    Shares the Dirichlet solve's core (see logistic._steady_state): when
+    the Hessian at zero is positive definite (sigma below lambda_star where
     sigma is constant) zero is the only minimizer and is returned without
-    descending.
+    descending and without an eigenpair.  Otherwise the first eigenvector
+    is the first start of the descent and the probe of its Newton steps.
     """
     op = assemble_transmission(tspec)
     model = _EnergyModel(op.a, tspec.grid.h, tspec.mu.values, -tspec.sigma.values)
-    pair = first_eigenpair(op, tol=min(1e-10, tspec.solver_tol * 100))
-    start = _eigen_start(model, pair.vector.values, 0.1 * tspec.triviality_tol)
     u, energy_val, history, iters, residual, classification = _steady_state(
-        model, lambda: start, tspec.solver_tol, tspec.triviality_tol,
-        max_iter=800,
+        model,
+        lambda: _eigen_start(model, op, tspec.solver_tol,
+                             0.1 * tspec.triviality_tol),
+        tspec.solver_tol, tspec.triviality_tol, max_iter=800,
     )
     return TransmissionReport(
         u=Field(grid=tspec.grid, values=u),
         energy=energy_val,
-        lambda_star=pair.lambda_,
         el_residual=residual,
         iterations=iters,
         classification=classification,

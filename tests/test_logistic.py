@@ -26,7 +26,7 @@ from nlogis import (
     solve_periodic,
     transmission_spec,
 )
-from nlogis import logistic
+from nlogis import logistic, transmission
 from nlogis.logistic import (
     _EnergyModel,
     _newton_direction,
@@ -291,14 +291,18 @@ def test_periodic_constant_solution():
     assert np.max(np.abs(rep.u.values - 2.5)) <= 1e-8
 
 
-def test_periodic_without_resources_trivial():
-    pg = build_periodic_grid(32)
+@pytest.mark.parametrize("n", [32, 1024])
+def test_periodic_without_resources_trivial(n, monkeypatch):
+    pg = build_periodic_grid(n)
     spec = problem_spec(pg, 0.5, 0.0, 1.0)
+    factorizations = _counting(monkeypatch, "dpotrf")
     rep = solve_periodic(spec)
     assert rep.classification == "trivial"
-    # the cell-average start is zero itself, so no descent moves
+    # E >= 0 = E(0) on the positive semidefinite periodic operator, so zero
+    # is returned with no certificate and no descent
     assert np.array_equal(rep.u.values, np.zeros(pg.n))
-    assert rep.history == [0.0, 0.0]
+    assert rep.history == [0.0, 0.0] and rep.iterations == 0
+    assert len(factorizations) == 0
 
 
 def test_periodic_oscillatory_resource():
@@ -436,14 +440,18 @@ def _certificate_spec(s, case):
 
 
 def _counting(monkeypatch, name):
-    """Replace logistic.<name> by a wrapper that counts its calls."""
+    """Replace <name> in logistic, and in transmission when it holds it, by
+    a wrapper that counts the calls of both."""
     calls = []
-    original = getattr(logistic, name)
+    for module in (logistic, transmission):
+        original = getattr(module, name, None)
+        if original is None:
+            continue
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-    monkeypatch.setattr(logistic, name, counted)
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -472,11 +480,25 @@ def test_certificate_cases_cover_both_outcomes():
     assert classes == {"trivial", "nontrivial"}
 
 
-def test_extinct_solve_factors_once_without_an_eigenpair(monkeypatch):
-    spec = _certificate_spec(0.5, "0.9")
+def _tspec(sigma):
+    return transmission_spec((0.0, 1.0), (1.5, 2.5), 2.0**-5, s=0.5, s1=0.4,
+                             s2=0.6, nu1=1.0, nu2=1.0, mu=1.0, sigma=sigma)
+
+
+def _extinct_transmission():
+    return _tspec(0.8 * first_eigenpair(assemble_transmission(_tspec(1.0))).lambda_)
+
+
+@pytest.mark.parametrize("solve, make", [
+    (solve_dirichlet, lambda: _certificate_spec(0.5, "0.9")),
+    (minimize_transmission, _extinct_transmission),
+], ids=["dirichlet", "transmission"])
+def test_extinct_solve_factors_once_without_an_eigenpair(solve, make,
+                                                         monkeypatch):
+    spec = make()
     eigenpairs = _counting(monkeypatch, "first_eigenpair")
     factorizations = _counting(monkeypatch, "dpotrf")
-    rep = solve_dirichlet(spec)
+    rep = solve(spec)
     assert rep.classification == "trivial"
     assert (len(eigenpairs), len(factorizations)) == (0, 1)
     assert rep.history == [0.0, 0.0] and rep.iterations == 0
@@ -534,13 +556,9 @@ def test_rayleigh_skip_keeps_the_newton_direction(monkeypatch):
                                               (1.2, "nontrivial")])
 def test_transmission_rayleigh_skip_on_each_side_of_lambda_star(
         factor, expected, monkeypatch):
-    def tspec(sigma):
-        return transmission_spec((0.0, 1.0), (1.5, 2.5), 2.0**-5, s=0.5,
-                                 s1=0.4, s2=0.6, nu1=1.0, nu2=1.0, mu=1.0,
-                                 sigma=sigma)
-    op = assemble_transmission(tspec(1.0))
+    op = assemble_transmission(_tspec(1.0))
     pair = first_eigenpair(op)
-    ts = tspec(factor * pair.lambda_)
+    ts = _tspec(factor * pair.lambda_)
     model = _EnergyModel(op.a, ts.grid.h, ts.mu.values, -ts.sigma.values)
     u = np.full(ts.grid.n, 0.1 * ts.triviality_tol)
     (probed, calls_probed), (tried, calls_tried) = \

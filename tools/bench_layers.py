@@ -21,8 +21,9 @@ the periodic operator and the periodic convolution matrix
 (uniform kernel, rho = 1/4) at n = 256 ... 4096; the first eigenpair of the
 Dirichlet operator and two Dirichlet solves, mu = 1, on the unit interval
 at n = 255 ... 2047: sigma = 1.2 times the first eigenvalue, so the solve
-has a nontrivial state, and sigma = 0.8 times it, an extinct one.  All at
-s = S.
+has a nontrivial state, and sigma = 0.8 times it, an extinct one; the same
+two transmission solves, mu = 1, at the transmission form's sizes, sigma a
+multiple of lambda_star.  All at s = S.
 
 Then each checkout's perfbench/run.py --trace 1 --seed TRACE_SEED runs
 every workload once, and the report lists the counts (calls, iterations,
@@ -61,6 +62,10 @@ SPAN_TIMES = ("operators.dirichlet.s", "operators.classical.s",
               "operators.periodic.s", "operators.transmission.s",
               "operators.conv.s", "operators.self_s", "spectral.eig.s",
               "logistic.solve.s", "logistic.factorize_s")
+# (case name, sigma as a multiple of the first eigenvalue) of the solves
+DIRICHLET_SOLVES = (("dirichlet-solve", 1.2), ("extinct-solve", 0.8))
+TRANSMISSION_SOLVES = (("transmission-solve", 1.2),
+                       ("transmission-extinct-solve", 0.8))
 # (module, name) of every dense factorization entry point a case may call
 FACTORIZATIONS = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
                   ("logistic", "solve"))
@@ -77,9 +82,7 @@ def _cases(nl):
         kernel = nl.build_kernel("uniform", 0.25, grid.h)
         out.append(("grid-convolution", n,
                     lambda k=kernel, g=grid: nl.convolution_matrix(k, g)))
-        h = 2.0 / (n + 1)
-        ts = nl.transmission_spec((0.0, 1.0), (1.5, 2.5), h, s=S, s1=0.4,
-                                  s2=0.6, nu1=1.0, nu2=1.0, sigma=1.0, mu=1.0)
+        ts = _transmission_spec(nl, n, 1.0)
         out.append(("transmission", ts.grid.n,
                     lambda t=ts: nl.assemble_transmission(t)))
     for n in PERIODIC_SIZES:
@@ -93,10 +96,23 @@ def _cases(nl):
         op = nl.assemble_dirichlet(grid, S)
         lam = nl.first_eigenpair(op).lambda_
         out.append(("eigenpair", n, lambda o=op: nl.first_eigenpair(o)))
-        for name, factor in (("dirichlet-solve", 1.2), ("extinct-solve", 0.8)):
+        for name, factor in DIRICHLET_SOLVES:
             spec = nl.problem_spec(grid, S, factor * lam, 1.0)
             out.append((name, n, lambda p=spec: nl.solve_dirichlet(p)))
+    for n in SIZES:
+        lam = nl.lambda_star(_transmission_spec(nl, n, 1.0)).lambda_
+        for name, factor in TRANSMISSION_SOLVES:
+            ts = _transmission_spec(nl, n, factor * lam)
+            out.append((name, ts.grid.n,
+                        lambda t=ts: nl.minimize_transmission(t)))
     return out
+
+
+def _transmission_spec(nl, n, sigma):
+    """The transmission problem on (0, 1) and (1.5, 2.5) at about n nodes."""
+    return nl.transmission_spec((0.0, 1.0), (1.5, 2.5), 2.0 / (n + 1), s=S,
+                                s1=0.4, s2=0.6, nu1=1.0, nu2=1.0, sigma=sigma,
+                                mu=1.0)
 
 
 def _factorizations(nl, fn) -> dict:
