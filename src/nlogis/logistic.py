@@ -262,12 +262,14 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
 
     With src = 0 and mu >= 0 the energy is then strictly convex and zero is
     its only minimizer.  Negative curvature at zero along the constant
-    field settles the question without factoring; else one Cholesky
-    factorization does.
+    field, or else along the model's probe when one is set, settles the
+    question without factoring; else one Cholesky factorization does.
     """
     zeros = np.zeros(model.lin.size)
     ones = np.ones(model.lin.size)
     if model.indefinite_along(zeros, ones, model.a_eff @ ones):
+        return False
+    if model.probe is not None and model.indefinite_along(zeros, *model.probe):
         return False
     _, info = dpotrf(model.hessian(zeros).T, lower=True, overwrite_a=True,
                      clean=False)
@@ -458,17 +460,35 @@ def _eigen_start(model: _EnergyModel, op: NonlocalMatrix, solver_tol: float,
     return eps * e
 
 
+def _boundary_profile(grid: Grid, s: float) -> np.ndarray:
+    """((x - a)(b - x))^s on each interval (a, b) of the grid: the d^s
+    boundary behaviour of the first eigenvector, and nearer to it than the
+    constant field."""
+    ends = np.array(grid.intervals)[grid.interval_id]
+    return ((grid.nodes - ends[:, 0]) * (ends[:, 1] - grid.nodes)) ** s
+
+
+def _dirichlet_model(spec: ProblemSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
+    """(op, model) of a Dirichlet problem, the model's probe set to the
+    boundary profile for the extinction certificate."""
+    op = assemble(spec.grid, spec.s)
+    model = _spec_model(spec, op)
+    model.set_probe(_boundary_profile(spec.grid, spec.s))
+    return op, model
+
+
 def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """Assemble; certify extinction or minimize from two starts.
 
-    The first start rides the first eigenvector, computed only when zero
-    is not certified, with the amplitude suggested by the small-amplitude
-    expansion (see _steady_state).
+    The certificate probes the boundary profile before it factors.  The
+    first start rides the first eigenvector, computed only when zero is not
+    certified, with the amplitude suggested by the small-amplitude
+    expansion (see _steady_state); the eigenvector then replaces the
+    profile as the probe of the Newton steps.
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
-    op = assemble(spec.grid, spec.s)
-    model = _spec_model(spec, op)
+    op, model = _dirichlet_model(spec)
     floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
     return _report(spec, _steady_state(
         model, lambda: _eigen_start(model, op, spec.solver_tol, floor),
@@ -552,36 +572,57 @@ def critical_radius(
     h: float,
     solver_tol: float = 1e-10,
 ) -> CriticalRadius:
-    """Bisect the dilation factor at which survival switches on.
+    """Locate the dilation factor at which survival switches on.
 
     The habitat (a, b) is dilated to (r a, r b) and the unit-resource
     problem sigma = mu = 1, tau = 0 is solved; the survival threshold is
     predicted by lambda_s(Omega)^(1/(2s)).  Radii are snapped to the grid
     lattice, so the answer is resolved to one spacing.
+
+    The radius is located on the extinction certificate and confirmed by
+    the full solve.  A full solve at the bracket's lower end must be
+    trivial.  Bisection over the rest of the bracket then finds the first
+    cell whose zero state the certificate (the solve's own first step:
+    probes, then at most one Cholesky at zero) does not prove extinct; a
+    certified cell cannot survive, so full solves walk up from there to the
+    first nontrivial one.
+    Wherever survival is monotone along the bracket this is the cell a
+    bisection on full solves finds, and the upper end is assembled only
+    when the walk reaches it.
     """
     base = build_grid([interval], h)
     lam = first_eigenpair(assemble(base, s)).lambda_
     predicted = lam ** (1.0 / (2.0 * s))
     length = interval[1] - interval[0]
 
-    def survives(m_cells: int) -> bool:
+    def spec_at(m_cells: int) -> ProblemSpec:
         r = m_cells * h / length
         grid = build_grid([(r * interval[0], r * interval[1])], h)
-        spec = problem_spec(grid, s, 1.0, 1.0, solver_tol=solver_tol)
-        return solve_dirichlet(spec).classification == "nontrivial"
+        return problem_spec(grid, s, 1.0, 1.0, solver_tol=solver_tol)
+
+    def survives(m_cells: int) -> bool:
+        return solve_dirichlet(spec_at(m_cells)).classification == "nontrivial"
+
+    def certified(m_cells: int) -> bool:
+        return _zero_is_minimizer(_dirichlet_model(spec_at(m_cells))[1])
 
     lo = int(np.floor(0.55 * predicted * length / h))
     hi = int(np.ceil(1.6 * predicted * length / h))
     lo = max(lo, 2)
-    if survives(lo) or not survives(hi):
+    if survives(lo):
         raise ValueError("bisection bracket does not straddle the threshold")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if survives(mid):
-            hi = mid
-        else:
+    m_star = hi
+    while m_star - lo > 1:
+        mid = (lo + m_star) // 2
+        if certified(mid):
             lo = mid
-    r_star = hi * h / length
+        else:
+            m_star = mid
+    while not survives(m_star):
+        m_star += 1
+        if m_star > hi:
+            raise ValueError("bisection bracket does not straddle the threshold")
+    r_star = m_star * h / length
     return CriticalRadius(
         r_star=r_star,
         predicted=predicted,

@@ -4,13 +4,24 @@ The quadrature oracles recompute quantities the library obtains in closed
 form, using scipy's adaptive quadrature instead, so the two paths share no
 arithmetic beyond the kernel definition itself.  The ref_* functions at the
 end are the other kind: the library's own closed forms, assembled entry by
-entry, as references for the tabulated assembly.
+entry, as references for the tabulated assembly, and the critical radius
+found by bisecting on full solves, as the reference for the search on the
+extinction certificate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
+
+from nlogis import (
+    CriticalRadius,
+    build_grid,
+    first_eigenpair,
+    problem_spec,
+    solve_dirichlet,
+)
+from nlogis.operators import assemble
 
 
 def kernel(t, s):
@@ -261,3 +272,36 @@ def ref_convolution_matrix(kernel, grid):
         kernel.profile(diff),
     )
     return h * b
+
+
+def ref_critical_radius(interval, s, h, solver_tol=1e-10):
+    """critical_radius with a full solve at both bracket ends and at every
+    bisection point."""
+    base = build_grid([interval], h)
+    lam = first_eigenpair(assemble(base, s)).lambda_
+    predicted = lam ** (1.0 / (2.0 * s))
+    length = interval[1] - interval[0]
+
+    def survives(m_cells):
+        r = m_cells * h / length
+        grid = build_grid([(r * interval[0], r * interval[1])], h)
+        spec = problem_spec(grid, s, 1.0, 1.0, solver_tol=solver_tol)
+        return solve_dirichlet(spec).classification == "nontrivial"
+
+    lo = int(np.floor(0.55 * predicted * length / h))
+    hi = int(np.ceil(1.6 * predicted * length / h))
+    lo = max(lo, 2)
+    if survives(lo) or not survives(hi):
+        raise ValueError("bisection bracket does not straddle the threshold")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if survives(mid):
+            hi = mid
+        else:
+            lo = mid
+    r_star = hi * h / length
+    return CriticalRadius(
+        r_star=r_star,
+        predicted=predicted,
+        rel_gap=abs(r_star - predicted) / predicted,
+    )

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpotrf
 
+import oracles
 from nlogis import (
     ConvergenceError,
     Field,
@@ -26,7 +28,7 @@ from nlogis import (
     solve_periodic,
     transmission_spec,
 )
-from nlogis import logistic, transmission
+from nlogis import grids, logistic, transmission
 from nlogis.logistic import (
     _EnergyModel,
     _newton_direction,
@@ -378,6 +380,54 @@ def test_critical_radius_against_prediction():
     assert res.rel_gap <= 0.05
 
 
+@pytest.mark.parametrize("interval, s, h", [
+    ((0.0, 1.0), 0.3, 2.0**-7),
+    ((0.0, 1.0), 0.5, 2.0**-7),
+    ((0.0, 1.0), 0.75, 2.0**-7),
+    ((0.0, 1.0), 1.0, 2.0**-7),
+    ((0.5, 1.5), 0.5, 2.0**-6),
+])
+def test_critical_radius_equals_the_full_solve_bisection(interval, s, h):
+    assert critical_radius(interval, s, h) == \
+        oracles.ref_critical_radius(interval, s, h)
+
+
+def test_critical_radius_solves_only_at_the_threshold(monkeypatch):
+    # one trivial solve at the bracket's lower end, certificates inside it,
+    # and one nontrivial solve at r*: eigenpairs of the base habitat and of
+    # that solve only
+    eigenpairs = _counting(monkeypatch, "first_eigenpair")
+    solves = _counting(monkeypatch, "solve_dirichlet")
+    critical_radius((0.0, 1.0), 0.5, 2.0**-7)
+    assert (len(eigenpairs), len(solves)) == (2, 2)
+
+
+def test_critical_radius_never_builds_an_upper_end_it_does_not_reach(
+        monkeypatch):
+    # the bracket's upper end (734 cells) is past the cap, the threshold
+    # (464 cells) is not
+    monkeypatch.setattr(grids, "MAX_NODES", 600)
+    with pytest.raises(ValueError, match="MAX_NODES"):
+        oracles.ref_critical_radius((0.0, 1.0), 0.5, 2.0**-7)
+    assert critical_radius((0.0, 1.0), 0.5, 2.0**-7).r_star == 464 * 2.0**-7
+
+
+@pytest.mark.parametrize("classification", ["trivial", "nontrivial"])
+def test_critical_radius_rejects_a_bracket_without_a_switch(classification,
+                                                           monkeypatch):
+    # survival everywhere fails at the lower end; survival nowhere walks
+    # from the first uncertified cell past the upper end
+    solve = logistic.solve_dirichlet
+
+    def fixed(spec):
+        rep = solve(spec)
+        rep.classification = classification
+        return rep
+    monkeypatch.setattr(logistic, "solve_dirichlet", fixed)
+    with pytest.raises(ValueError, match="does not straddle the threshold"):
+        critical_radius((0.0, 1.0), 0.5, 2.0**-5)
+
+
 def test_ext_crossing_pattern():
     rs = np.geomspace(0.1, 10.0, 9)
     res = ext_crossing((0.0, 1.0), 0.25, 1.0, rs, 2.0**-6)
@@ -504,13 +554,9 @@ def test_extinct_solve_factors_once_without_an_eigenpair(solve, make,
     assert rep.history == [0.0, 0.0] and rep.iterations == 0
 
 
-def test_periodic_solve_settles_its_certificate_with_the_constant_probe(
-        monkeypatch):
-    # -sum sigma - tau n < 0 along the constant field, so the certificate
-    # needs no factorization
-    pg = build_periodic_grid(64)
-    spec = problem_spec(pg, 0.5, lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0,
-                        tau=0.5, kernel=build_kernel("uniform", 0.25, pg.h))
+def _certificate_verdicts(monkeypatch):
+    """A list that records (verdict, dpotrf calls) of every certificate
+    logistic runs from now on."""
     factorizations = _counting(monkeypatch, "dpotrf")
     verdicts = []
     certify = logistic._zero_is_minimizer
@@ -520,7 +566,35 @@ def test_periodic_solve_settles_its_certificate_with_the_constant_probe(
         verdicts.append((certify(model), len(factorizations) - before))
         return verdicts[-1][0]
     monkeypatch.setattr(logistic, "_zero_is_minimizer", recorded)
+    return verdicts
+
+
+def test_periodic_solve_settles_its_certificate_with_the_constant_probe(
+        monkeypatch):
+    # -sum sigma - tau n < 0 along the constant field, so the certificate
+    # needs no factorization
+    pg = build_periodic_grid(64)
+    spec = problem_spec(pg, 0.5, lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0,
+                        tau=0.5, kernel=build_kernel("uniform", 0.25, pg.h))
+    verdicts = _certificate_verdicts(monkeypatch)
     assert solve_periodic(spec).classification == "nontrivial"
+    assert verdicts == [(False, 0)]
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_dirichlet_certificate_settled_by_the_boundary_profile(s, monkeypatch):
+    # at sigma = 1.1 lambda_1 the constant field still has positive
+    # curvature at zero (the boundary rows of A weigh it), the profile
+    # ((x - a)(b - x))^s does not
+    spec = _certificate_spec(s, "1.1")
+    _, model = logistic._dirichlet_model(spec)
+    zeros = np.zeros(spec.grid.n)
+    ones = np.ones(spec.grid.n)
+    assert not model.indefinite_along(zeros, ones, model.a_eff @ ones)
+    _, info = dpotrf(model.hessian(zeros).T, lower=True)
+    cholesky = "trivial" if info == 0 else "nontrivial"
+    verdicts = _certificate_verdicts(monkeypatch)
+    assert solve_dirichlet(spec).classification == cholesky
     assert verdicts == [(False, 0)]
 
 

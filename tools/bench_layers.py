@@ -7,11 +7,12 @@ this script lives in.  Each of ROUNDS rounds runs one child process per
 checkout, alternating which goes first; a child imports nlogis from its
 checkout's src/, pins BLAS to one thread, and times every case REPEATS
 times after one untimed call.  The report gives each case's node count,
-per side the median and quartiles of all samples, and the dense
-factorizations one call makes (counted on a further call, by name of the
-LAPACK entry point the module calls: spectral's cho_factor, logistic's
-dpotrf and its symmetric-indefinite solve; a dpotrf that finds the matrix
-not positive definite is counted apart, as "logistic.dpotrf failed").
+per side the median and quartiles of all samples, and the calls one call
+makes (counted on a further call, by the name the module calls them by):
+of the dense factorizations, spectral's cho_factor, logistic's dpotrf and
+its symmetric-indefinite solve, a dpotrf that finds the matrix not
+positive definite counted apart as "logistic.dpotrf failed"; and of
+solve_dirichlet from inside logistic, by the classification it returns.
 
 Cases: the fractional Dirichlet and classical operators and the
 convolution matrix (uniform kernel, rho = 1/4) on the unit interval, and
@@ -23,7 +24,9 @@ Dirichlet operator and two Dirichlet solves, mu = 1, on the unit interval
 at n = 255 ... 2047: sigma = 1.2 times the first eigenvalue, so the solve
 has a nontrivial state, and sigma = 0.8 times it, an extinct one; the same
 two transmission solves, mu = 1, at the transmission form's sizes, sigma a
-multiple of lambda_star.  All at s = S.
+multiple of lambda_star; the critical radius of the unit interval at each
+spacing in CRITICAL_RADIUS_H, under the node count of its undilated grid.
+All at s = S.
 
 Then each checkout's perfbench/run.py --trace 1 --seed TRACE_SEED runs
 every workload once, and the report lists the counts (calls, iterations,
@@ -54,6 +57,7 @@ TRACE_SEED = 7
 S = 0.3
 SIZES = (255, 511, 1023, 2047)
 PERIODIC_SIZES = (256, 512, 1024, 2048, 4096)
+CRITICAL_RADIUS_H = (2.0**-7, 2.0**-8)
 WORKLOADS = ("resource-sweep", "threshold-bisection", "eigen-scaling",
              "coupled-habitats")
 COUNT_SUFFIXES = (".calls", ".iters", ".iters_max", ".factorizations",
@@ -66,9 +70,10 @@ SPAN_TIMES = ("operators.dirichlet.s", "operators.classical.s",
 DIRICHLET_SOLVES = (("dirichlet-solve", 1.2), ("extinct-solve", 0.8))
 TRANSMISSION_SOLVES = (("transmission-solve", 1.2),
                        ("transmission-extinct-solve", 0.8))
-# (module, name) of every dense factorization entry point a case may call
-FACTORIZATIONS = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
-                  ("logistic", "solve"))
+# (module, name) of every dense factorization entry point a case may call,
+# and of the solve critical_radius calls
+COUNTED = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
+           ("logistic", "solve"), ("logistic", "solve_dirichlet"))
 
 
 def _cases(nl):
@@ -105,6 +110,9 @@ def _cases(nl):
             ts = _transmission_spec(nl, n, factor * lam)
             out.append((name, ts.grid.n,
                         lambda t=ts: nl.minimize_transmission(t)))
+    for h in CRITICAL_RADIUS_H:
+        out.append(("critical-radius", round(1.0 / h) - 1,
+                    lambda h=h: nl.critical_radius((0.0, 1.0), S, h)))
     return out
 
 
@@ -115,11 +123,11 @@ def _transmission_spec(nl, n, sigma):
                                 mu=1.0)
 
 
-def _factorizations(nl, fn) -> dict:
-    """Calls of each factorization entry point made by one call of fn."""
+def _calls(nl, fn) -> dict:
+    """Calls of each COUNTED entry point made by one call of fn."""
     counts = {}
     undo = []
-    for module_name, attr in FACTORIZATIONS:
+    for module_name, attr in COUNTED:
         module = getattr(nl, module_name)
         original = getattr(module, attr, None)
         if original is None:
@@ -130,6 +138,8 @@ def _factorizations(nl, fn) -> dict:
             result = _fn(*args, **kwargs)
             if _key == "logistic.dpotrf" and result[1] != 0:
                 _key += " failed"
+            elif _key == "logistic.solve_dirichlet":
+                _key += " " + result.classification
             counts[_key] = counts.get(_key, 0) + 1
             return result
         setattr(module, attr, counted)
@@ -155,8 +165,8 @@ def _time_child(src: Path) -> None:
             t0 = time.perf_counter()
             fn()
             samples[case].append(time.perf_counter() - t0)
-        counts[case] = _factorizations(nl, fn)
-    print(json.dumps({"samples": samples, "factorizations": counts}))
+        counts[case] = _calls(nl, fn)
+    print(json.dumps({"samples": samples, "calls": counts}))
 
 
 def _child_samples(checkout: Path) -> dict:
@@ -216,22 +226,21 @@ def main(argv=None) -> int:
         p.error("--before and --out are required")
     sides = {"before": args.before.resolve(), "after": AFTER}
     pooled: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
-    factorizations: dict[str, dict] = {}
+    calls: dict[str, dict] = {}
     for r in range(ROUNDS):
         order = list(sides) if r % 2 == 0 else list(sides)[::-1]
         for side in order:
             child = _child_samples(sides[side])
             for case, samples in child["samples"].items():
                 pooled[side].setdefault(case, []).extend(samples)
-            factorizations[side] = child["factorizations"]
+            calls[side] = child["calls"]
     layers = {}
     for case in pooled["before"]:
         before = _summary(pooled["before"][case])
         after = _summary(pooled["after"][case])
         layers[case] = {"before": before, "after": after,
                         "ratio": after["median_s"] / before["median_s"],
-                        "factorizations": {side: factorizations[side][case]
-                                           for side in sides}}
+                        "calls": {side: calls[side][case] for side in sides}}
     import numpy
     import scipy
     report = {
@@ -246,10 +255,10 @@ def main(argv=None) -> int:
     }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for case, row in layers.items():
-        counts = row["factorizations"]
+        counts = row["calls"]
         print(f"{case:24s} {row['before']['median_s'] * 1e3:9.2f} ms -> "
               f"{row['after']['median_s'] * 1e3:9.2f} ms"
-              + (f"  factorizations {counts['before']} -> {counts['after']}"
+              + (f"  calls {counts['before']} -> {counts['after']}"
                  if counts["before"] or counts["after"] else ""))
     for workload, row in report["trace"].items():
         if isinstance(row, dict):
