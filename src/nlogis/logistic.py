@@ -199,6 +199,7 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
         if newton_skip == 0:
             d = _newton_direction(model, u, g)
             if d is not None and np.all(np.isfinite(d)):
+                # g is the gradient scaled by 1/h: E changes at rate h slope
                 slope = float(g @ d)
                 # a step whose predicted decrease -h slope / 2 is below what
                 # the energy resolves would only find roundoff ties
@@ -208,7 +209,7 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
                     for _ in range(30):
                         trial = u + t * d
                         e_trial = model.energy(trial)
-                        if e_trial < e and e_trial <= e + 1e-4 * t * slope:
+                        if e_trial < e and e_trial <= e + 1e-4 * t * model.h * slope:
                             u, e, accepted = trial, e_trial, True
                             break
                         t *= 0.5
@@ -244,7 +245,7 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
             for _ in range(60):
                 trial = u - t * g
                 e_trial = model.energy(trial)
-                if e_trial < e and e_trial <= e - 1e-4 * t * gnorm2:
+                if e_trial < e and e_trial <= e - 1e-4 * t * model.h * gnorm2:
                     u, e, accepted = trial, e_trial, True
                     grad_step = 2.0 * t
                     break

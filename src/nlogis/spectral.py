@@ -4,7 +4,9 @@ survival threshold.
 The eigenvalue solved for is the smallest lambda with A e = lambda e, which
 equals the minimum of quadratic_form(A, u) / l2_norm(u)^2 over nonzero
 fields: the h in the form and the h in the norm cancel, so the survival
-threshold compares directly with the resource rate sigma.
+threshold compares directly with the resource rate sigma.  It is found by
+ARPACK's Lanczos iteration (scipy eigsh) on A^-1, applied through one
+Cholesky factorization of A.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError, norm
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError
 from .grids import Field, build_grid, l2_norm
@@ -40,93 +43,80 @@ class EigenPair:
     iterations: int
 
 
-def first_eigenpair(
-    op: NonlocalMatrix, tol: float = 1e-10, max_iter: int = 400
-) -> EigenPair:
-    """Smallest eigenpair by inverse power iteration with one Rayleigh shift.
-
-    Deterministic: the start vector is all ones, the shift is a function of
-    the iterates only.  A tiny diagonal jitter handles positive
-    semidefinite matrices whose smallest eigenvalue is zero (periodic
-    variant).  Once the residual is within 1e-2 of the eigenvalue the
-    matrix is refactored once, shifted just below the Rayleigh quotient;
-    a Dirichlet eigenpair thus takes two Cholesky factorizations.
-
-    A y is computed to about eps ||A||_inf, which bounds how small the
-    residual can get.  When the residual fails to halve three times in a
-    row within 4 eps ||A||_inf of zero it has reached that floor, and a
-    ConvergenceError naming it is raised instead of iterating on.
-    """
-    a = op.a
+def _inverse_lanczos(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lanczos vector for the largest eigenvalue of (a + jitter I)^-1, after
+    one more solve, and the number of solves with the factor."""
     n = a.shape[0]
     diag = np.diag_indices(n)
     scale = float(np.max(np.abs(a[diag])))
-
-    def shifted_factor(c: float):
-        # a + c I in Fortran order, factored in its own storage
-        work = np.array(a, order="F")
-        work[diag] += c
-        return cho_factor(work, lower=True, overwrite_a=True, check_finite=False)
-
     jitter = 0.0
     factor = None
     while factor is None:
+        # a + jitter I in Fortran order, factored in its own storage
+        work = np.array(a, order="F")
+        work[diag] += jitter
         try:
-            factor = shifted_factor(jitter)
+            factor = cho_factor(work, lower=True, overwrite_a=True,
+                                check_finite=False)
         except LinAlgError:
             jitter = max(1e-14 * scale, 4.0 * jitter)
             if jitter > 1e-6 * scale:
                 raise
-    shifted = False
-    x = np.ones(n) / np.sqrt(n)
-    lam = float(x @ (a @ x))
-    res = np.inf
-    floor = None
-    stalls = 0
-    it = 0
-    for it in range(1, max_iter + 1):
-        y = cho_solve(factor, x, check_finite=False)
-        y /= np.linalg.norm(y)
-        ay = a @ y
-        lam = float(y @ ay)
-        prev, res = res, float(np.linalg.norm(ay - lam * y))
-        x = y
-        if res <= tol * max(1.0, abs(lam)):
-            break
-        if res > 0.5 * prev:
-            if floor is None:
-                floor = 4.0 * np.finfo(float).eps * norm(a, np.inf, check_finite=False)
-            stalls = stalls + 1 if res <= floor else 0
-            if stalls == 3:
-                raise ConvergenceError(
-                    f"eigenvalue iteration stalled at residual {res:.3e} after "
-                    f"{it} steps, within its roundoff floor 4 eps ||A||_inf = "
-                    f"{floor:.3e}; tolerance {tol * max(1.0, abs(lam)):.3e} is "
-                    "out of reach"
-                )
-        else:
-            stalls = 0
-        # once roughly converged, refactor once at a shift just below the
-        # Rayleigh quotient for the endgame; while the shifted matrix is
-        # not positive definite, keep the current factor and retry later
-        if not shifted and res <= 1e-2 * max(1.0, abs(lam)):
-            trial = lam - 2.0 * res - jitter
-            if trial > 0.0:
-                try:
-                    factor = shifted_factor(jitter - trial)
-                    shifted = True
-                except LinAlgError:
-                    pass
-    else:
+    solves = 0
+
+    def solve(x):
+        nonlocal solves
+        solves += 1
+        return cho_solve(factor, x, check_finite=False)
+
+    inverse = LinearOperator((n, n), matvec=solve, dtype=float)
+    try:
+        _, ritz = eigsh(inverse, k=1, which="LM", v0=np.ones(n), tol=0)
+    except ArpackNoConvergence as exc:
         raise ConvergenceError(
-            f"eigenvalue iteration did not reach tolerance {tol} in {max_iter} steps "
-            f"(residual {res:.3e})"
-        )
+            f"Lanczos iteration for the first eigenpair did not converge: {exc}"
+        ) from exc
+    return solve(ritz[:, 0]), solves
+
+
+def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
+    """Smallest eigenpair by shift-invert Lanczos on one Cholesky factor.
+
+    A is factored once; ARPACK's Lanczos iteration (eigsh) runs on its
+    inverse, started from the all-ones vector, so the result is
+    deterministic.  A tiny diagonal jitter handles positive semidefinite
+    matrices whose smallest eigenvalue is zero (periodic variant).  One
+    more solve with the factor polishes the Ritz vector; iterations counts
+    every solve.
+
+    The residual ||A e - lambda e|| must be within tol max(1, |lambda|),
+    else ConvergenceError is raised.  A y is computed to about
+    eps ||A||_inf, which bounds how small the residual can get; the error
+    names that floor when the residual is within 4 eps ||A||_inf of zero.
+    """
+    a = op.a
+    if a.shape[0] == 1:  # eigsh needs more nodes than eigenpairs
+        x, solves = np.ones(1), 0
+    else:
+        x, solves = _inverse_lanczos(a)
+    x /= np.linalg.norm(x)
+    ax = a @ x
+    lam = float(x @ ax)
+    res = float(np.linalg.norm(ax - lam * x))
+    target = tol * max(1.0, abs(lam))
+    if res > target:
+        message = (f"eigenpair residual {res:.3e} after {solves} solves "
+                   f"exceeds tolerance {target:.3e}")
+        floor = 4.0 * np.finfo(float).eps * norm(a, np.inf, check_finite=False)
+        if res <= floor:
+            message += (f"; it is within its roundoff floor 4 eps ||A||_inf "
+                        f"= {floor:.3e}, so the tolerance is out of reach")
+        raise ConvergenceError(message)
     if np.sum(x) < 0.0:
         x = -x
     e = Field(grid=op.grid, values=x)
     e = Field(grid=op.grid, values=x / l2_norm(e))
-    return EigenPair(lambda_=lam, vector=e, residual=res, iterations=it)
+    return EigenPair(lambda_=lam, vector=e, residual=res, iterations=solves)
 
 
 def rayleigh(op: NonlocalMatrix, u: Field) -> float:

@@ -6,9 +6,10 @@ on the inner ball while exceeding the local carrying level.
 Geometry is one-dimensional: the inner ball is (-1, 1), the harmonicity
 region (-2, 2), and the support (-R, R) for R taken from a schedule.  The
 exterior-control problem is severely ill-posed, so the exterior data is the
-Tikhonov-regularized least-squares solution; the regularization weight
-starts at 1e-8 times the squared largest singular value of the control map
-and is raised tenfold when the normal equations lose definiteness.
+Tikhonov-regularized least-squares solution, computed as a filtered
+singular value expansion of the control map (Hansen 1998): each singular
+component s is weighted by s / (s^2 + alpha), with alpha 1e-8 times the
+squared largest singular value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, svdvals
+from scipy.linalg import cho_factor, cho_solve, svd
 
 from .errors import ConvergenceError
 from .grids import Field, Grid, Kernel, build_grid
@@ -47,7 +48,7 @@ class HarmonicApproximation:
 
 INNER_RADIUS = 2.0   # the harmonicity region (-2, 2)
 FIT_RADIUS = 1.0     # the inner ball (-1, 1), where the target is matched
-ALPHA_SCALE = 1e-8   # first Tikhonov weight per squared largest singular value
+ALPHA_SCALE = 1e-8   # Tikhonov weight per squared largest singular value
 
 
 def _region_masks(grid: Grid):
@@ -95,17 +96,9 @@ def approximate_s_harmonic(
         wmap = -cho_solve(chol_ii, a_ix)  # inner values as a map of exterior data
         m = wmap[fit[inner], :]
         y = np.asarray(f(grid.nodes[fit]), dtype=float)
-        alpha = ALPHA_SCALE * svdvals(m)[0] ** 2
-        g = None
-        for _ in range(6):
-            gram = m.T @ m + alpha * np.eye(m.shape[1])
-            try:
-                g = cho_solve(cho_factor(gram), m.T @ y)
-                break
-            except LinAlgError:
-                alpha *= 10.0
-        if g is None:
-            raise ConvergenceError("exterior-control normal equations failed")
+        u_m, sv, vt_m = svd(m, full_matrices=False, check_finite=False)
+        alpha = ALPHA_SCALE * sv[0] ** 2
+        g = vt_m.T @ (sv / (sv**2 + alpha) * (u_m.T @ y))
         err = float(np.max(np.abs(m @ g - y)))
         # monotone fallback: reuse the previous radius's data, zero-padded
         if prev_g:

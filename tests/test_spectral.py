@@ -1,10 +1,17 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import nlogis.cli as cli
+from nlogis import spectral
 from nlogis import (
     ConvergenceError,
     Field,
+    assemble,
     assemble_classical,
     assemble_dirichlet,
     assemble_periodic,
@@ -175,12 +182,11 @@ def test_extrapolated_half_laplacian_eigenvalue_matches_closed_form(
 
 def test_eigen_iteration_stops_at_the_roundoff_floor():
     # ||A||_inf = 3.0e5 here, so A y is computed to about 6.7e-11, and
-    # the residual sits at 1.31e-10 above the 1.07e-10 tolerance: without
-    # the floor test all 400 iterations run
+    # the residual sits at 1.34e-10 above the 1.07e-10 tolerance
     grid = build_grid([(0.0, 3.0)], 2.0**-9)
     op = assemble_dirichlet(grid, 0.9)
     with pytest.raises(ConvergenceError, match="roundoff floor"):
-        first_eigenpair(op, max_iter=30)
+        first_eigenpair(op)
 
 
 def test_eigen_iteration_near_the_floor_still_converges():
@@ -189,3 +195,46 @@ def test_eigen_iteration_near_the_floor_still_converges():
     grid = build_grid([(0.0, 1.0)], 2.0**-9)
     pair = first_eigenpair(assemble_dirichlet(grid, 0.9))
     assert pair.residual <= 1e-10 * pair.lambda_
+
+
+def test_one_cholesky_factorization_per_dirichlet_eigenpair(monkeypatch):
+    calls = []
+    original = spectral.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(spectral, "cho_factor", counted)
+    for s in (0.3, 1.0):
+        pair = first_eigenpair(assemble(build_grid([(0.0, 1.0)], 2.0**-7), s))
+        assert pair.iterations >= 2
+    assert len(calls) == 2
+
+
+def test_lanczos_nonconvergence_is_a_convergence_error(monkeypatch, tmp_path,
+                                                       capsys):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+    monkeypatch.setattr(spectral, "eigsh", no_convergence)
+    op = assemble_dirichlet(build_grid([(0.0, 1.0)], 2.0**-5), 0.5)
+    with pytest.raises(ConvergenceError, match="Lanczos"):
+        first_eigenpair(op)
+    cfg_path = tmp_path / "eigen.json"
+    cfg_path.write_text(json.dumps({"experiment": "eigen", "h": 2.0**-5,
+                                    "s_values": [0.5], "radii": [1.0, 2.0]}))
+    assert cli.main(["eigen", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "did not converge" in err
+    assert "Traceback" not in err
+
+
+def test_one_node_grid_eigenpair_is_its_entry():
+    grid = build_grid([(0.0, 0.5)], 0.25)
+    op = assemble_dirichlet(grid, 0.5)
+    assert grid.n == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = first_eigenpair(op)
+    assert pair.lambda_ == op.a[0, 0]
+    assert pair.residual == 0.0
+    assert l2_norm(pair.vector) == pytest.approx(1.0, abs=1e-15)
