@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import json
 import math
@@ -716,9 +717,23 @@ _RUNNERS = {
 }
 
 
+class _MallInfo2(ctypes.Structure):  # glibc's; fordblks is the free heap
+    _fields_ = [(name, ctypes.c_size_t) for name in "arena ordblks smblks "
+                "hblks hblkhd usmblks fsmblks uordblks fordblks keepcost".split()]
+
+
+_LIBC = ctypes.CDLL(None) if sys.platform.startswith("linux") else None
+if hasattr(_LIBC, "mallinfo2"):  # glibc >= 2.33
+    _LIBC.mallinfo2.restype = _MallInfo2
+
+
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """Execute the configured experiment and return its result rows."""
     rows = _RUNNERS[config.experiment](config.params, config.jobs)
+    # glibc keeps freed heap, up to twice the largest matrix under 32 MiB,
+    # and later peaks would include it: free heap past 16 MiB is returned
+    if hasattr(_LIBC, "mallinfo2") and _LIBC.mallinfo2().fordblks > 2**24:
+        _LIBC.malloc_trim(ctypes.c_size_t(0))
     if config.out is not None:
         write_csv(rows, config.experiment, config.out)
     return rows

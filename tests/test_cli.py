@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -182,6 +185,41 @@ def test_eigen_run_and_csv_determinism(tmp_path):
     assert text1.splitlines()[0] == ",".join(COLUMNS["eigen"])
     assert all(r.passed for r in rows1)
     assert "\r" not in text1
+
+
+_RETAINED_HEAP = """
+import sys
+import numpy as np
+import nlogis.cli as cli
+
+def resident():
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * 4096
+
+# freeing a 32 MB matrix raises glibc's mmap threshold to its size, so the
+# 26 MB one after it is carved from the heap, whose freed top is then kept
+np.ones((2000, 2000))
+np.ones((1800, 1800))
+kept = resident()
+cli.run(cli.parse_config(sys.argv[1]))
+print(kept - resident())
+"""
+
+
+@pytest.mark.skipif(
+    not (hasattr(cli._LIBC, "mallinfo2")
+         and Path("/proc/self/statm").exists()),
+    reason="needs glibc >= 2.33 and /proc")
+def test_run_returns_freed_heap_to_the_system():
+    # glibc's allocator at its defaults, whatever the environment sets
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _RETAINED_HEAP, json.dumps(_eigen_config())],
+        capture_output=True, text=True, timeout=120, check=True, env=env)
+    released = int(proc.stdout.split()[-1])
+    assert released > 2**24, released
 
 
 def test_csv_written_to_out(tmp_path):
