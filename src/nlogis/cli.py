@@ -8,12 +8,13 @@ non-convergence, 3 on any failed check, 4 on an output I/O failure, and
 64 on a malformed command line or config or a value the library rejects
 (a grid finer than grids.MAX_NODES nodes included).
 
-_SCHEMA gives each experiment's keys as (validator, default) pairs.  The
---h, --s, --out and --jobs flags and NLOGIS_JOBS replace the config keys
-h, s, out and jobs before validation, so they are checked the same way;
---s is an error for an experiment without a scalar s.  Coefficients are
-numbers or objects of kind constant, indicator, cosine, dip or (solve's
-sigma only) eigenvalue-multiple; README lists their fields.
+_EXPERIMENTS declares each experiment once: its claim, runner, CSV columns
+and the config keys the runner reads.  The --h, --s, --out and --jobs
+flags and NLOGIS_JOBS replace the config keys h, s, out and jobs before
+validation, so they are checked the same way, and a flag whose key the
+experiment lacks is an error.  Coefficients are numbers or objects of kind
+constant, indicator, cosine, dip or (solve's sigma only)
+eigenvalue-multiple; README lists their fields.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -59,65 +61,7 @@ from .spectral import union_eigen_study
 __all__ = ["ExperimentConfig", "ResultRow", "parse_config", "run",
            "report_summary", "write_csv", "csv_text", "main"]
 
-EXPERIMENTS = (
-    "eigen",
-    "solve",
-    "threshold-radius",
-    "ext-crossing",
-    "congruence",
-    "abundance",
-    "beat",
-    "periodic",
-    "transmission",
-    "strategic",
-)
-
-# claim checked by each experiment; the generic solve checks the
-# extinction/survival expectation, and every solving experiment also feeds
-# the aggregated population-bound claim below
-CLAIMS = {
-    "eigen": "eigenvalue-scaling",
-    "solve": "extinction-survival",
-    "threshold-radius": "critical-radius",
-    "ext-crossing": "exponent-crossing",
-    "congruence": "congruent-domains",
-    "abundance": "abundance-response",
-    "beat": "resource-beating",
-    "periodic": "periodic-constant",
-    "transmission": "transmission-threshold",
-    "strategic": "strategic-plan",
-}
 MAX_PRINCIPLE_CLAIM = "resource-max-principle"
-
-# versioned column sets; golden-file tests pin these
-COLUMNS = {
-    "eigen": ["experiment", "s", "r", "lambda", "ratio", "target_ratio",
-              "ratio_error", "pass"],
-    "solve": ["experiment", "s", "sigma_max", "tau", "classification",
-              "energy", "el_residual", "max_u", "min_u", "bound_easy",
-              "max_principle_ok", "expected", "pass"],
-    "threshold-radius": ["experiment", "s", "r_star", "predicted",
-                         "rel_gap", "tolerance", "pass"],
-    "ext-crossing": ["experiment", "phase", "r", "lambda_fast", "lambda_slow",
-                     "sign", "exponent", "sigma", "tau", "classification",
-                     "expected", "pass"],
-    "congruence": ["experiment", "domain", "s", "lambda_or_gap", "sigma",
-                   "classification", "expected", "positive_everywhere",
-                   "pass"],
-    "abundance": ["experiment", "m_level", "inf_ball", "ratio", "max_u",
-                  "bound_easy", "max_principle_ok", "ratio_variation",
-                  "pass"],
-    "beat": ["experiment", "case", "m", "beat_count", "max_excess",
-             "max_principle_ok", "expected_nonempty", "pass"],
-    "periodic": ["experiment", "case", "n", "s", "tau", "max_deviation",
-                 "mean_level", "balance_residual", "value_range", "pass"],
-    "transmission": ["experiment", "case", "sigma", "lambda_star",
-                     "classification", "expected", "positive_local",
-                     "positive_nonlocal", "mixed_pattern", "pass"],
-    "strategic": ["experiment", "s", "eps", "r_used", "approx_error",
-                  "harmonic_residual", "el_residual", "sigma_gap",
-                  "lower_bound_margin", "pass"],
-}
 
 
 class ConfigError(ValueError):
@@ -262,73 +206,25 @@ def _kernel_spec(where, val):
     return dict(val)
 
 
+def _constant(bound):
+    """A constant coefficient whose value passes bound."""
+    coefficient = _coefficient("constant")
+
+    def check(where, val):
+        val = coefficient(where, val)
+        bound(where, val["value"])
+        return val
+    return check
+
+
 # key -> (validator, default).  Defaults pass through their validator too,
-# params keep the table's key order, and out and jobs are run settings that
-# every experiment takes but that are not params.
-_COMMON = {"h": (_positive, 2.0**-9), "solver_tol": (_positive, 1e-10),
-           "triviality_tol": (_optional(_positive), None),
-           "out": (_optional(_typed(str, "a path")), None),
+# and params keep the table's key order.  out and jobs are run settings
+# that every experiment takes but that are not params.
+_COMMON = {"out": (_optional(_typed(str, "a path")), None),
            "jobs": (_integer(1), 1)}
+# grid spacing and residual tolerance, for the experiments that read both
+_GRID = {"h": (_positive, 2.0**-9), "solver_tol": (_positive, 1e-10)}
 _ANY = _coefficient(*_PROFILES)
-_SCHEMA = {
-    "eigen": {
-        "intervals": (_list_of(_pair), [[0.0, 1.0]]),
-        "s_values": (_list_of(_exponent), [0.25, 0.5, 0.75]),
-        "radii": (_list_of(_positive), [1.0, 2.0, 3.0]),
-        "tolerance": (_positive, 0.01)},
-    "solve": {
-        "intervals": (_list_of(_pair), [[0.0, 1.0]]), "s": (_exponent, 0.5),
-        "sigma": (_coefficient(*_PROFILES, "eigenvalue-multiple"), None),
-        "mu": (_ANY, 1.0), "tau": (_nonnegative, 0.0),
-        "kernel": (_optional(_kernel_spec), None),
-        "expect": (_optional(_one_of("trivial", "nontrivial")), None)},
-    "threshold-radius": {
-        "interval": (_pair, [0.0, 1.0]),
-        "s_values": (_list_of(_fraction), [0.5, 0.75]),
-        "tolerance": (_positive, 0.05)},
-    # wider default spacings keep the dense matrices desk-scale: ext-crossing
-    # spans dilations up to r_max and strategic spans (-R, R)
-    "ext-crossing": {
-        "h": (_positive, 2.0**-6), "interval": (_pair, [0.0, 1.0]),
-        "s": (_exponent, 0.25), "S": (_exponent, 1.0),
-        "r_min": (_positive, 0.05), "r_max": (_positive, 20.0),
-        "r_count": (_integer(4), 25)},
-    "congruence": {
-        "length": (_positive, 1.0), "separation": (_positive, 1.0),
-        "s": (_fraction, 0.5),
-        "classical_control": (_typed(bool, "a bool"), True)},
-    "abundance": {
-        "interval": (_pair, [-1.0, 1.0]),
-        "ball_resource": (_pair, [-0.5, 0.5]),
-        "ball_check": (_pair, [-0.25, 0.25]),
-        "s": (_exponent, 0.5), "m_start": (_positive, 5.0),
-        "sweep_factors": (_list_of(_positive, least=2), [1.0, 2.0, 4.0]),
-        "variation_tol": (_positive, 0.25)},
-    "beat": {
-        "interval": (_pair, [-1.0, 1.0]), "s": (_exponent, 0.5),
-        "level": (_positive, 30.0),
-        "dip_center": (_number, 0.7), "dip_width": (_positive, 0.2),
-        "m_values": (_list_of(_number), [0.01, 0.05, 0.2, 0.5, 1.0])},
-    "periodic": {
-        "n": (_integer(4), 128), "s": (_fraction, 0.5),
-        # the experiment checks the constant-coefficient state
-        "sigma": (_coefficient("constant"), 2.0),
-        "mu": (_coefficient("constant"), 1.0), "tau": (_nonnegative, 0.5),
-        "kernel": (_kernel_spec, {"shape": "uniform", "rho": 0.25}),
-        "image_cutoff": (_integer(2), 16), "tolerance": (_positive, 1e-8)},
-    "transmission": {
-        "interval_local": (_pair, [0.0, 1.0]),
-        "interval_nonlocal": (_pair, [1.5, 2.5]),
-        "s": (_fraction, 0.5), "s1": (_fraction, 0.4), "s2": (_fraction, 0.6),
-        "nu1": (_nonnegative, 1.0), "nu2": (_nonnegative, 1.0),
-        "margin": (_fraction, 0.2)},
-    "strategic": {
-        "h": (_positive, 1.0 / 16.0), "s": (_fraction, 0.5),
-        "eps": (_positive, 0.1),
-        "r_schedule": (_list_of(_positive), [4.0, 6.0, 8.0]),
-        "sigma": (_ANY, 1.0), "mu": (_ANY, 1.0), "tau": (_nonnegative, 0.0),
-        "kernel": (_optional(_kernel_spec), None)},
-}
 
 
 def _load(text: str) -> dict:
@@ -341,12 +237,12 @@ def _load(text: str) -> dict:
 
 
 def _validate(cfg: dict, names: dict[str, str]) -> ExperimentConfig:
-    """Check a loaded config against its experiment's table; names says how
+    """Check a loaded config against its experiment's keys; names says how
     messages cite a key whose value came from a flag or the environment."""
     experiment = cfg.get("experiment")
-    _expect(experiment in EXPERIMENTS,
+    _expect(experiment in _EXPERIMENTS,
             f"config.experiment: unknown experiment {experiment!r}")
-    table = {**_COMMON, **_SCHEMA[experiment]}
+    table = {**_COMMON, **_EXPERIMENTS[experiment].keys}
     for key in cfg:
         _expect(key == "experiment" or key in table,
                 f"{names.get(key, 'config.' + key)}: unknown key for the "
@@ -383,21 +279,26 @@ def _coefficient_fn(spec_dict, lam=None):
             lvl if abs(x - c) >= w
             else lvl * 0.5 * (1.0 - math.cos(math.pi * (x - c) / w))
         )
-    # eigenvalue-multiple, which the schema admits only where lam is known
+    # eigenvalue-multiple, which only solve's sigma admits, with lam known
     return float(spec_dict["factor"]) * lam
 
 
 # ---------------------------------------------------------------------------
 # experiment runners
 # ---------------------------------------------------------------------------
+#
+# A runner takes the params and the job count and returns the rows; a row's
+# values hold its cells except experiment and pass, which csv_text writes,
+# and a cell left out is written empty.
 
 def _pmap(fn, items, jobs):
+    """[fn(*item) for item in items], on up to jobs worker processes."""
     # the pool starts every worker up front, so never more than can run
     workers = min(jobs, os.cpu_count() or 1, len(items))
     if workers <= 1:
-        return [fn(item) for item in items]
+        return [fn(*item) for item in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*items)))
 
 
 def _kernel(p, h):
@@ -407,22 +308,17 @@ def _kernel(p, h):
     return build_kernel(k["shape"], k.get("rho"), h, samples=k.get("samples"))
 
 
-def _eigen_point(args):
-    intervals, h, s, r = args
-    study = eigen_scaling(intervals, r, s, h)
-    return study.lambda_scaled, study.ratio, study.target
-
-
 def _run_eigen(p, jobs):
-    points = [(tuple(p["intervals"]), p["h"], s, r)
-              for s in p["s_values"] for r in p["radii"]]
-    results = _pmap(_eigen_point, points, jobs)
+    points = [(s, r) for s in p["s_values"] for r in p["radii"]]
+    studies = _pmap(eigen_scaling,
+                    [(p["intervals"], r, s, p["h"]) for s, r in points], jobs)
     rows = []
-    for (_, _, s, r), (lam, ratio, target) in zip(points, results):
-        err = abs(ratio / target - 1.0)
+    for (s, r), study in zip(points, studies):
+        err = abs(study.ratio / study.target - 1.0)
         rows.append(ResultRow("eigen", {
-            "experiment": "eigen", "s": s, "r": r, "lambda": lam,
-            "ratio": ratio, "target_ratio": target, "ratio_error": err,
+            "s": s, "r": r, "lambda": study.lambda_scaled,
+            "ratio": study.ratio, "target_ratio": study.target,
+            "ratio_error": err,
         }, passed=bool(err <= p["tolerance"])))
     return rows
 
@@ -430,12 +326,10 @@ def _run_eigen(p, jobs):
 def _run_solve(p, jobs):
     grid = build_grid(p["intervals"], p["h"])
     kern = _kernel(p, p["h"])
-    if p["sigma"]["kind"] == "eigenvalue-multiple":
-        lam = first_eigenpair(assemble(grid, p["s"])).lambda_
-        sigma = _coefficient_fn(p["sigma"], lam=lam)
-    else:
-        sigma = _coefficient_fn(p["sigma"])
-    spec = problem_spec(grid, p["s"], sigma, _coefficient_fn(p["mu"]),
+    lam = (first_eigenpair(assemble(grid, p["s"])).lambda_
+           if p["sigma"]["kind"] == "eigenvalue-multiple" else None)
+    spec = problem_spec(grid, p["s"], _coefficient_fn(p["sigma"], lam),
+                        _coefficient_fn(p["mu"]),
                         tau=p["tau"], kernel=kern,
                         solver_tol=p["solver_tol"],
                         triviality_tol=p["triviality_tol"])
@@ -444,56 +338,40 @@ def _run_solve(p, jobs):
     expected = p["expect"] or rep.classification
     ok = diag["ok_easy"] and rep.dichotomy_ok and rep.classification == expected
     return [ResultRow("solve", {
-        "experiment": "solve", "s": p["s"], "sigma_max": spec.sigma.max(),
-        "tau": p["tau"], "classification": rep.classification,
-        "energy": rep.energy, "el_residual": rep.el_residual,
-        "max_u": rep.u.max(), "min_u": rep.u.min(),
-        "bound_easy": diag["bound_easy"],
-        "max_principle_ok": diag["ok_easy"],
-        "expected": expected,
+        "s": p["s"], "sigma_max": spec.sigma.max(), "tau": p["tau"],
+        "classification": rep.classification, "energy": rep.energy,
+        "el_residual": rep.el_residual, "max_u": rep.u.max(),
+        "min_u": rep.u.min(), "bound_easy": diag["bound_easy"],
+        "max_principle_ok": diag["ok_easy"], "expected": expected,
     }, passed=bool(ok))]
 
 
-def _threshold_point(args):
-    interval, s, h, tol = args
-    res = critical_radius(interval, s, h, solver_tol=tol)
-    return res.r_star, res.predicted, res.rel_gap
-
-
 def _run_threshold(p, jobs):
-    points = [(tuple(p["interval"]), s, p["h"], p["solver_tol"])
-              for s in p["s_values"]]
-    results = _pmap(_threshold_point, points, jobs)
-    rows = []
-    for (_, s, _, _), (r_star, predicted, gap) in zip(points, results):
-        rows.append(ResultRow("threshold-radius", {
-            "experiment": "threshold-radius", "s": s, "r_star": r_star,
-            "predicted": predicted, "rel_gap": gap,
-            "tolerance": p["tolerance"],
-        }, passed=bool(gap <= p["tolerance"])))
-    return rows
+    results = _pmap(critical_radius, [(p["interval"], s, p["h"],
+                                       p["solver_tol"])
+                                      for s in p["s_values"]], jobs)
+    return [ResultRow("threshold-radius", {
+        "s": s, "r_star": res.r_star, "predicted": res.predicted,
+        "rel_gap": res.rel_gap, "tolerance": p["tolerance"],
+    }, passed=bool(res.rel_gap <= p["tolerance"]))
+        for s, res in zip(p["s_values"], results)]
 
 
 def _run_ext(p, jobs):
     rs = np.geomspace(p["r_min"], p["r_max"], p["r_count"])
     res = ext_crossing(p["interval"], p["s"], p["S"], rs, p["h"],
                        solver_tol=p["solver_tol"])
-    rows = []
-    one_change = res.n_sign_changes == 1
-    for r, ls, lb in zip(res.r_values, res.lambda_small_s, res.lambda_big_s):
-        rows.append(ResultRow("ext-crossing", {
-            "experiment": "ext-crossing", "phase": "curve", "r": r,
-            "lambda_fast": ls, "lambda_slow": lb,
-            "sign": int(np.sign(lb - ls)), "exponent": "", "sigma": "",
-            "tau": "", "classification": "", "expected": "",
-        }, passed=one_change))
+    curve = zip(res.r_values, res.lambda_small_s, res.lambda_big_s)
+    rows = [ResultRow("ext-crossing", {
+        "phase": "curve", "r": r, "lambda_fast": ls, "lambda_slow": lb,
+        "sign": int(np.sign(lb - ls)),
+    }, passed=res.n_sign_changes == 1) for r, ls, lb in curve]
     for regime in ("small", "large"):
         info = res.classifications[regime]
         for which, exponent in (("fast", p["s"]), ("slow", p["S"])):
             rows.append(ResultRow("ext-crossing", {
-                "experiment": "ext-crossing", "phase": f"solve-{regime}",
-                "r": info["r"], "lambda_fast": "", "lambda_slow": "",
-                "sign": "", "exponent": exponent, "sigma": info["sigma"],
+                "phase": f"solve-{regime}", "r": info["r"],
+                "exponent": exponent, "sigma": info["sigma"],
                 "tau": info["tau"], "classification": info[which],
                 "expected": info[f"expected_{which}"],
             }, passed=bool(info[which] == info[f"expected_{which}"])))
@@ -507,79 +385,66 @@ def _run_congruence(p, jobs):
     int2 = (length + sep, 2.0 * length + sep)
     res = congruence_experiment(int1, int2, p["s"], p["h"],
                                 solver_tol=p["solver_tol"])
-    rows = []
     if not res.admissible:
+        return [ResultRow("congruence", {
+            "domain": "window", "s": p["s"], "lambda_or_gap": res.gap,
+        }, passed=False)]
+    rows = [ResultRow("congruence", {
+        "domain": "gap-fractional", "s": p["s"], "lambda_or_gap": res.gap,
+        "sigma": res.sigma,
+    }, passed=bool(res.gap > 0.0))]
+    # the union must also be positive everywhere
+    positive = {"positive_everywhere": res.union_positive_everywhere}
+    for name, rep, lam, expected, checks in (
+        ("habitat-1", res.report_1, res.lambda_single, "trivial", {}),
+        ("habitat-2", res.report_2, res.lambda_single, "trivial", {}),
+        ("union", res.report_union, res.lambda_union, "nontrivial", positive),
+    ):
         rows.append(ResultRow("congruence", {
-            "experiment": "congruence", "domain": "window", "s": p["s"],
-            "lambda_or_gap": res.gap, "sigma": "", "classification": "",
-            "expected": "", "positive_everywhere": "",
-        }, passed=False))
-        return rows
-    rows.append(ResultRow("congruence", {
-        "experiment": "congruence", "domain": "gap-fractional", "s": p["s"],
-        "lambda_or_gap": res.gap, "sigma": res.sigma, "classification": "",
-        "expected": "", "positive_everywhere": "",
-    }, passed=bool(res.gap > 0.0)))
-    for name, rep, expected in (("habitat-1", res.report_1, "trivial"),
-                                ("habitat-2", res.report_2, "trivial"),
-                                ("union", res.report_union, "nontrivial")):
-        rows.append(ResultRow("congruence", {
-            "experiment": "congruence", "domain": name, "s": p["s"],
-            "lambda_or_gap": res.lambda_union if name == "union"
-            else res.lambda_single,
+            "domain": name, "s": p["s"], "lambda_or_gap": lam,
             "sigma": res.sigma, "classification": rep.classification,
-            "expected": expected,
-            "positive_everywhere": res.union_positive_everywhere
-            if name == "union" else "",
+            "expected": expected, **checks,
         }, passed=bool(rep.classification == expected
-                       and (name != "union" or res.union_positive_everywhere))))
+                       and all(checks.values()))))
     if p["classical_control"]:
         classical = union_eigen_study(int1, int2, 1.0, p["h"])
         rel = abs(classical.gap) / classical.lambda_single
         rows.append(ResultRow("congruence", {
-            "experiment": "congruence", "domain": "gap-classical", "s": 1.0,
-            "lambda_or_gap": classical.gap, "sigma": "", "classification": "",
-            "expected": "", "positive_everywhere": "",
+            "domain": "gap-classical", "s": 1.0,
+            "lambda_or_gap": classical.gap,
         }, passed=bool(rel <= 1e-8)))
     return rows
 
 
-def _abundance_point(args):
-    interval, ball_r, ball_c, s, h, m, tol = args
+def _abundance_point(interval, ball_resource, ball_check, s, h, tol, m):
     grid = build_grid([interval], h)
-    lo, hi = ball_r
+    lo, hi = ball_resource
     sig = sample_function(grid, lambda x: m if lo <= x <= hi else 0.0)
     spec = problem_spec(grid, s, sig, 1.0, solver_tol=tol)
     rep = solve_dirichlet(spec)
-    return check_fitting_bounds(rep, spec, ball=ball_c, m_level=m)
+    return check_fitting_bounds(rep, spec, ball=ball_check, m_level=m)
 
 
 def _run_abundance(p, jobs):
     # double the resource level until the response in the check ball is a
     # solid fraction of it; that level anchors the linearity sweep
+    fixed = (p["interval"], p["ball_resource"], p["ball_check"], p["s"],
+             p["h"], p["solver_tol"])
     m0 = p["m_start"]
-    base = (tuple(p["interval"]), tuple(p["ball_resource"]),
-            tuple(p["ball_check"]), p["s"], p["h"])
     for _ in range(12):
-        diag = _abundance_point(base + (m0, p["solver_tol"]))
-        if diag["ratio"] >= 0.8:
+        if _abundance_point(*fixed, m0)["ratio"] >= 0.8:
             break
         m0 *= 2.0
     levels = [f * m0 for f in p["sweep_factors"]]
-    diags = _pmap(_abundance_point,
-                  [base + (m, p["solver_tol"]) for m in levels], jobs)
+    diags = _pmap(_abundance_point, [(*fixed, m) for m in levels], jobs)
     ratios = [d["ratio"] for d in diags]
     variation = (max(ratios) - min(ratios)) / max(ratios) if max(ratios) else 1.0
     ok_var = variation <= p["variation_tol"] and min(ratios) > 0.1
-    rows = []
-    for m, d in zip(levels, diags):
-        rows.append(ResultRow("abundance", {
-            "experiment": "abundance", "m_level": m, "inf_ball": d["inf_ball"],
-            "ratio": d["ratio"], "max_u": d["max_u"],
-            "bound_easy": d["bound_easy"], "max_principle_ok": d["ok_easy"],
-            "ratio_variation": variation,
-        }, passed=bool(ok_var and d["ok_easy"])))
-    return rows
+    return [ResultRow("abundance", {
+        "m_level": m, "inf_ball": d["inf_ball"], "ratio": d["ratio"],
+        "max_u": d["max_u"], "bound_easy": d["bound_easy"],
+        "max_principle_ok": d["ok_easy"], "ratio_variation": variation,
+    }, passed=bool(ok_var and d["ok_easy"])) for m, d in zip(levels, diags)]
 
 
 def _run_beat(p, jobs):
@@ -602,9 +467,8 @@ def _run_beat(p, jobs):
             scan.max_principle_ok,
         ):
             rows.append(ResultRow("beat", {
-                "experiment": "beat", "case": case, "m": m,
-                "beat_count": int(count), "max_excess": excess,
-                "max_principle_ok": bool(bound_ok),
+                "case": case, "m": m, "beat_count": int(count),
+                "max_excess": excess, "max_principle_ok": bool(bound_ok),
                 "expected_nonempty": expect_nonempty,
             }, passed=bool(found == expect_nonempty)))
     return rows
@@ -613,7 +477,6 @@ def _run_beat(p, jobs):
 def _run_periodic(p, jobs):
     pgrid = build_periodic_grid(p["n"], image_cutoff=p["image_cutoff"])
     kern = _kernel(p, pgrid.h)
-    rows = []
     # constant-coefficient run: the solution must sit at (sigma + tau) / mu
     sigma_const = p["sigma"]["value"]
     mu_const = p["mu"]["value"]
@@ -626,25 +489,22 @@ def _run_periodic(p, jobs):
     v = rep.u.values - mean
     balance = abs(mu_const * pgrid.h * np.sum(v**2)
                   - mean * (sigma_const + p["tau"] - mu_const * mean))
-    rows.append(ResultRow("periodic", {
-        "experiment": "periodic", "case": "constant", "n": p["n"],
-        "s": p["s"], "tau": p["tau"], "max_deviation": dev,
-        "mean_level": mean, "balance_residual": balance,
+    constant = ResultRow("periodic", {
+        "case": "constant", "n": p["n"], "s": p["s"], "tau": p["tau"],
+        "max_deviation": dev, "mean_level": mean, "balance_residual": balance,
         "value_range": float(np.ptp(rep.u.values)),
-    }, passed=bool(dev <= p["tolerance"] and balance <= 100 * p["tolerance"])))
+    }, passed=bool(dev <= p["tolerance"] and balance <= 100 * p["tolerance"]))
     # oscillatory-resource run: the solution must respond nonuniformly
     spec2 = problem_spec(pgrid, p["s"],
                          lambda x: sigma_const + math.cos(2 * math.pi * x),
                          mu_const, tau=0.0, solver_tol=p["solver_tol"])
     rep2 = solve_periodic(spec2)
     rng = float(np.ptp(rep2.u.values))
-    rows.append(ResultRow("periodic", {
-        "experiment": "periodic", "case": "oscillatory", "n": p["n"],
-        "s": p["s"], "tau": 0.0,
-        "max_deviation": "", "mean_level": float(pgrid.h * np.sum(rep2.u.values)),
-        "balance_residual": "", "value_range": rng,
-    }, passed=bool(rep2.classification == "nontrivial" and rng > 0.05)))
-    return rows
+    return [constant, ResultRow("periodic", {
+        "case": "oscillatory", "n": p["n"], "s": p["s"], "tau": 0.0,
+        "mean_level": float(pgrid.h * np.sum(rep2.u.values)),
+        "value_range": rng,
+    }, passed=bool(rep2.classification == "nontrivial" and rng > 0.05))]
 
 
 def _run_transmission(p, jobs):
@@ -666,9 +526,9 @@ def _run_transmission(p, jobs):
         mixed = mp_check(rep.u, ts) == "violation"
         ok = rep.classification == expected and not mixed
         rows.append(ResultRow("transmission", {
-            "experiment": "transmission", "case": case, "sigma": sigma,
-            "lambda_star": lam, "classification": rep.classification,
-            "expected": expected, "positive_local": rep.positive_on_local,
+            "case": case, "sigma": sigma, "lambda_star": lam,
+            "classification": rep.classification, "expected": expected,
+            "positive_local": rep.positive_on_local,
             "positive_nonlocal": rep.positive_on_nonlocal,
             "mixed_pattern": mixed,
         }, passed=bool(ok)))
@@ -695,26 +555,121 @@ def _run_strategic(p, jobs):
           and res.lower_bound_margin >= -p["solver_tol"]
           and res.achieved)
     return [ResultRow("strategic", {
-        "experiment": "strategic", "s": p["s"], "eps": p["eps"],
-        "r_used": res.r_used, "approx_error": res.approx_error,
+        "s": p["s"], "eps": p["eps"], "r_used": res.r_used,
+        "approx_error": res.approx_error,
         "harmonic_residual": res.harmonic_residual,
         "el_residual": res.el_residual, "sigma_gap": res.sigma_gap,
         "lower_bound_margin": res.lower_bound_margin,
     }, passed=bool(ok))]
 
 
-_RUNNERS = {
-    "eigen": _run_eigen,
-    "solve": _run_solve,
-    "threshold-radius": _run_threshold,
-    "ext-crossing": _run_ext,
-    "congruence": _run_congruence,
-    "abundance": _run_abundance,
-    "beat": _run_beat,
-    "periodic": _run_periodic,
-    "transmission": _run_transmission,
-    "strategic": _run_strategic,
+@dataclass(frozen=True)
+class _Experiment:
+    claim: str  # what the pass column checks, as report_summary names it
+    run: Callable[[dict, int], list[ResultRow]]  # (params, jobs) -> rows
+    columns: list[str]  # versioned; golden-file tests pin these
+    keys: dict  # the config keys run reads: key -> (validator, default)
+
+
+# Every experiment with a max_principle_ok cell also feeds the aggregated
+# MAX_PRINCIPLE_CLAIM.  Wider default spacings keep the dense matrices
+# desk-scale: ext-crossing spans dilations up to r_max and strategic spans
+# (-R, R).  periodic's grid is set by n, and its checks need mu > 0 and
+# sigma >= 1, so that the oscillatory resource sigma + cos 2 pi x stays
+# nonnegative.
+_EXPERIMENTS = {
+    "eigen": _Experiment(
+        "eigenvalue-scaling", _run_eigen,
+        ["experiment", "s", "r", "lambda", "ratio", "target_ratio",
+         "ratio_error", "pass"],
+        {"h": _GRID["h"], "intervals": (_list_of(_pair), [[0.0, 1.0]]),
+         "s_values": (_list_of(_exponent), [0.25, 0.5, 0.75]),
+         "radii": (_list_of(_positive), [1.0, 2.0, 3.0]),
+         "tolerance": (_positive, 0.01)}),
+    "solve": _Experiment(
+        "extinction-survival", _run_solve,
+        ["experiment", "s", "sigma_max", "tau", "classification", "energy",
+         "el_residual", "max_u", "min_u", "bound_easy", "max_principle_ok",
+         "expected", "pass"],
+        {**_GRID, "triviality_tol": (_optional(_positive), None),
+         "intervals": (_list_of(_pair), [[0.0, 1.0]]), "s": (_exponent, 0.5),
+         "sigma": (_coefficient(*_PROFILES, "eigenvalue-multiple"), None),
+         "mu": (_ANY, 1.0), "tau": (_nonnegative, 0.0),
+         "kernel": (_optional(_kernel_spec), None),
+         "expect": (_optional(_one_of("trivial", "nontrivial")), None)}),
+    "threshold-radius": _Experiment(
+        "critical-radius", _run_threshold,
+        ["experiment", "s", "r_star", "predicted", "rel_gap", "tolerance",
+         "pass"],
+        {**_GRID, "interval": (_pair, [0.0, 1.0]),
+         "s_values": (_list_of(_fraction), [0.5, 0.75]),
+         "tolerance": (_positive, 0.05)}),
+    "ext-crossing": _Experiment(
+        "exponent-crossing", _run_ext,
+        ["experiment", "phase", "r", "lambda_fast", "lambda_slow", "sign",
+         "exponent", "sigma", "tau", "classification", "expected", "pass"],
+        {**_GRID, "h": (_positive, 2.0**-6), "interval": (_pair, [0.0, 1.0]),
+         "s": (_exponent, 0.25), "S": (_exponent, 1.0),
+         "r_min": (_positive, 0.05), "r_max": (_positive, 20.0),
+         "r_count": (_integer(4), 25)}),
+    "congruence": _Experiment(
+        "congruent-domains", _run_congruence,
+        ["experiment", "domain", "s", "lambda_or_gap", "sigma",
+         "classification", "expected", "positive_everywhere", "pass"],
+        {**_GRID, "length": (_positive, 1.0),
+         "separation": (_positive, 1.0), "s": (_fraction, 0.5),
+         "classical_control": (_typed(bool, "a bool"), True)}),
+    "abundance": _Experiment(
+        "abundance-response", _run_abundance,
+        ["experiment", "m_level", "inf_ball", "ratio", "max_u", "bound_easy",
+         "max_principle_ok", "ratio_variation", "pass"],
+        {**_GRID, "interval": (_pair, [-1.0, 1.0]),
+         "ball_resource": (_pair, [-0.5, 0.5]),
+         "ball_check": (_pair, [-0.25, 0.25]),
+         "s": (_exponent, 0.5), "m_start": (_positive, 5.0),
+         "sweep_factors": (_list_of(_positive, least=2), [1.0, 2.0, 4.0]),
+         "variation_tol": (_positive, 0.25)}),
+    "beat": _Experiment(
+        "resource-beating", _run_beat,
+        ["experiment", "case", "m", "beat_count", "max_excess",
+         "max_principle_ok", "expected_nonempty", "pass"],
+        {**_GRID, "interval": (_pair, [-1.0, 1.0]), "s": (_exponent, 0.5),
+         "level": (_positive, 30.0), "dip_center": (_number, 0.7),
+         "dip_width": (_positive, 0.2),
+         "m_values": (_list_of(_number), [0.01, 0.05, 0.2, 0.5, 1.0])}),
+    "periodic": _Experiment(
+        "periodic-constant", _run_periodic,
+        ["experiment", "case", "n", "s", "tau", "max_deviation",
+         "mean_level", "balance_residual", "value_range", "pass"],
+        {"solver_tol": _GRID["solver_tol"], "n": (_integer(4), 128),
+         "s": (_fraction, 0.5),
+         "sigma": (_constant(_bounded(lambda v: v >= 1, "must be at least 1")),
+                   2.0),
+         "mu": (_constant(_positive), 1.0), "tau": (_nonnegative, 0.5),
+         "kernel": (_kernel_spec, {"shape": "uniform", "rho": 0.25}),
+         "image_cutoff": (_integer(2), 16), "tolerance": (_positive, 1e-8)}),
+    "transmission": _Experiment(
+        "transmission-threshold", _run_transmission,
+        ["experiment", "case", "sigma", "lambda_star", "classification",
+         "expected", "positive_local", "positive_nonlocal", "mixed_pattern",
+         "pass"],
+        {**_GRID, "interval_local": (_pair, [0.0, 1.0]),
+         "interval_nonlocal": (_pair, [1.5, 2.5]),
+         "s": (_fraction, 0.5), "s1": (_fraction, 0.4), "s2": (_fraction, 0.6),
+         "nu1": (_nonnegative, 1.0), "nu2": (_nonnegative, 1.0),
+         "margin": (_fraction, 0.2)}),
+    "strategic": _Experiment(
+        "strategic-plan", _run_strategic,
+        ["experiment", "s", "eps", "r_used", "approx_error",
+         "harmonic_residual", "el_residual", "sigma_gap",
+         "lower_bound_margin", "pass"],
+        {**_GRID, "h": (_positive, 1.0 / 16.0), "s": (_fraction, 0.5),
+         "eps": (_positive, 0.1),
+         "r_schedule": (_list_of(_positive), [4.0, 6.0, 8.0]),
+         "sigma": (_ANY, 1.0), "mu": (_ANY, 1.0), "tau": (_nonnegative, 0.0),
+         "kernel": (_optional(_kernel_spec), None)}),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 class _MallInfo2(ctypes.Structure):  # glibc's; fordblks is the free heap
@@ -729,7 +684,7 @@ if hasattr(_LIBC, "mallinfo2"):  # glibc >= 2.33
 
 def run(config: ExperimentConfig) -> list[ResultRow]:
     """Execute the configured experiment and return its result rows."""
-    rows = _RUNNERS[config.experiment](config.params, config.jobs)
+    rows = _EXPERIMENTS[config.experiment].run(config.params, config.jobs)
     # glibc keeps freed heap, up to twice the largest matrix under 32 MiB,
     # and later peaks would include it: free heap past 16 MiB is returned
     if hasattr(_LIBC, "mallinfo2") and _LIBC.mallinfo2().fordblks > 2**24:
@@ -754,13 +709,12 @@ def _format_cell(value) -> str:
 
 
 def csv_text(rows: list[ResultRow], experiment: str) -> str:
-    columns = COLUMNS[experiment]
+    columns = _EXPERIMENTS[experiment].columns
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
-        record = dict(row.values)
-        record["pass"] = row.passed
+        record = {**row.values, "experiment": experiment, "pass": row.passed}
         writer.writerow([_format_cell(record.get(c, "")) for c in columns])
     return buf.getvalue()
 
@@ -776,11 +730,11 @@ def report_summary(rows: list[ResultRow]) -> str:
         raise ValueError("no result rows to summarize")
     verdicts: dict[str, bool] = {}
     for row in rows:
-        claim = CLAIMS[row.experiment]
+        claim = _EXPERIMENTS[row.experiment].claim
         if row.passed is not None:
             verdicts[claim] = verdicts.get(claim, True) and row.passed
         bound_ok = row.values.get("max_principle_ok")
-        if bound_ok != "" and bound_ok is not None:
+        if bound_ok is not None:
             verdicts[MAX_PRINCIPLE_CLAIM] = (
                 verdicts.get(MAX_PRINCIPLE_CLAIM, True) and bool(bound_ok)
             )

@@ -150,12 +150,10 @@ def eigen_scaling(
     base = build_grid(intervals, h)
     scaled = build_grid([(r * a, r * b) for a, b in intervals], h)
     lam0 = first_eigenpair(assemble(base, s)).lambda_
-    lam1 = first_eigenpair(assemble(scaled, s)).lambda_
-    return ScalingStudy(
-        lambda_scaled=lam1,
-        ratio=lam1 / lam0,
-        target=r ** (-2.0 * s) if s < 1.0 else r**-2.0,
-    )
+    lam1 = (lam0 if scaled == base
+            else first_eigenpair(assemble(scaled, s)).lambda_)
+    return ScalingStudy(lambda_scaled=lam1, ratio=lam1 / lam0,
+                        target=r ** (-2.0 * s))
 
 
 @dataclass(frozen=True)

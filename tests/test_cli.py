@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 import nlogis.cli as cli
 from nlogis.cli import (
-    COLUMNS,
     ConfigError,
     ResultRow,
     csv_text,
@@ -28,8 +27,9 @@ from nlogis.cli import (
 def test_minimal_config_gets_defaults():
     cfg = parse_config(json.dumps({"experiment": "eigen"}))
     assert cfg.params["h"] == 2.0**-9
-    assert cfg.params["solver_tol"] == 1e-10
     assert cfg.params["s_values"] == [0.25, 0.5, 0.75]
+    cfg = parse_config(json.dumps({"experiment": "threshold-radius"}))
+    assert cfg.params["solver_tol"] == 1e-10
 
 
 def test_wide_experiments_get_coarser_default_spacing():
@@ -58,7 +58,8 @@ def test_unknown_experiment():
 
 def test_nonpositive_tolerance_rejected():
     with pytest.raises(ConfigError, match="positive"):
-        parse_config(json.dumps({"experiment": "eigen", "solver_tol": 0.0}))
+        parse_config(json.dumps({"experiment": "threshold-radius",
+                                 "solver_tol": 0.0}))
 
 
 def test_malformed_geometry_rejected():
@@ -83,45 +84,40 @@ def test_coefficient_object_validation():
 # every experiment's minimal-config params, pinned as literals so that no
 # default can drift unnoticed
 _GOLDEN_DEFAULTS = {
-    "eigen": {"h": 0.001953125, "solver_tol": 1e-10, "triviality_tol": None,
-              "intervals": [(0.0, 1.0)], "s_values": [0.25, 0.5, 0.75],
-              "radii": [1.0, 2.0, 3.0], "tolerance": 0.01},
+    "eigen": {"h": 0.001953125, "intervals": [(0.0, 1.0)],
+              "s_values": [0.25, 0.5, 0.75], "radii": [1.0, 2.0, 3.0],
+              "tolerance": 0.01},
     "solve": {"h": 0.001953125, "solver_tol": 1e-10, "triviality_tol": None,
               "intervals": [(0.0, 1.0)], "s": 0.5,
               "sigma": {"kind": "constant", "value": 1.0},
               "mu": {"kind": "constant", "value": 1.0}, "tau": 0.0,
               "kernel": None, "expect": None},
     "threshold-radius": {"h": 0.001953125, "solver_tol": 1e-10,
-                         "triviality_tol": None, "interval": (0.0, 1.0),
-                         "s_values": [0.5, 0.75], "tolerance": 0.05},
+                         "interval": (0.0, 1.0), "s_values": [0.5, 0.75],
+                         "tolerance": 0.05},
     "ext-crossing": {"h": 0.015625, "solver_tol": 1e-10,
-                     "triviality_tol": None, "interval": (0.0, 1.0),
-                     "s": 0.25, "S": 1.0, "r_min": 0.05, "r_max": 20.0,
-                     "r_count": 25},
-    "congruence": {"h": 0.001953125, "solver_tol": 1e-10,
-                   "triviality_tol": None, "length": 1.0, "separation": 1.0,
-                   "s": 0.5, "classical_control": True},
+                     "interval": (0.0, 1.0), "s": 0.25, "S": 1.0,
+                     "r_min": 0.05, "r_max": 20.0, "r_count": 25},
+    "congruence": {"h": 0.001953125, "solver_tol": 1e-10, "length": 1.0,
+                   "separation": 1.0, "s": 0.5, "classical_control": True},
     "abundance": {"h": 0.001953125, "solver_tol": 1e-10,
-                  "triviality_tol": None, "interval": (-1.0, 1.0),
-                  "ball_resource": (-0.5, 0.5), "ball_check": (-0.25, 0.25),
-                  "s": 0.5, "m_start": 5.0, "sweep_factors": [1.0, 2.0, 4.0],
-                  "variation_tol": 0.25},
-    "beat": {"h": 0.001953125, "solver_tol": 1e-10, "triviality_tol": None,
-             "interval": (-1.0, 1.0), "s": 0.5, "level": 30.0,
-             "dip_center": 0.7, "dip_width": 0.2,
+                  "interval": (-1.0, 1.0), "ball_resource": (-0.5, 0.5),
+                  "ball_check": (-0.25, 0.25), "s": 0.5, "m_start": 5.0,
+                  "sweep_factors": [1.0, 2.0, 4.0], "variation_tol": 0.25},
+    "beat": {"h": 0.001953125, "solver_tol": 1e-10, "interval": (-1.0, 1.0),
+             "s": 0.5, "level": 30.0, "dip_center": 0.7, "dip_width": 0.2,
              "m_values": [0.01, 0.05, 0.2, 0.5, 1.0]},
-    "periodic": {"h": 0.001953125, "solver_tol": 1e-10,
-                 "triviality_tol": None, "n": 128, "s": 0.5,
+    "periodic": {"solver_tol": 1e-10, "n": 128, "s": 0.5,
                  "sigma": {"kind": "constant", "value": 2.0},
                  "mu": {"kind": "constant", "value": 1.0}, "tau": 0.5,
                  "kernel": {"shape": "uniform", "rho": 0.25},
                  "image_cutoff": 16, "tolerance": 1e-08},
     "transmission": {"h": 0.001953125, "solver_tol": 1e-10,
-                     "triviality_tol": None, "interval_local": (0.0, 1.0),
+                     "interval_local": (0.0, 1.0),
                      "interval_nonlocal": (1.5, 2.5), "s": 0.5, "s1": 0.4,
                      "s2": 0.6, "nu1": 1.0, "nu2": 1.0, "margin": 0.2},
-    "strategic": {"h": 0.0625, "solver_tol": 1e-10, "triviality_tol": None,
-                  "s": 0.5, "eps": 0.1, "r_schedule": [4.0, 6.0, 8.0],
+    "strategic": {"h": 0.0625, "solver_tol": 1e-10, "s": 0.5, "eps": 0.1,
+                  "r_schedule": [4.0, 6.0, 8.0],
                   "sigma": {"kind": "constant", "value": 1.0},
                   "mu": {"kind": "constant", "value": 1.0}, "tau": 0.0,
                   "kernel": None},
@@ -157,7 +153,7 @@ _JSON_VALUES = st.recursive(
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_parse_config_returns_or_raises_config_error(experiment, data):
-    keys = sorted({**cli._COMMON, **cli._SCHEMA[experiment]})
+    keys = sorted({**cli._COMMON, **cli._EXPERIMENTS[experiment].keys})
     values = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES,
                                        max_size=4))
     try:
@@ -182,7 +178,8 @@ def test_eigen_run_and_csv_determinism(tmp_path):
     text1 = csv_text(rows1, "eigen")
     text2 = csv_text(rows2, "eigen")
     assert text1 == text2
-    assert text1.splitlines()[0] == ",".join(COLUMNS["eigen"])
+    assert text1.splitlines()[0] == ",".join(
+        cli._EXPERIMENTS["eigen"].columns)
     assert all(r.passed for r in rows1)
     assert "\r" not in text1
 
@@ -232,19 +229,20 @@ def test_csv_written_to_out(tmp_path):
 
 
 def test_golden_column_sets():
-    assert COLUMNS["threshold-radius"] == [
+    columns = {e: cli._EXPERIMENTS[e].columns for e in cli.EXPERIMENTS}
+    assert columns["threshold-radius"] == [
         "experiment", "s", "r_star", "predicted", "rel_gap", "tolerance",
         "pass",
     ]
-    assert COLUMNS["periodic"][:5] == ["experiment", "case", "n", "s", "tau"]
-    assert COLUMNS["strategic"] == [
+    assert columns["periodic"][:5] == ["experiment", "case", "n", "s", "tau"]
+    assert columns["strategic"] == [
         "experiment", "s", "eps", "r_used", "approx_error",
         "harmonic_residual", "el_residual", "sigma_gap",
         "lower_bound_margin", "pass",
     ]
-    for columns in COLUMNS.values():
-        assert columns[-1] == "pass"
-        assert columns[0] == "experiment"
+    for names in columns.values():
+        assert names[-1] == "pass"
+        assert names[0] == "experiment"
 
 
 def test_report_summary_ten_claims():
@@ -252,8 +250,7 @@ def test_report_summary_ten_claims():
     for experiment in ("solve", "threshold-radius", "ext-crossing",
                        "congruence", "abundance", "beat", "periodic",
                        "transmission", "strategic"):
-        rows.append(ResultRow(experiment, {"experiment": experiment},
-                              passed=True))
+        rows.append(ResultRow(experiment, {}, passed=True))
     rows[0].values["max_principle_ok"] = True
     text = report_summary(rows)
     lines = text.splitlines()
@@ -266,7 +263,7 @@ def test_report_summary_ten_claims():
 
 
 def test_report_summary_flags_failures():
-    rows = [ResultRow("periodic", {"experiment": "periodic"}, passed=False)]
+    rows = [ResultRow("periodic", {}, passed=False)]
     assert report_summary(rows).startswith("FAIL")
     with pytest.raises(ValueError, match="no result rows"):
         report_summary([])
@@ -364,6 +361,7 @@ _EIGEN = {"experiment": "eigen", "h": _H, "s_values": [0.5],
 _SOLVE = {"experiment": "solve", "h": _H, "sigma": 2.0}
 _THRESHOLD = {"experiment": "threshold-radius", "h": _H}
 _STRATEGIC = {"experiment": "strategic", "h": _H}
+_PERIODIC = {"experiment": "periodic", "n": 16}
 
 # id: (config, flags, NLOGIS_JOBS or None, text the error must contain)
 _MALFORMED = {
@@ -414,6 +412,21 @@ _MALFORMED = {
     "sampled-kernel-without-samples": (
         {**_SOLVE, "tau": 0.5, "kernel": {"shape": "sampled"}},
         [], None, "requires samples"),
+    "periodic-mu-zero": ({**_PERIODIC, "mu": 0}, [], None, "config.mu"),
+    "periodic-all-zero": ({**_PERIODIC, "sigma": 0, "mu": 0, "tau": 0}, [],
+                          None, "config.sigma"),
+    "periodic-sigma-below-one": ({**_PERIODIC, "sigma": 0.5}, [], None,
+                                 "config.sigma"),
+    # keys an experiment does not read are rejected, not ignored
+    "triviality-tol-on-congruence": (
+        {"experiment": "congruence", "h": _H, "triviality_tol": 1e-6},
+        [], None, "config.triviality_tol: unknown key"),
+    "h-on-periodic": ({**_PERIODIC, "h": _H}, [], None,
+                      "config.h: unknown key"),
+    "h-flag-on-periodic": (_PERIODIC, ["--h", "0.0625"], None,
+                           "--h: unknown key"),
+    "solver-tol-on-eigen": ({**_EIGEN, "solver_tol": 1e-10}, [], None,
+                            "config.solver_tol: unknown key"),
 }
 
 
@@ -476,8 +489,8 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
 
 
 @pytest.mark.parametrize("jobs, cpus, n_items, expected", [
@@ -491,8 +504,8 @@ def test_pmap_caps_workers(monkeypatch, jobs, cpus, n_items, expected):
     _RecordingPool.sizes = []
     monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    items = list(range(n_items))
-    assert cli._pmap(lambda x: x * x, items, jobs) == [x * x for x in items]
+    items = [(x,) for x in range(n_items)]
+    assert cli._pmap(lambda x: x * x, items, jobs) == [x * x for x, in items]
     assert _RecordingPool.sizes == ([] if expected is None else [expected])
 
 
@@ -527,7 +540,8 @@ def test_congruence_experiment_row_shape():
     domains = [r.values["domain"] for r in rows]
     assert domains == ["gap-fractional", "habitat-1", "habitat-2", "union",
                        "gap-classical"]
-    classes = {r.values["domain"]: r.values["classification"] for r in rows}
+    classes = {r.values["domain"]: r.values.get("classification")
+               for r in rows}
     assert classes["habitat-1"] == "trivial"
     assert classes["habitat-2"] == "trivial"
     assert classes["union"] == "nontrivial"
@@ -580,11 +594,12 @@ def _scaled(value, factor):
 def _fuzzed_config(draw, experiment):
     """The base config with each key left out or scaled, and at most one
     key negated or replaced by arbitrary JSON."""
-    table = {**cli._COMMON, **cli._SCHEMA[experiment]}
+    table = {**cli._COMMON, **cli._EXPERIMENTS[experiment].keys}
     base = _FUZZ_BASE.get(experiment, {})
     keys = sorted(set(table) - _FUZZ_FIXED)
-    config = {"experiment": experiment,
-              "h": draw(st.sampled_from([0.25, 0.125, 0.0625]))}
+    config = {"experiment": experiment}
+    if "h" in table:
+        config["h"] = draw(st.sampled_from([0.25, 0.125, 0.0625]))
     for key in keys:
         default = base.get(key, table[key][1])
         if default is None and key in _FUZZ_OPTIONAL:
@@ -614,3 +629,19 @@ def test_main_exits_with_a_contract_code_on_fuzzed_configs(experiment, data):
             code = main([experiment, "--config", str(path)])
     assert code in (0, 2, 3, 4, 64), (config, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+
+
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_rows_fill_only_their_columns(experiment):
+    # a cell left out is written empty, so a misspelt key would drop out of
+    # the CSV silently; experiment and pass come from csv_text alone
+    entry = cli._EXPERIMENTS[experiment]
+    config = {"experiment": experiment, **_FUZZ_BASE.get(experiment, {})}
+    if "h" in entry.keys:
+        config["h"] = 1.0 / 16.0
+    cells = set(entry.columns) - {"experiment", "pass"}
+    rows = run(parse_config(json.dumps(config)))
+    assert rows
+    for row in rows:
+        assert row.experiment == experiment
+        assert set(row.values) <= cells, set(row.values) - cells

@@ -13,7 +13,8 @@ results bit for bit exactly when their outputs are identical:
 Every timed candidate of perfbench.workloads is run (the excluded ones are
 left out), then each experiment at its default config (solve with sigma at
 1.2 times the first eigenvalue, so that it has a nontrivial state), each
-through nlogis.cli.parse_config, run and csv_text with one job.
+through nlogis.cli.parse_config, run and csv_text with one job.  The
+exit status is 1 when any line's status is not ok.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ def main(argv=None) -> int:
     import workloads
     from verify import verify
 
+    failed = False
     for op in _ops(workloads, cli.EXPERIMENTS):
         try:
             config = cli.parse_config(json.dumps(op["config"]))
@@ -68,8 +70,9 @@ def main(argv=None) -> int:
             digest = hashlib.sha1(text.encode()).hexdigest()
         except (nlogis.ConvergenceError, ValueError) as exc:
             status, digest = f"FAILED {type(exc).__name__}: {exc}", "-"
+        failed |= status != "ok"
         print(f"{op['id']}\t{status}\t{digest}", flush=True)
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
