@@ -68,10 +68,8 @@ from .strategic import (
     minimize_with_source,
 )
 from .transmission import (
-    TransmissionReport,
     lambda_star,
     minimize_transmission,
-    mp_check,
     transmission_el_residual,
 )
 

@@ -48,7 +48,6 @@ from . import (
     first_eigenpair,
     lambda_star,
     minimize_transmission,
-    mp_check,
     problem_spec,
     sample_function,
     solve_dirichlet,
@@ -310,10 +309,10 @@ def _kernel(p, h):
 
 def _run_eigen(p, jobs):
     points = [(s, r) for s in p["s_values"] for r in p["radii"]]
-    studies = _pmap(eigen_scaling,
-                    [(p["intervals"], r, s, p["h"]) for s, r in points], jobs)
+    per_s = _pmap(eigen_scaling, [(p["intervals"], p["radii"], s, p["h"])
+                                  for s in p["s_values"]], jobs)
     rows = []
-    for (s, r), study in zip(points, studies):
+    for (s, r), study in zip(points, [st for sts in per_s for st in sts]):
         err = abs(study.ratio / study.target - 1.0)
         rows.append(ResultRow("eigen", {
             "s": s, "r": r, "lambda": study.lambda_scaled,
@@ -523,14 +522,16 @@ def _run_transmission(p, jobs):
     ):
         ts = make(sigma)
         rep = minimize_transmission(ts)
-        mixed = mp_check(rep.u, ts) == "violation"
-        ok = rep.classification == expected and not mixed
+        positive = rep.u.values > ts.triviality_tol
+        ok = rep.classification == expected and rep.dichotomy_ok
         rows.append(ResultRow("transmission", {
             "case": case, "sigma": sigma, "lambda_star": lam,
             "classification": rep.classification, "expected": expected,
-            "positive_local": rep.positive_on_local,
-            "positive_nonlocal": rep.positive_on_nonlocal,
-            "mixed_pattern": mixed,
+            "positive_local": bool(np.all(
+                positive[ts.grid.interval_nodes(ts.local_id)])),
+            "positive_nonlocal": bool(np.all(
+                positive[ts.grid.interval_nodes(ts.nonlocal_id)])),
+            "mixed_pattern": not rep.dichotomy_ok,
         }, passed=bool(ok)))
     return rows
 

@@ -344,8 +344,8 @@ def problem_spec(
         raise ValueError(f"tau={tau} violates the constraint tau >= 0")
     if tau > 0.0 and kernel is None:
         raise ValueError("tau > 0 requires a convolution kernel")
-    sigma_f = sigma if isinstance(sigma, Field) else sample_function(grid, sigma)
-    mu_f = mu if isinstance(mu, Field) else sample_function(grid, mu)
+    sigma_f = _coefficient(grid, "sigma", sigma)
+    mu_f = _coefficient(grid, "mu", mu)
     if np.any(sigma_f.values < 0.0):
         raise ValueError("sigma must be nonnegative")
     if np.any(mu_f.values < 0.0):
@@ -369,6 +369,15 @@ def problem_spec(
         solver_tol=float(solver_tol),
         triviality_tol=float(triviality_tol),
     )
+
+
+def _coefficient(grid: Grid | PeriodicGrid, name: str, f) -> Field:
+    """f sampled on grid, or f itself when it is a Field on grid."""
+    if not isinstance(f, Field):
+        return sample_function(grid, f)
+    if f.grid is not grid and f.grid != grid:
+        raise ValueError(f"{name} lives on a different grid")
+    return f
 
 
 def _check_same_grid(a: Field, b: Field) -> None:

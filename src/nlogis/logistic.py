@@ -12,10 +12,11 @@ whose nodal gradient (scaled by 1/h) is the steady logistic equation
     A u + mu |u| u - sigma u - tau (J*u) = 0.
 
 The Dirichlet, periodic and transmission solves share one core,
-_steady_state.  When the Hessian at zero is positive definite the energy is
-strictly convex (mu >= 0 makes the cubic term convex), zero is its only
-minimizer and the core returns the trivial state without descending; only
-when zero is unstable does it descend from two starts.
+_steady_state, and one report, SolveReport.  When the Hessian at zero is
+positive definite the energy is strictly convex (mu >= 0 makes the cubic
+term convex), zero is its only minimizer and the core returns the trivial
+state without descending; only when zero is unstable does it descend from
+two starts.
 
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
@@ -48,7 +49,7 @@ from .grids import (
     build_kernel,
     problem_spec,
 )
-from .operators import NonlocalMatrix, assemble, convolution_matrix
+from .operators import NonlocalMatrix, TransmissionSpec, assemble, convolution_matrix
 from .spectral import first_eigenpair, union_eigen_study
 
 __all__ = [
@@ -379,7 +380,8 @@ def _steady_state(model: _EnergyModel, first_start, tol: float,
     return _zero_trivial(model, *best[3:], triviality_tol)
 
 
-def _report(spec: ProblemSpec, state, converged: bool = True) -> SolveReport:
+def _report(spec: ProblemSpec | TransmissionSpec, state,
+            converged: bool = True) -> SolveReport:
     """SolveReport of a final state (u, energy, history, iterations,
     residual, classification)."""
     u, e, history, iterations, residual, classification = state

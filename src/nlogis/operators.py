@@ -37,7 +37,7 @@ import numpy as np
 from scipy.linalg import circulant, toeplitz
 from scipy.special import zeta
 
-from .grids import Field, Grid, Kernel, PeriodicGrid, build_grid, sample_function
+from .grids import Field, Grid, Kernel, PeriodicGrid, build_grid, problem_spec
 
 __all__ = [
     "CLASSICAL_LIMIT_CONSTANT",
@@ -454,6 +454,8 @@ def transmission_spec(
     solver_tol: float = 1e-10,
     triviality_tol: float | None = None,
 ) -> TransmissionSpec:
+    """Validate the habitat and couplings; sigma, mu and the tolerances
+    are sampled and validated by grids.problem_spec."""
     for name, val in (("s", s), ("s1", s1), ("s2", s2)):
         if not 0.0 < val < 1.0:
             raise ValueError(f"{name}={val} must lie in (0, 1)")
@@ -461,26 +463,20 @@ def transmission_spec(
         raise ValueError("coupling weights nu_i must be nonnegative")
     grid = build_grid([interval_local, interval_nonlocal], h)
     local_id = 0 if grid.intervals[0] == tuple(map(float, interval_local)) else 1
-    sigma_f = sigma if isinstance(sigma, Field) else sample_function(grid, sigma)
-    mu_f = mu if isinstance(mu, Field) else sample_function(grid, mu)
-    if mu_f.min() <= 0.0:
-        raise ValueError("mu must be bounded away from zero")
-    if np.any(sigma_f.values < 0.0):
-        raise ValueError("sigma must be nonnegative")
-    if triviality_tol is None:
-        triviality_tol = max(1e-6 * sigma_f.max(), 1e-12)
+    spec = problem_spec(grid, s, sigma, mu, solver_tol=solver_tol,
+                        triviality_tol=triviality_tol)
     return TransmissionSpec(
         grid=grid,
         local_id=local_id,
-        s=float(s),
+        s=spec.s,
         s1=float(s1),
         s2=float(s2),
         nu1=float(nu1),
         nu2=float(nu2),
-        sigma=sigma_f,
-        mu=mu_f,
-        solver_tol=float(solver_tol),
-        triviality_tol=float(triviality_tol),
+        sigma=spec.sigma,
+        mu=spec.mu,
+        solver_tol=spec.solver_tol,
+        triviality_tol=spec.triviality_tol,
     )
 
 

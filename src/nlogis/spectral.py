@@ -136,24 +136,29 @@ class ScalingStudy:
 
 def eigen_scaling(
     intervals: Sequence[tuple[float, float]],
-    r: float,
+    radii: Sequence[float],
     s: float,
     h: float,
-) -> ScalingStudy:
-    """Eigenvalues of a domain and its r-dilation on equal-resolution grids.
+) -> list[ScalingStudy]:
+    """Eigenvalues of a domain and of its r-dilation for each r in radii,
+    on equal-resolution grids.
 
     The dilation law predicts ratio = r^(-2s); both grids share the same
-    spacing h, so the scaled interval lengths must stay commensurate.
+    spacing h, so the scaled interval lengths must stay commensurate.  The
+    base eigenvalue is computed once, and reused for a dilated grid equal
+    to the base grid.
     """
-    if r <= 0.0:
+    if any(r <= 0.0 for r in radii):
         raise ValueError("scaling factor r must be positive")
     base = build_grid(intervals, h)
-    scaled = build_grid([(r * a, r * b) for a, b in intervals], h)
+    scaled = [build_grid([(r * a, r * b) for a, b in intervals], h) for r in radii]
     lam0 = first_eigenpair(assemble(base, s)).lambda_
-    lam1 = (lam0 if scaled == base
-            else first_eigenpair(assemble(scaled, s)).lambda_)
-    return ScalingStudy(lambda_scaled=lam1, ratio=lam1 / lam0,
-                        target=r ** (-2.0 * s))
+    studies = []
+    for r, grid in zip(radii, scaled):
+        lam1 = lam0 if grid == base else first_eigenpair(assemble(grid, s)).lambda_
+        studies.append(ScalingStudy(lambda_scaled=lam1, ratio=lam1 / lam0,
+                                    target=r ** (-2.0 * s)))
+    return studies
 
 
 @dataclass(frozen=True)

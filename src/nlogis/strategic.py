@@ -75,10 +75,7 @@ def approximate_s_harmonic(
     previous exterior data is carried forward so the error never increases
     along the schedule.
     """
-    if isinstance(f, Field):
-        field = f
-        f = lambda x: np.asarray([field.evaluate(v) for v in np.atleast_1d(x)])
-    elif not callable(f):
+    if not callable(f):
         const = float(f)
         f = lambda x: np.full_like(np.asarray(x, dtype=float), const)
     best = None

@@ -547,6 +547,16 @@ def test_congruence_experiment_row_shape():
     assert classes["union"] == "nontrivial"
 
 
+def test_transmission_positivity_cells():
+    cfg = parse_config(json.dumps({"experiment": "transmission", "h": 2.0**-5}))
+    rows = {r.values["case"]: r.values for r in run(cfg)}
+    assert rows.keys() == {"below", "above"}
+    for case, positive in (("below", False), ("above", True)):
+        assert rows[case]["positive_local"] is positive
+        assert rows[case]["positive_nonlocal"] is positive
+        assert rows[case]["mixed_pattern"] is False
+
+
 # Fuzzing through main: each experiment starts from a small config (sizes
 # cut so that one run stays well under a second at h >= 1/16) whose keys
 # are left out, scaled, negated or replaced by arbitrary JSON.  Whatever

@@ -188,6 +188,21 @@ def test_problem_spec_validation():
     assert spec.triviality_tol == pytest.approx(3e-6)
 
 
+def test_problem_spec_rejects_coefficients_from_another_grid():
+    g = build_grid([(0.0, 1.0)], 0.25)
+    # as many nodes: the other habitat's values were taken silently
+    moved = sample_function(build_grid([(5.0, 6.0)], 0.25), 2.0)
+    with pytest.raises(ValueError, match="sigma lives on a different grid"):
+        problem_spec(g, 0.5, moved, 1.0)
+    # more nodes: the solve failed inside numpy's matmul
+    finer = sample_function(build_grid([(0.0, 1.0)], 0.125), 1.0)
+    with pytest.raises(ValueError, match="mu lives on a different grid"):
+        problem_spec(g, 0.5, 2.0, finer)
+    # an equal grid built separately is the same grid
+    same = sample_function(build_grid([(0.0, 1.0)], 0.25), 2.0)
+    assert problem_spec(g, 0.5, same, 1.0).sigma is same
+
+
 def test_problem_spec_requires_kernel_with_tau():
     g = build_grid([(0.0, 1.0)], 0.25)
     with pytest.raises(ValueError, match="kernel"):

@@ -292,6 +292,25 @@ def test_dichotomy_flag_everywhere(unit_problem):
     for sigma in (0.5 * lam, 1.5 * lam, 3.0 * lam):
         rep = solve_dirichlet(problem_spec(grid, 0.5, sigma, 1.0))
         assert rep.dichotomy_ok
+    # the transmission solve reports the same flag across both habitats
+    lam_t = first_eigenpair(assemble_transmission(_tspec(1.0))).lambda_
+    reports = [minimize_transmission(_tspec(f * lam_t)) for f in (0.8, 1.2)]
+    assert [rep.classification for rep in reports] == ["trivial", "nontrivial"]
+    for rep in reports:
+        assert rep.dichotomy_ok
+
+
+def test_report_flags_a_mixed_field():
+    # zero at one node and positive elsewhere breaks the dichotomy, on a
+    # bounded habitat and across both habitats of a transmission problem
+    for spec in (problem_spec(build_grid([(0.0, 1.0)], 2.0**-5), 0.5, 2.0, 1.0),
+                 _tspec(2.0)):
+        n = spec.grid.n
+        for u, ok in ((np.ones(n), True), (np.zeros(n), True),
+                      (np.where(np.arange(n) == 0, 0.0, 1.0), False)):
+            rep = logistic._report(spec, (u, 0.0, [0.0], 0, 0.0, "nontrivial"))
+            assert rep.dichotomy_ok is ok
+            assert rep.u.grid is spec.grid
 
 
 def test_nonconvergence_raises():

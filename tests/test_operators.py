@@ -449,9 +449,18 @@ def test_transmission_validation():
     with pytest.raises(ValueError, match="overlap"):
         transmission_spec((0, 1), (0.5, 1.5), 0.25, s=0.5, s1=0.5, s2=0.5,
                           nu1=1.0, nu2=1.0, sigma=1.0, mu=1.0)
-    with pytest.raises(ValueError, match="bounded away"):
+    with pytest.raises(ValueError, match="mu must be positive"):
         transmission_spec((0, 1), (2, 3), 0.25, s=0.5, s1=0.5, s2=0.5,
                           nu1=1.0, nu2=1.0, sigma=1.0, mu=0.0)
+    with pytest.raises(ValueError, match="solver_tol must be positive"):
+        transmission_spec((0, 1), (2, 3), 0.25, s=0.5, s1=0.5, s2=0.5,
+                          nu1=1.0, nu2=1.0, sigma=1.0, mu=1.0, solver_tol=0.0)
+    # a coefficient sampled on another two-habitat grid of as many nodes
+    other = build_grid([(0.0, 1.0), (4.0, 5.0)], 0.25)
+    with pytest.raises(ValueError, match="sigma lives on a different grid"):
+        transmission_spec((0, 1), (2, 3), 0.25, s=0.5, s1=0.5, s2=0.5,
+                          nu1=1.0, nu2=1.0, mu=1.0,
+                          sigma=sample_function(other, 1.0))
 
 
 # ---------------------------------------------------------------------------

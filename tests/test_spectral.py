@@ -92,19 +92,38 @@ def test_rayleigh_zero_field_rejected():
 
 
 def test_scaling_identity_at_unit_ratio():
-    study = eigen_scaling([(0.0, 1.0)], 1.0, 0.5, 2.0**-6)
+    [study] = eigen_scaling([(0.0, 1.0)], [1.0], 0.5, 2.0**-6)
     assert study.ratio == 1.0
 
 
 @pytest.mark.parametrize("s,r", [(0.5, 2.0), (0.25, 3.0)])
 def test_scaling_law(s, r):
-    study = eigen_scaling([(0.0, 1.0)], r, s, 2.0**-8)
+    [study] = eigen_scaling([(0.0, 1.0)], [r], s, 2.0**-8)
     assert abs(study.ratio / study.target - 1.0) <= 1e-2
 
 
 def test_scaling_incommensurate_rejected():
     with pytest.raises(ValueError, match="multiple"):
-        eigen_scaling([(0.0, 1.0)], 1.0 / 3.0, 0.5, 0.25)
+        eigen_scaling([(0.0, 1.0)], [1.0 / 3.0], 0.5, 0.25)
+    with pytest.raises(ValueError, match="must be positive"):
+        eigen_scaling([(0.0, 1.0)], [2.0, 0.0], 0.5, 0.25)
+
+
+def test_scaling_computes_the_base_eigenpair_once(monkeypatch):
+    calls = []
+    original = spectral.first_eigenpair
+
+    def counted(op, *args, **kwargs):
+        calls.append(op.grid.n)
+        return original(op, *args, **kwargs)
+    monkeypatch.setattr(spectral, "first_eigenpair", counted)
+    h = 2.0**-5
+    studies = eigen_scaling([(0.0, 1.0)], [1.0, 2.0, 3.0], 0.5, h)
+    # one base eigenpair (31 nodes), reused at r = 1, and one per dilation
+    assert calls == [31, 63, 95]
+    for r, study in zip((1.0, 2.0, 3.0), studies):
+        [alone] = eigen_scaling([(0.0, 1.0)], [r], 0.5, h)
+        assert study == alone
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])

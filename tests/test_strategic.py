@@ -49,12 +49,13 @@ def test_support_radius_must_exceed_inner():
         approximate_s_harmonic(1.0, 0.5, 0.1, [1.5], H)
 
 
-def test_field_target_accepted():
+def test_tabulated_target_through_a_callable():
     from nlogis import sample_function
 
     inner = build_grid([(-2.0, 2.0)], H)
     target = sample_function(inner, lambda x: 1.0 + 0.1 * x)
-    res = approximate_s_harmonic(target, 0.5, 0.05, [4.0], H)
+    res = approximate_s_harmonic(
+        lambda x: np.asarray([target.evaluate(v) for v in x]), 0.5, 0.05, [4.0], H)
     assert res.approx_error <= 0.05
 
 

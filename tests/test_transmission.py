@@ -5,7 +5,6 @@ from nlogis import (
     assemble_transmission,
     lambda_star,
     minimize_transmission,
-    mp_check,
     sample_function,
     transmission_el_residual,
     transmission_spec,
@@ -57,13 +56,23 @@ def test_trivial_without_resources():
     assert rep.energy == 0.0
 
 
+def test_without_resources_mu_may_vanish():
+    # with sigma = 0 the Hessian at zero is the positive definite form, so
+    # zero is the only minimizer whatever mu is
+    ts = transmission_spec((0.0, 1.0), (1.5, 2.5), 2.0**-5, s=0.5, s1=0.4,
+                           s2=0.6, nu1=1.0, nu2=1.0, sigma=0.0, mu=0.0)
+    rep = minimize_transmission(ts)
+    assert rep.classification == "trivial"
+    assert rep.energy == 0.0 and rep.dichotomy_ok
+
+
 def test_threshold_dichotomy():
     lam = lambda_star(make_spec()).lambda_
     below = minimize_transmission(make_spec(sigma=0.8 * lam))
     assert below.classification == "trivial"
     above = minimize_transmission(make_spec(sigma=1.2 * lam))
     assert above.classification == "nontrivial"
-    assert above.positive_on_local and above.positive_on_nonlocal
+    assert above.dichotomy_ok and np.all(above.u.values > 0.0)
     assert above.energy < 0.0
 
 
@@ -92,17 +101,6 @@ def test_el_residual_levels():
     rng = np.random.default_rng(19)
     noise = Field(grid=ts_hot.grid, values=np.abs(rng.standard_normal(ts_hot.grid.n)))
     assert transmission_el_residual(noise, ts_hot) > 10 * ts_hot.solver_tol
-
-
-def test_mp_check_verdicts():
-    ts = make_spec(sigma=2.0)
-    lam = lambda_star(ts).lambda_
-    rep = minimize_transmission(make_spec(sigma=1.5 * lam))
-    assert mp_check(rep.u, ts) == "positive-everywhere"
-    assert mp_check(sample_function(ts.grid, 0.0), ts) == "identically-zero"
-    broken = np.ones(ts.grid.n)
-    broken[0] = 0.0
-    assert mp_check(Field(grid=ts.grid, values=broken), ts) == "violation"
 
 
 def test_history_non_increasing():
