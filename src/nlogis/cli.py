@@ -173,36 +173,40 @@ _COEFF_FIELDS = {
 _PROFILES = ("constant", "indicator", "cosine", "dip")
 
 
-def _coefficient(*kinds):
-    """A number (a constant) or a {"kind": ...} object of one of kinds."""
+def _variant(tag, what, table):
+    """An object whose tag key names one entry of table and whose other keys
+    are exactly that entry's fields, each passing its check."""
+    kinds = tuple(table)
+
     def check(where, val):
-        if not isinstance(val, dict):
-            return {"kind": "constant", "value": _number(where, val)}
-        kind = val.get("kind")
-        _expect(kind in kinds, f"{where}.kind: unknown coefficient kind "
+        _expect(isinstance(val, dict), f"{where}: expected an object, got {val!r}")
+        kind = val.get(tag)
+        _expect(kind in kinds, f"{where}.{tag}: unknown {what} {tag} "
                 f"{kind!r} (this key takes {', '.join(kinds)})")
-        fields = _COEFF_FIELDS[kind]
+        fields = table[kind]
         for key in val:
-            _expect(key == "kind" or key in fields,
-                    f"{where}.{key}: unknown key for kind {kind!r}")
+            _expect(key == tag or key in fields,
+                    f"{where}.{key}: unknown key for {tag} {kind!r}")
         for key, field in fields.items():
-            _expect(key in val, f"{where}.{key}: required for kind {kind!r}")
+            _expect(key in val, f"{where}.{key}: required for {tag} {kind!r}, "
+                    f"which requires {', '.join(fields)}")
             field(f"{where}.{key}", val[key])
         return val
     return check
 
 
-_KERNEL_FIELDS = {"shape": _one_of("uniform", "triangular", "sampled"),
-                  "rho": _positive, "samples": _list_of(_number)}
+def _coefficient(*kinds):
+    """A number (a constant) or a {"kind": ...} object of one of kinds."""
+    variant = _variant("kind", "coefficient", {k: _COEFF_FIELDS[k] for k in kinds})
+    return lambda where, val: (variant(where, val) if isinstance(val, dict) else
+                               {"kind": "constant", "value": _number(where, val)})
 
 
-def _kernel_spec(where, val):
-    _expect(isinstance(val, dict), f"{where}: expected an object, got {val!r}")
-    _expect("shape" in val, f"{where}.shape: required")
-    for key in val:
-        _expect(key in _KERNEL_FIELDS, f"{where}.{key}: unknown key")
-        _KERNEL_FIELDS[key](f"{where}.{key}", val[key])
-    return dict(val)
+_kernel_spec = _variant("shape", "kernel", {
+    "uniform": {"rho": _positive},
+    "triangular": {"rho": _positive},
+    "sampled": {"samples": _list_of(_number)},
+})
 
 
 def _constant(bound):

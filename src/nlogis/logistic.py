@@ -49,7 +49,7 @@ from .grids import (
     build_kernel,
     problem_spec,
 )
-from .operators import NonlocalMatrix, TransmissionSpec, assemble, convolution_matrix
+from .operators import NonlocalMatrix, assemble, convolution_matrix
 from .spectral import first_eigenpair, union_eigen_study
 
 __all__ = [
@@ -73,7 +73,8 @@ __all__ = [
 
 @dataclass
 class SolveReport:
-    """Outcome of one energy minimization."""
+    """Outcome of one energy minimization; iterations counts the descent
+    steps of the start whose state is reported, not those of both starts."""
 
     u: Field
     energy: float
@@ -318,32 +319,45 @@ def _residual_scale(spec: ProblemSpec) -> float:
     return max(1.0, (spec.sigma.max() + spec.tau) ** 2)
 
 
-def _zero_trivial(model: _EnergyModel, u, history, iterations, residual,
-                  tol: float):
-    """(u, energy, history, iterations, residual, classification) of a
-    final iterate, which must be nonnegative.
+def _report(spec: ProblemSpec, model: _EnergyModel | None, u: np.ndarray,
+            history: list[float], iterations: int, residual: float,
+            converged: bool = True) -> SolveReport:
+    """SolveReport of a final iterate, which must be nonnegative.
 
-    An iterate no larger than tol in sup norm is the trivial state: it is
-    set to zero, with zero energy and residual, and a zero is appended to
-    a nonnegative energy history so that it ends at the reported energy.
+    An iterate no larger than triviality_tol in sup norm is the trivial
+    state: it is set to zero, with zero energy and residual, and a zero is
+    appended to a nonnegative energy history so that it ends at the
+    reported energy.  model is read only for a nontrivial state's energy.
     """
-    if float(np.max(np.abs(u))) <= tol:
+    if float(np.max(np.abs(u))) <= spec.triviality_tol:
         if history and history[-1] >= 0.0:
             history = history + [0.0]
-        return np.zeros_like(u), 0.0, history, iterations, 0.0, "trivial"
-    assert np.all(u >= 0.0), f"final iterate has min {np.min(u):.3e} < 0"
-    return u, model.energy(u), history, iterations, residual, "nontrivial"
+        u, e, residual, classification = np.zeros_like(u), 0.0, 0.0, "trivial"
+    else:
+        assert np.all(u >= 0.0), f"final iterate has min {np.min(u):.3e} < 0"
+        e, classification = model.energy(u), "nontrivial"
+    positive = u > spec.triviality_tol
+    return SolveReport(
+        u=Field(grid=spec.grid, values=u),
+        energy=e,
+        el_residual=residual,
+        iterations=iterations,
+        classification=classification,
+        history=history,
+        converged=converged,
+        dichotomy_ok=bool(np.all(positive) or not np.any(positive)),
+    )
 
 
-def _extinct(n: int):
-    """The certified trivial state of n nodes, reached with no descent."""
-    return np.zeros(n), 0.0, [0.0, 0.0], 0, 0.0, "trivial"
+def _extinct(spec: ProblemSpec) -> SolveReport:
+    """The certified trivial state, reached with no descent."""
+    return _report(spec, None, np.zeros(spec.grid.n), [0.0], 0, 0.0)
 
 
-def _steady_state(model: _EnergyModel, first_start, tol: float,
-                  triviality_tol: float, max_iter: int):
-    """(u, energy, history, iterations, residual, classification) of the
-    steady state: zero when certified, else the lowest converged energy.
+def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
+                  tol: float, max_iter: int) -> SolveReport:
+    """Report of the steady state: zero when certified, else the lowest
+    converged energy.
 
     first_start() is called only when zero is not certified; the descent
     runs from it (budget max_iter) and from a microscopic constant
@@ -353,11 +367,10 @@ def _steady_state(model: _EnergyModel, first_start, tol: float,
     ConvergenceError is raised.  Ties break toward the smaller iterate (the
     trivial state).
     """
-    n = model.lin.size
     if _zero_is_minimizer(model):
-        return _extinct(n)
+        return _extinct(spec)
     starts = [(first_start(), max_iter),
-              (np.full(n, 0.1 * triviality_tol), min(max_iter, 300))]
+              (np.full(spec.grid.n, 0.1 * spec.triviality_tol), min(max_iter, 300))]
     outcomes = []
     for u0, budget in starts:
         u, history, iters, residual, ok = _minimize_model(model, u0, tol, budget)
@@ -377,25 +390,7 @@ def _steady_state(model: _EnergyModel, first_start, tol: float,
                 f"an unconverged start (residual {o[6]:.3e}) undercut the "
                 "certified minimum"
             )
-    return _zero_trivial(model, *best[3:], triviality_tol)
-
-
-def _report(spec: ProblemSpec | TransmissionSpec, state,
-            converged: bool = True) -> SolveReport:
-    """SolveReport of a final state (u, energy, history, iterations,
-    residual, classification)."""
-    u, e, history, iterations, residual, classification = state
-    positive = u > spec.triviality_tol
-    return SolveReport(
-        u=Field(grid=spec.grid, values=u),
-        energy=e,
-        el_residual=residual,
-        iterations=iterations,
-        classification=classification,
-        history=history,
-        converged=converged,
-        dichotomy_ok=bool(np.all(positive) or not np.any(positive)),
-    )
+    return _report(spec, model, *best[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +426,7 @@ def minimize(
     u, history, iters, residual, ok = _minimize_model(
         model, init.values, spec.solver_tol * _residual_scale(spec), max_iter
     )
-    report = _report(
-        spec, _zero_trivial(model, u, history, iters, residual, spec.triviality_tol),
-        ok,
-    )
+    report = _report(spec, model, u, history, iters, residual, ok)
     if not ok:
         raise ConvergenceError(
             f"descent stalled at residual {residual:.3e} after {iters} iterations",
@@ -491,12 +483,15 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
+    if type(spec) is not ProblemSpec:
+        raise ValueError("solve_dirichlet takes a ProblemSpec; use "
+                         "minimize_transmission for a transmission problem")
     op, model = _dirichlet_model(spec)
     floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
-    return _report(spec, _steady_state(
-        model, lambda: _eigen_start(model, op, spec.solver_tol, floor),
-        spec.solver_tol * _residual_scale(spec), spec.triviality_tol, max_iter,
-    ))
+    return _steady_state(
+        spec, model, lambda: _eigen_start(model, op, spec.solver_tol, floor),
+        spec.solver_tol * _residual_scale(spec), max_iter,
+    )
 
 
 def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
@@ -514,14 +509,14 @@ def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
     op = assemble(spec.grid, spec.s)
     if spec.tau == 0.0 and not np.any(spec.sigma.values):
-        return _report(spec, _extinct(spec.grid.n))
+        return _extinct(spec)
     model = _spec_model(spec, op)
     h = spec.grid.h
     level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
-    return _report(spec, _steady_state(
-        model, lambda: np.full(spec.grid.n, level),
-        spec.solver_tol * _residual_scale(spec), spec.triviality_tol, max_iter,
-    ))
+    return _steady_state(
+        spec, model, lambda: np.full(spec.grid.n, level),
+        spec.solver_tol * _residual_scale(spec), max_iter,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -556,6 +551,8 @@ def check_fitting_bounds(
         if not any(a <= lo and hi <= b for a, b in spec.grid.intervals):
             raise ValueError(f"ball ({lo}, {hi}) is not contained in any interval")
         mask = (spec.grid.nodes >= lo) & (spec.grid.nodes <= hi)
+        if not np.any(mask):
+            raise ValueError(f"ball ({lo}, {hi}) holds no grid node")
         out["inf_ball"] = float(np.min(u[mask]))
         if m_level:
             out["ratio"] = out["inf_ball"] / m_level

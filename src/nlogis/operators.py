@@ -34,10 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant, toeplitz
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import circulant
 from scipy.special import zeta
 
-from .grids import Field, Grid, Kernel, PeriodicGrid, build_grid, problem_spec
+from .grids import (Field, Grid, Kernel, PeriodicGrid, ProblemSpec, build_grid,
+                    problem_spec)
 
 __all__ = [
     "CLASSICAL_LIMIT_CONSTANT",
@@ -133,6 +135,11 @@ def _span(idx: np.ndarray) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
+def _toeplitz(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Read-only view of scipy.linalg.toeplitz(c, r), to copy into place."""
+    return sliding_window_view(np.concatenate((c[::-1], r[1:])), r.size)[::-1]
+
+
 def _interval_blocks(grid: Grid, block) -> np.ndarray:
     """n x n matrix filled with block(rows, cols) for every pair of the
     grid's intervals, each given by the slice of its node indices."""
@@ -174,9 +181,9 @@ def _far_block(x_rows, x_cols, h, s):
 
     The distance of two nodes, and with it their weight, depends only on
     the difference of their indices, so the block is Toeplitz: the kernel
-    is evaluated on its first column and first row only.
+    is evaluated on its first column and first row only.  It is a read-only view.
     """
-    return toeplitz(
+    return _toeplitz(
         _distance_weights(np.abs(x_rows - x_cols[0]), h, s),
         _distance_weights(np.abs(x_rows[0] - x_cols), h, s),
     )
@@ -220,10 +227,11 @@ def _fractional(grid: Grid, s: float, tail) -> np.ndarray:
     """2s(1-s) [-w + diag(row sums of w + tail)] for the weights w of the
     kernel with exponent s within the grid."""
     w = _pair_weights(grid, s)
-    a = -w
-    np.fill_diagonal(a, w.sum(axis=1) + tail)
-    a *= 2.0 * s * (1.0 - s)
-    return a
+    diagonal = w.sum(axis=1) + tail
+    np.negative(w, out=w)
+    np.fill_diagonal(w, diagonal)
+    w *= 2.0 * s * (1.0 - s)
+    return w
 
 
 def _second_difference(a: np.ndarray, idx: np.ndarray, c: float) -> None:
@@ -327,7 +335,7 @@ def _stencil_blocks(kernel: Kernel, grid: Grid, lattice: np.ndarray) -> np.ndarr
         index = np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)
         return np.where(np.abs(k) <= kernel.k_max, h * kernel.weights[index], 0.0)
 
-    return _interval_blocks(grid, lambda rows, cols: toeplitz(
+    return _interval_blocks(grid, lambda rows, cols: _toeplitz(
         stencil(lattice[rows] - lattice[cols][0]),
         stencil(lattice[rows][0] - lattice[cols])))
 
@@ -418,22 +426,17 @@ def quadratic_form(op: NonlocalMatrix, u: Field) -> float:
 # transmission
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TransmissionSpec:
-    """Two disjoint habitats: local diffusion on one, fractional on the other,
-    coupled to their complements with weights nu_i and exponents s_i."""
+@dataclass(frozen=True, kw_only=True)
+class TransmissionSpec(ProblemSpec):
+    """Two disjoint habitats: local diffusion on one, fractional (exponent s)
+    on the other, coupled to their complements with weights nu_i and
+    exponents s_i; a ProblemSpec without convolution (tau = 0)."""
 
-    grid: Grid
     local_id: int
-    s: float
     s1: float
     s2: float
     nu1: float
     nu2: float
-    sigma: Field
-    mu: Field
-    solver_tol: float = 1e-10
-    triviality_tol: float = 0.0
 
     @property
     def nonlocal_id(self) -> int:
@@ -465,19 +468,8 @@ def transmission_spec(
     local_id = 0 if grid.intervals[0] == tuple(map(float, interval_local)) else 1
     spec = problem_spec(grid, s, sigma, mu, solver_tol=solver_tol,
                         triviality_tol=triviality_tol)
-    return TransmissionSpec(
-        grid=grid,
-        local_id=local_id,
-        s=spec.s,
-        s1=float(s1),
-        s2=float(s2),
-        nu1=float(nu1),
-        nu2=float(nu2),
-        sigma=spec.sigma,
-        mu=spec.mu,
-        solver_tol=spec.solver_tol,
-        triviality_tol=spec.triviality_tol,
-    )
+    return TransmissionSpec(**vars(spec), local_id=local_id, s1=float(s1),
+                            s2=float(s2), nu1=float(nu1), nu2=float(nu2))
 
 
 def _cross_coupling(
@@ -509,7 +501,7 @@ def _cross_coupling(
     a[other, other] += coeff * _tail_segment(near, far, s_i)
     # -2 u(x) u(y): hat weights, plus the other component's boundary half
     # cells folded onto its outermost nodes
-    w = _far_block(x[own], x[other], h, s_i)
+    w = _far_block(x[own], x[other], h, s_i).copy()
     for endpoint, p_local in ((a_oth, 0), (b_oth, other.size - 1)):
         w[:, p_local] += _fold(x[own], endpoint, x[other[p_local]], h, s_i)
     a[_span(own), _span(other)] -= coeff * w

@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import Field
-from .logistic import SolveReport, _EnergyModel, _eigen_start, _report, _steady_state
-from .operators import NonlocalMatrix, TransmissionSpec, assemble_transmission
+from .logistic import (SolveReport, _eigen_start, _spec_model, _steady_state,
+                       energy_gradient)
+from .operators import TransmissionSpec, assemble_transmission
 from .spectral import EigenPair, first_eigenpair
 
 __all__ = [
@@ -29,11 +30,6 @@ def lambda_star(tspec: TransmissionSpec) -> EigenPair:
     return first_eigenpair(assemble_transmission(tspec))
 
 
-def _transmission_model(tspec: TransmissionSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
-    op = assemble_transmission(tspec)
-    return op, _EnergyModel(op.a, tspec.grid.h, tspec.mu.values, -tspec.sigma.values)
-
-
 def minimize_transmission(tspec: TransmissionSpec) -> SolveReport:
     """Minimize form/2 + int(mu |u|^3/3 - sigma u^2/2) over both habitats.
 
@@ -44,16 +40,14 @@ def minimize_transmission(tspec: TransmissionSpec) -> SolveReport:
     first eigenvector is the first start of the descent and the probe of
     its Newton steps.
     """
-    op, model = _transmission_model(tspec)
-    return _report(tspec, _steady_state(
-        model,
-        lambda: _eigen_start(model, op, tspec.solver_tol,
-                             0.1 * tspec.triviality_tol),
-        tspec.solver_tol, tspec.triviality_tol, max_iter=800,
-    ))
+    op = assemble_transmission(tspec)
+    model = _spec_model(tspec, op)
+    return _steady_state(tspec, model, lambda: _eigen_start(
+        model, op, tspec.solver_tol, 0.1 * tspec.triviality_tol),
+        tspec.solver_tol, max_iter=800)
 
 
 def transmission_el_residual(u: Field, tspec: TransmissionSpec) -> float:
     """Sup norm of the coupled nodal equations A u + mu |u| u - sigma u."""
-    _, model = _transmission_model(tspec)
-    return float(np.max(np.abs(model.gradient(u.values))))
+    grad = energy_gradient(u, tspec, assemble_transmission(tspec))
+    return float(np.max(np.abs(grad.values)))

@@ -412,6 +412,15 @@ _MALFORMED = {
     "sampled-kernel-without-samples": (
         {**_SOLVE, "tau": 0.5, "kernel": {"shape": "sampled"}},
         [], None, "requires samples"),
+    # a kernel key its shape does not read is rejected, not ignored
+    "uniform-kernel-with-samples": (
+        {**_SOLVE, "tau": 0.5,
+         "kernel": {"shape": "uniform", "rho": 0.25, "samples": [1, 2, 1]}},
+        [], None, "config.kernel.samples: unknown key"),
+    "sampled-kernel-with-rho": (
+        {**_SOLVE, "tau": 0.5,
+         "kernel": {"shape": "sampled", "rho": 7.0, "samples": [1, 2, 1]}},
+        [], None, "config.kernel.rho: unknown key"),
     "periodic-mu-zero": ({**_PERIODIC, "mu": 0}, [], None, "config.mu"),
     "periodic-all-zero": ({**_PERIODIC, "sigma": 0, "mu": 0, "tau": 0}, [],
                           None, "config.sigma"),

@@ -306,9 +306,11 @@ def test_report_flags_a_mixed_field():
     for spec in (problem_spec(build_grid([(0.0, 1.0)], 2.0**-5), 0.5, 2.0, 1.0),
                  _tspec(2.0)):
         n = spec.grid.n
+        model = _EnergyModel(np.eye(n), spec.grid.h, spec.mu.values,
+                             -spec.sigma.values)
         for u, ok in ((np.ones(n), True), (np.zeros(n), True),
                       (np.where(np.arange(n) == 0, 0.0, 1.0), False)):
-            rep = logistic._report(spec, (u, 0.0, [0.0], 0, 0.0, "nontrivial"))
+            rep = logistic._report(spec, model, u, [0.0], 0, 0.0)
             assert rep.dichotomy_ok is ok
             assert rep.u.grid is spec.grid
 
@@ -375,6 +377,15 @@ def test_fitting_bounds_ball_outside_domain(unit_problem):
     with pytest.raises(ValueError, match="not contained"):
         check_fitting_bounds(rep, problem_spec(grid, 0.5, lam + 0.5, 1.0),
                              ball=(0.5, 1.5))
+
+
+def test_fitting_bounds_ball_between_two_nodes(unit_problem):
+    grid, op, lam = unit_problem
+    spec = problem_spec(grid, 0.5, lam + 0.5, 1.0)
+    rep = solve_dirichlet(spec)
+    lo, hi = grid.nodes[0] + 0.25 * grid.h, grid.nodes[0] + 0.75 * grid.h
+    with pytest.raises(ValueError, match="holds no grid node"):
+        check_fitting_bounds(rep, spec, ball=(lo, hi))
 
 
 def test_abundance_linear_response():

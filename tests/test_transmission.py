@@ -1,11 +1,14 @@
 import numpy as np
+import pytest
 
 from nlogis import (
     Field,
     assemble_transmission,
+    build_grid,
     lambda_star,
     minimize_transmission,
     sample_function,
+    solve_dirichlet,
     transmission_el_residual,
     transmission_spec,
 )
@@ -101,6 +104,21 @@ def test_el_residual_levels():
     rng = np.random.default_rng(19)
     noise = Field(grid=ts_hot.grid, values=np.abs(rng.standard_normal(ts_hot.grid.n)))
     assert transmission_el_residual(noise, ts_hot) > 10 * ts_hot.solver_tol
+
+
+def test_el_residual_rejects_a_field_from_another_grid():
+    ts = make_spec(sigma=2.0)
+    other = build_grid([(0.0, 1.0), (4.0, 5.0)], ts.grid.h)
+    assert other.n == ts.grid.n
+    with pytest.raises(ValueError, match="field and problem live on different grids"):
+        transmission_el_residual(sample_function(other, 1.0), ts)
+
+
+def test_solve_dirichlet_rejects_a_transmission_problem():
+    # a TransmissionSpec is a ProblemSpec, but its form is not the
+    # fractional Dirichlet one that solve_dirichlet assembles
+    with pytest.raises(ValueError, match="minimize_transmission"):
+        solve_dirichlet(make_spec(sigma=2.0))
 
 
 def test_history_non_increasing():
