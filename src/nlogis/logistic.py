@@ -484,8 +484,7 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
     if type(spec) is not ProblemSpec:
-        raise ValueError("solve_dirichlet takes a ProblemSpec; use "
-                         "minimize_transmission for a transmission problem")
+        raise ValueError("use minimize_transmission for transmission problems")
     op, model = _dirichlet_model(spec)
     floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
     return _steady_state(

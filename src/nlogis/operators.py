@@ -34,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import circulant
+from scipy.linalg import circulant, toeplitz
 from scipy.special import zeta
 
 from .grids import (Field, Grid, Kernel, PeriodicGrid, ProblemSpec, build_grid,
@@ -135,11 +134,6 @@ def _span(idx: np.ndarray) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
-def _toeplitz(c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Read-only view of scipy.linalg.toeplitz(c, r), to copy into place."""
-    return sliding_window_view(np.concatenate((c[::-1], r[1:])), r.size)[::-1]
-
-
 def _interval_blocks(grid: Grid, block) -> np.ndarray:
     """n x n matrix filled with block(rows, cols) for every pair of the
     grid's intervals, each given by the slice of its node indices."""
@@ -181,9 +175,9 @@ def _far_block(x_rows, x_cols, h, s):
 
     The distance of two nodes, and with it their weight, depends only on
     the difference of their indices, so the block is Toeplitz: the kernel
-    is evaluated on its first column and first row only.  It is a read-only view.
+    is evaluated on its first column and first row only.
     """
-    return _toeplitz(
+    return toeplitz(
         _distance_weights(np.abs(x_rows - x_cols[0]), h, s),
         _distance_weights(np.abs(x_rows[0] - x_cols), h, s),
     )
@@ -227,11 +221,10 @@ def _fractional(grid: Grid, s: float, tail) -> np.ndarray:
     """2s(1-s) [-w + diag(row sums of w + tail)] for the weights w of the
     kernel with exponent s within the grid."""
     w = _pair_weights(grid, s)
-    diagonal = w.sum(axis=1) + tail
-    np.negative(w, out=w)
-    np.fill_diagonal(w, diagonal)
-    w *= 2.0 * s * (1.0 - s)
-    return w
+    a = -w
+    np.fill_diagonal(a, w.sum(axis=1) + tail)
+    a *= 2.0 * s * (1.0 - s)
+    return a
 
 
 def _second_difference(a: np.ndarray, idx: np.ndarray, c: float) -> None:
@@ -335,7 +328,7 @@ def _stencil_blocks(kernel: Kernel, grid: Grid, lattice: np.ndarray) -> np.ndarr
         index = np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)
         return np.where(np.abs(k) <= kernel.k_max, h * kernel.weights[index], 0.0)
 
-    return _interval_blocks(grid, lambda rows, cols: _toeplitz(
+    return _interval_blocks(grid, lambda rows, cols: toeplitz(
         stencil(lattice[rows] - lattice[cols][0]),
         stencil(lattice[rows][0] - lattice[cols])))
 
@@ -429,14 +422,17 @@ def quadratic_form(op: NonlocalMatrix, u: Field) -> float:
 @dataclass(frozen=True, kw_only=True)
 class TransmissionSpec(ProblemSpec):
     """Two disjoint habitats: local diffusion on one, fractional (exponent s)
-    on the other, coupled to their complements with weights nu_i and
-    exponents s_i; a ProblemSpec without convolution (tau = 0)."""
+    on the other, coupled to their complements (nu_i, s_i); no convolution."""
 
     local_id: int
     s1: float
     s2: float
     nu1: float
     nu2: float
+
+    def __post_init__(self):
+        if self.tau != 0.0 or self.kernel is not None:
+            raise ValueError("a transmission problem takes no convolution (tau, kernel)")
 
     @property
     def nonlocal_id(self) -> int:
@@ -501,7 +497,7 @@ def _cross_coupling(
     a[other, other] += coeff * _tail_segment(near, far, s_i)
     # -2 u(x) u(y): hat weights, plus the other component's boundary half
     # cells folded onto its outermost nodes
-    w = _far_block(x[own], x[other], h, s_i).copy()
+    w = _far_block(x[own], x[other], h, s_i)
     for endpoint, p_local in ((a_oth, 0), (b_oth, other.size - 1)):
         w[:, p_local] += _fold(x[own], endpoint, x[other[p_local]], h, s_i)
     a[_span(own), _span(other)] -= coeff * w

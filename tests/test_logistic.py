@@ -377,15 +377,11 @@ def test_fitting_bounds_ball_outside_domain(unit_problem):
     with pytest.raises(ValueError, match="not contained"):
         check_fitting_bounds(rep, problem_spec(grid, 0.5, lam + 0.5, 1.0),
                              ball=(0.5, 1.5))
-
-
-def test_fitting_bounds_ball_between_two_nodes(unit_problem):
-    grid, op, lam = unit_problem
-    spec = problem_spec(grid, 0.5, lam + 0.5, 1.0)
-    rep = solve_dirichlet(spec)
+    # a ball inside the domain but between two neighbouring nodes
     lo, hi = grid.nodes[0] + 0.25 * grid.h, grid.nodes[0] + 0.75 * grid.h
     with pytest.raises(ValueError, match="holds no grid node"):
-        check_fitting_bounds(rep, spec, ball=(lo, hi))
+        check_fitting_bounds(rep, problem_spec(grid, 0.5, lam + 0.5, 1.0),
+                             ball=(lo, hi))
 
 
 def test_abundance_linear_response():

@@ -1,6 +1,7 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from scipy.linalg import toeplitz
 
 import oracles
 from nlogis import (
@@ -448,6 +449,8 @@ def test_transmission_validation():
     # a transmission problem is a steady logistic problem without convolution
     ts = _tspec()
     assert isinstance(ts, ProblemSpec) and ts.tau == 0.0 and ts.kernel is None
+    with pytest.raises(ValueError, match="takes no convolution"):
+        dataclasses.replace(ts, tau=0.5)
     with pytest.raises(ValueError, match="must lie in"):
         transmission_spec((0, 1), (2, 3), 0.25, s=1.0, s1=0.5, s2=0.5,
                           nu1=1.0, nu2=1.0, sigma=1.0, mu=1.0)
@@ -471,15 +474,6 @@ def test_transmission_validation():
 # ---------------------------------------------------------------------------
 # tabulated assembly against the per-entry references
 # ---------------------------------------------------------------------------
-
-def test_toeplitz_view_matches_scipy():
-    rng = np.random.default_rng(3)
-    for m, k in ((1, 1), (1, 4), (5, 1), (4, 7), (7, 4)):
-        c, r = rng.standard_normal(m), rng.standard_normal(k)
-        view = operators._toeplitz(c, r)
-        assert not view.flags.writeable
-        assert np.array_equal(view, toeplitz(c, r))
-
 
 _S_SWEEP = [round(0.05 * k, 2) for k in range(1, 20)]
 
