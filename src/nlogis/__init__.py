@@ -67,10 +67,6 @@ from .strategic import (
     build_strategic,
     minimize_with_source,
 )
-from .transmission import (
-    lambda_star,
-    minimize_transmission,
-    transmission_el_residual,
-)
+from .transmission import lambda_star, minimize_transmission
 
 __version__ = "0.1.0"

@@ -255,6 +255,10 @@ def _validate(cfg: dict, names: dict[str, str]) -> ExperimentConfig:
     if experiment == "ext-crossing":
         _expect(params["s"] < params["S"],
                 "config.s/S: must satisfy 0 < s < S <= 1")
+    if experiment == "transmission":
+        # uncoupled, the nonlocal block's rows sum to zero: lambda_star is 0
+        _expect(params["nu1"] > 0.0 or params["nu2"] > 0.0,
+                "config.nu1/nu2: at least one coupling must be positive")
     out, jobs = params.pop("out"), params.pop("jobs")
     return ExperimentConfig(experiment, params, out, jobs)
 

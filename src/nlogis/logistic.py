@@ -11,7 +11,10 @@ whose nodal gradient (scaled by 1/h) is the steady logistic equation
 
     A u + mu |u| u - sigma u - tau (J*u) = 0.
 
-The Dirichlet, periodic and transmission solves share one core,
+A problem builds its own operator and energy model (_problem): the
+transmission form for a TransmissionSpec, the habitat's operator
+otherwise.  solve_dirichlet solves every bounded habitat, Dirichlet or
+transmission, and solve_periodic the periodic cell; both share one core,
 _steady_state, and one report, SolveReport.  When the Hessian at zero is
 positive definite the energy is strictly convex (mu >= 0 makes the cubic
 term convex), zero is its only minimizer and the core returns the trivial
@@ -49,7 +52,8 @@ from .grids import (
     build_kernel,
     problem_spec,
 )
-from .operators import NonlocalMatrix, assemble, convolution_matrix
+from .operators import (NonlocalMatrix, TransmissionSpec, assemble,
+                        assemble_transmission, convolution_matrix)
 from .spectral import first_eigenpair, union_eigen_study
 
 __all__ = [
@@ -300,18 +304,29 @@ def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
     return u, history, it1, residual, residual <= tol
 
 
-def _spec_model(spec: ProblemSpec, op: NonlocalMatrix) -> _EnergyModel:
+def _boundary_profile(grid: Grid, s: float) -> np.ndarray:
+    """((x - a)(b - x))^s on each interval (a, b) of the grid: the d^s
+    boundary behaviour of the first eigenvector, and nearer to it than the
+    constant field."""
+    ends = np.array(grid.intervals)[grid.interval_id]
+    return ((grid.nodes - ends[:, 0]) * (ends[:, 1] - grid.nodes)) ** s
+
+
+def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
+    """(op, model) of a problem: op is the transmission form of a
+    TransmissionSpec and the habitat's operator otherwise, the model's A_eff
+    is op less tau B, and on a bounded grid the model's probe is the
+    boundary profile, for the extinction certificate."""
+    op = (assemble_transmission(spec) if isinstance(spec, TransmissionSpec)
+          else assemble(spec.grid, spec.s))
+    a_eff = op.a
     if spec.tau > 0.0:
-        b = convolution_matrix(spec.kernel, spec.grid)
-        a_eff = op.a - spec.tau * b
-    else:
-        a_eff = op.a
-    return _EnergyModel(
-        a_eff=a_eff,
-        h=spec.grid.h,
-        mu=spec.mu.values,
-        lin=-spec.sigma.values,
-    )
+        a_eff = a_eff - spec.tau * convolution_matrix(spec.kernel, spec.grid)
+    model = _EnergyModel(a_eff=a_eff, h=spec.grid.h, mu=spec.mu.values,
+                         lin=-spec.sigma.values)
+    if isinstance(spec.grid, Grid):
+        model.set_probe(_boundary_profile(spec.grid, spec.s))
+    return op, model
 
 
 def _residual_scale(spec: ProblemSpec) -> float:
@@ -355,9 +370,9 @@ def _extinct(spec: ProblemSpec) -> SolveReport:
 
 
 def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
-                  tol: float, max_iter: int) -> SolveReport:
+                  max_iter: int) -> SolveReport:
     """Report of the steady state: zero when certified, else the lowest
-    converged energy.
+    converged energy, to the residual solver_tol * _residual_scale(spec).
 
     first_start() is called only when zero is not certified; the descent
     runs from it (budget max_iter) and from a microscopic constant
@@ -369,6 +384,7 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     """
     if _zero_is_minimizer(model):
         return _extinct(spec)
+    tol = spec.solver_tol * _residual_scale(spec)
     starts = [(first_start(), max_iter),
               (np.full(spec.grid.n, 0.1 * spec.triviality_tol), min(max_iter, 300))]
     outcomes = []
@@ -397,32 +413,28 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
 # public energy interface
 # ---------------------------------------------------------------------------
 
-def energy(u: Field, spec: ProblemSpec, op: NonlocalMatrix) -> float:
+def _model_at(u: Field, spec: ProblemSpec) -> _EnergyModel:
+    """The problem's model, for a field on the problem's grid."""
+    if u.grid != spec.grid:
+        raise ValueError("field and problem live on different grids")
+    return _problem(spec)[1]
+
+
+def energy(u: Field, spec: ProblemSpec) -> float:
     """Value of the discrete steady-state energy at u."""
-    if u.grid != spec.grid:
-        raise ValueError("field and problem live on different grids")
-    return _spec_model(spec, op).energy(u.values)
+    return _model_at(u, spec).energy(u.values)
 
 
-def energy_gradient(u: Field, spec: ProblemSpec, op: NonlocalMatrix) -> Field:
+def energy_gradient(u: Field, spec: ProblemSpec) -> Field:
     """Nodal gradient scaled by 1/h: A u + mu |u| u - sigma u - tau (J*u)."""
-    if u.grid != spec.grid:
-        raise ValueError("field and problem live on different grids")
-    return Field(grid=spec.grid, values=_spec_model(spec, op).gradient(u.values))
+    return Field(grid=spec.grid, values=_model_at(u, spec).gradient(u.values))
 
 
-def minimize(
-    spec: ProblemSpec,
-    op: NonlocalMatrix,
-    init: Field,
-    max_iter: int = 800,
-) -> SolveReport:
+def minimize(spec: ProblemSpec, init: Field, max_iter: int = 800) -> SolveReport:
     """Monotone line-searched descent from init; final iterate is |u|."""
-    if init.grid != spec.grid:
-        raise ValueError("initial field and problem live on different grids")
     if not np.all(np.isfinite(init.values)):
         raise ValueError("initial field must be finite")
-    model = _spec_model(spec, op)
+    model = _model_at(init, spec)
     u, history, iters, residual, ok = _minimize_model(
         model, init.values, spec.solver_tol * _residual_scale(spec), max_iter
     )
@@ -435,8 +447,8 @@ def minimize(
     return report
 
 
-def _eigen_start(model: _EnergyModel, op: NonlocalMatrix, solver_tol: float,
-                 floor: float) -> np.ndarray:
+def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix,
+                 model: _EnergyModel) -> np.ndarray:
     """A start along the first eigenvector e of op, set as the model's
     probe, at the amplitude from the small-amplitude expansion of the energy.
 
@@ -444,36 +456,21 @@ def _eigen_start(model: _EnergyModel, op: NonlocalMatrix, solver_tol: float,
     form = h e^T A_eff e is the quadratic part at e (tau's convolution
     included) and sigma is read back from the model as -lin; descend to its
     minimizer when the quadratic coefficient is negative, otherwise start
-    at amplitude floor.
+    at amplitude 1e-8 max(1, max sigma + tau).
     """
-    e = first_eigenpair(op, tol=min(1e-10, solver_tol * 100)).vector.values
+    e = first_eigenpair(op, tol=min(1e-10, spec.solver_tol * 100)).vector.values
     h = model.h
     form = h * float(e @ model.set_probe(e))
     c1 = 0.5 * (h * np.sum(-model.lin * e**2) - form)
     c2 = h * np.sum(model.mu * np.abs(e) ** 3) / 3.0
+    floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
     eps = 2.0 * c1 / (3.0 * c2) if (c1 > 0.0 and c2 > 0.0) else floor
     return eps * e
 
 
-def _boundary_profile(grid: Grid, s: float) -> np.ndarray:
-    """((x - a)(b - x))^s on each interval (a, b) of the grid: the d^s
-    boundary behaviour of the first eigenvector, and nearer to it than the
-    constant field."""
-    ends = np.array(grid.intervals)[grid.interval_id]
-    return ((grid.nodes - ends[:, 0]) * (ends[:, 1] - grid.nodes)) ** s
-
-
-def _dirichlet_model(spec: ProblemSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
-    """(op, model) of a Dirichlet problem, the model's probe set to the
-    boundary profile for the extinction certificate."""
-    op = assemble(spec.grid, spec.s)
-    model = _spec_model(spec, op)
-    model.set_probe(_boundary_profile(spec.grid, spec.s))
-    return op, model
-
-
 def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
-    """Assemble; certify extinction or minimize from two starts.
+    """Solve a bounded habitat, Dirichlet or transmission: assemble; certify
+    extinction or minimize from two starts.
 
     The certificate probes the boundary profile before it factors.  The
     first start rides the first eigenvector, computed only when zero is not
@@ -483,14 +480,9 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
-    if type(spec) is not ProblemSpec:
-        raise ValueError("use minimize_transmission for transmission problems")
-    op, model = _dirichlet_model(spec)
-    floor = 1e-8 * max(1.0, spec.sigma.max() + spec.tau)
-    return _steady_state(
-        spec, model, lambda: _eigen_start(model, op, spec.solver_tol, floor),
-        spec.solver_tol * _residual_scale(spec), max_iter,
-    )
+    op, model = _problem(spec)
+    return _steady_state(spec, model, lambda: _eigen_start(spec, op, model),
+                         max_iter)
 
 
 def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
@@ -506,16 +498,13 @@ def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
-    op = assemble(spec.grid, spec.s)
+    _, model = _problem(spec)
     if spec.tau == 0.0 and not np.any(spec.sigma.values):
         return _extinct(spec)
-    model = _spec_model(spec, op)
     h = spec.grid.h
     level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
-    return _steady_state(
-        spec, model, lambda: np.full(spec.grid.n, level),
-        spec.solver_tol * _residual_scale(spec), max_iter,
-    )
+    return _steady_state(spec, model, lambda: np.full(spec.grid.n, level),
+                         max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +592,7 @@ def critical_radius(
         return solve_dirichlet(spec_at(m_cells)).classification == "nontrivial"
 
     def certified(m_cells: int) -> bool:
-        return _zero_is_minimizer(_dirichlet_model(spec_at(m_cells))[1])
+        return _zero_is_minimizer(_problem(spec_at(m_cells))[1])
 
     lo = int(np.floor(0.55 * predicted * length / h))
     hi = int(np.ceil(1.6 * predicted * length / h))

@@ -4,25 +4,18 @@ The minimized functional is half the assembled quadratic form plus the
 logistic bulk, while the survival threshold lambda_star is the infimum of
 the undoubled form under unit L2 norm; keeping the single assembled matrix
 for both uses prevents a silent factor-two mismatch between them.  The
-solve returns the SolveReport of the bounded and periodic solves, whose
-dichotomy_ok flag is the positivity dichotomy across both habitats.
+problem is a bounded habitat like any other: solve_dirichlet solves it,
+under the same residual tolerance, and energy and energy_gradient evaluate
+its functional and nodal equations.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from .grids import Field
-from .logistic import (SolveReport, _eigen_start, _spec_model, _steady_state,
-                       energy_gradient)
+from .logistic import SolveReport, solve_dirichlet
 from .operators import TransmissionSpec, assemble_transmission
 from .spectral import EigenPair, first_eigenpair
 
-__all__ = [
-    "lambda_star",
-    "minimize_transmission",
-    "transmission_el_residual",
-]
+__all__ = ["lambda_star", "minimize_transmission"]
 
 
 def lambda_star(tspec: TransmissionSpec) -> EigenPair:
@@ -33,21 +26,9 @@ def lambda_star(tspec: TransmissionSpec) -> EigenPair:
 def minimize_transmission(tspec: TransmissionSpec) -> SolveReport:
     """Minimize form/2 + int(mu |u|^3/3 - sigma u^2/2) over both habitats.
 
-    Shares the Dirichlet solve's core (see logistic._steady_state) and
-    report: when the Hessian at zero is positive definite (sigma below
-    lambda_star where sigma is constant) zero is the only minimizer and is
-    returned without descending and without an eigenpair.  Otherwise the
-    first eigenvector is the first start of the descent and the probe of
-    its Newton steps.
+    This is solve_dirichlet of the transmission problem: when the Hessian
+    at zero is positive definite (sigma below lambda_star where sigma is
+    constant) zero is returned without descending and without an
+    eigenpair; otherwise the first eigenvector is the first start.
     """
-    op = assemble_transmission(tspec)
-    model = _spec_model(tspec, op)
-    return _steady_state(tspec, model, lambda: _eigen_start(
-        model, op, tspec.solver_tol, 0.1 * tspec.triviality_tol),
-        tspec.solver_tol, max_iter=800)
-
-
-def transmission_el_residual(u: Field, tspec: TransmissionSpec) -> float:
-    """Sup norm of the coupled nodal equations A u + mu |u| u - sigma u."""
-    grad = energy_gradient(u, tspec, assemble_transmission(tspec))
-    return float(np.max(np.abs(grad.values)))
+    return solve_dirichlet(tspec)

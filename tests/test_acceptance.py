@@ -29,9 +29,8 @@ from nlogis import (
     solve_periodic,
     transmission_spec,
 )
-from nlogis.logistic import _EnergyModel, _spec_model
-from nlogis.operators import assemble, assemble_dirichlet, assemble_periodic, \
-    assemble_transmission
+from nlogis.logistic import _EnergyModel, _problem
+from nlogis.operators import assemble, assemble_dirichlet, assemble_transmission
 
 BOUND_CHECKS: list[tuple[str, bool]] = []
 HISTORIES: list[list[float]] = []
@@ -240,14 +239,14 @@ def test_criterion_12_numerical_hygiene():
     grid = build_grid([(0.0, 1.0)], h)
     kernel = build_kernel("triangular", 0.25, h)
     spec = problem_spec(grid, 0.5, 2.0, 1.0, tau=0.4, kernel=kernel)
-    model = _spec_model(spec, assemble_dirichlet(grid, 0.5))
+    _, model = _problem(spec)
     checks.append(fd_check(model, rng.uniform(0.5, 1.5, grid.n), h))
 
     # periodic energy
     pg = build_periodic_grid(16)
     kp = build_kernel("uniform", 0.25, pg.h)
     pspec = problem_spec(pg, 0.5, 2.0, 1.0, tau=0.3, kernel=kp)
-    pmodel = _spec_model(pspec, assemble_periodic(pg, 0.5))
+    _, pmodel = _problem(pspec)
     checks.append(fd_check(pmodel, rng.uniform(0.5, 1.5, pg.n), pg.h))
 
     # transmission energy

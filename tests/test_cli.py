@@ -380,6 +380,10 @@ _MALFORMED = {
     "margin-above-one": (
         {"experiment": "transmission", "h": _H, "margin": 1.5},
         [], None, "config.margin"),
+    # uncoupled, lambda_star is 0 up to roundoff and sigma below it negative
+    "transmission-uncoupled": (
+        {"experiment": "transmission", "h": _H, "nu1": 0.0, "nu2": 0.0},
+        [], None, "config.nu1/nu2"),
     "eigenvalue-multiple-outside-solve-sigma": (
         {**_STRATEGIC, "sigma": {"kind": "eigenvalue-multiple",
                                  "factor": 1.2}},

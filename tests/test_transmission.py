@@ -5,13 +5,15 @@ from nlogis import (
     Field,
     assemble_transmission,
     build_grid,
+    energy,
+    energy_gradient,
     lambda_star,
     minimize_transmission,
     sample_function,
     solve_dirichlet,
-    transmission_el_residual,
     transmission_spec,
 )
+from nlogis.logistic import _EnergyModel
 
 
 def make_spec(sigma=1.0, nu1=1.0, nu2=1.0, h=2.0**-5,
@@ -80,8 +82,6 @@ def test_threshold_dichotomy():
 
 
 def test_energy_never_increases_under_absolute_value():
-    from nlogis.logistic import _EnergyModel
-
     ts = make_spec(sigma=2.0)
     op = assemble_transmission(ts)
     model = _EnergyModel(op.a, ts.grid.h, ts.mu.values, -ts.sigma.values)
@@ -91,6 +91,11 @@ def test_energy_never_increases_under_absolute_value():
         assert model.energy(np.abs(u)) <= model.energy(u) + 1e-12
 
 
+def _el_residual(u, ts):
+    """Sup norm of the coupled nodal equations A u + mu |u| u - sigma u."""
+    return float(np.max(np.abs(energy_gradient(u, ts).values)))
+
+
 def test_el_residual_levels():
     ts = make_spec(sigma=2.0)
     lam = lambda_star(ts).lambda_
@@ -98,27 +103,55 @@ def test_el_residual_levels():
     rep = minimize_transmission(ts_hot)
     assert rep.classification == "nontrivial"
     scale = max(1.0, ts_hot.sigma.max() ** 2)
-    assert transmission_el_residual(rep.u, ts_hot) <= 10 * ts_hot.solver_tol * scale
+    assert _el_residual(rep.u, ts_hot) <= 10 * ts_hot.solver_tol * scale
     zero = sample_function(ts_hot.grid, 0.0)
-    assert transmission_el_residual(zero, ts_hot) == 0.0
+    assert _el_residual(zero, ts_hot) == 0.0
     rng = np.random.default_rng(19)
     noise = Field(grid=ts_hot.grid, values=np.abs(rng.standard_normal(ts_hot.grid.n)))
-    assert transmission_el_residual(noise, ts_hot) > 10 * ts_hot.solver_tol
+    assert _el_residual(noise, ts_hot) > 10 * ts_hot.solver_tol
+
+
+@pytest.mark.parametrize("factor", [1.2, 2.0, 4.0])
+def test_nontrivial_report_meets_the_documented_residual_bound(factor):
+    # the bound of every bounded and periodic solve,
+    # solver_tol * max(1, (max sigma + tau)^2), with tau = 0
+    ts = make_spec(sigma=factor * lambda_star(make_spec()).lambda_)
+    rep = minimize_transmission(ts)
+    assert rep.classification == "nontrivial" and rep.converged
+    assert rep.el_residual == _el_residual(rep.u, ts)
+    assert rep.el_residual <= ts.solver_tol * max(1.0, ts.sigma.max() ** 2)
 
 
 def test_el_residual_rejects_a_field_from_another_grid():
     ts = make_spec(sigma=2.0)
     other = build_grid([(0.0, 1.0), (4.0, 5.0)], ts.grid.h)
     assert other.n == ts.grid.n
-    with pytest.raises(ValueError, match="field and problem live on different grids"):
-        transmission_el_residual(sample_function(other, 1.0), ts)
+    field = sample_function(other, 1.0)
+    for evaluate in (energy, energy_gradient):
+        with pytest.raises(ValueError,
+                           match="field and problem live on different grids"):
+            evaluate(field, ts)
 
 
-def test_solve_dirichlet_rejects_a_transmission_problem():
-    # a TransmissionSpec is a ProblemSpec, but its form is not the
-    # fractional Dirichlet one that solve_dirichlet assembles
-    with pytest.raises(ValueError, match="minimize_transmission"):
-        solve_dirichlet(make_spec(sigma=2.0))
+def test_energy_and_gradient_use_the_transmission_form():
+    ts = make_spec(sigma=2.0)
+    model = _EnergyModel(assemble_transmission(ts).a, ts.grid.h, ts.mu.values,
+                         -ts.sigma.values)
+    u = np.abs(np.random.default_rng(7).standard_normal(ts.grid.n))
+    field = Field(grid=ts.grid, values=u)
+    assert energy(field, ts) == model.energy(u)
+    assert np.array_equal(energy_gradient(field, ts).values, model.gradient(u))
+
+
+@pytest.mark.parametrize("factor, expected", [(0.8, "trivial"),
+                                              (1.2, "nontrivial")])
+def test_solve_dirichlet_solves_a_transmission_problem(factor, expected):
+    ts = make_spec(sigma=factor * lambda_star(make_spec()).lambda_)
+    direct = solve_dirichlet(ts)
+    delegated = minimize_transmission(ts)
+    assert direct.classification == delegated.classification == expected
+    assert direct.energy == delegated.energy
+    assert np.array_equal(direct.u.values, delegated.u.values)
 
 
 def test_history_non_increasing():
