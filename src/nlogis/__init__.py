@@ -8,6 +8,7 @@ constructive minimizations the model supports at desk scale.
 
 from .errors import ConvergenceError
 from .grids import (
+    MAX_NODES,
     Field,
     Grid,
     Kernel,
@@ -16,7 +17,6 @@ from .grids import (
     build_grid,
     build_kernel,
     build_periodic_grid,
-    l2_inner,
     l2_norm,
     problem_spec,
     sample_function,
@@ -42,22 +42,20 @@ from .operators import (
     CLASSICAL_LIMIT_CONSTANT,
     NonlocalMatrix,
     TransmissionSpec,
-    apply_operator,
     assemble,
     assemble_classical,
     assemble_dirichlet,
     assemble_periodic,
     assemble_transmission,
     convolution_matrix,
-    convolve,
-    quadratic_form,
     transmission_spec,
 )
 from .spectral import (
     EigenPair,
+    ScalingStudy,
+    UnionStudy,
     eigen_scaling,
     first_eigenpair,
-    rayleigh,
     union_eigen_study,
 )
 from .strategic import (

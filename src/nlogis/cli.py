@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import (
+    MAX_NODES,
     ConvergenceError,
     beat_experiment,
     build_grid,
@@ -119,11 +120,13 @@ _exponent = _bounded(lambda v: 0 < v <= 1, "must lie in (0, 1]")
 _fraction = _bounded(lambda v: 0 < v < 1, "must lie in (0, 1)")
 
 
-def _integer(least):
+def _integer(least, most=math.inf):
+    rule = f">= {least}" + (f" and <= {most}" if most < math.inf else "")
+
     def check(where, val):
         _expect(isinstance(val, int) and not isinstance(val, bool)
-                and val >= least,
-                f"{where}: expected an integer >= {least}, got {val!r}")
+                and least <= val <= most,
+                f"{where}: expected an integer {rule}, got {val!r}")
         return val
     return check
 
@@ -235,6 +238,8 @@ def _load(text: str) -> dict:
         cfg = json.loads(text)
     except ValueError as exc:  # also integers too long to convert
         raise ConfigError(f"config: invalid JSON ({exc})") from None
+    except RecursionError:
+        raise ConfigError("config: invalid JSON (nested too deeply)") from None
     _expect(isinstance(cfg, dict), "config: expected a JSON object")
     return cfg
 
@@ -620,7 +625,8 @@ _EXPERIMENTS = {
         {**_GRID, "h": (_positive, 2.0**-6), "interval": (_pair, [0.0, 1.0]),
          "s": (_exponent, 0.25), "S": (_exponent, 1.0),
          "r_min": (_positive, 0.05), "r_max": (_positive, 20.0),
-         "r_count": (_integer(4), 25)}),
+         # snapped radii are whole cell counts: no more can be distinct
+         "r_count": (_integer(4, MAX_NODES), 25)}),
     "congruence": _Experiment(
         "congruent-domains", _run_congruence,
         ["experiment", "domain", "s", "lambda_or_gap", "sigma",

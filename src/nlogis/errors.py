@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ConvergenceError"]
+
 
 class ConvergenceError(RuntimeError):
     """An iterative solver ran out of iterations.

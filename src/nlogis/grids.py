@@ -29,7 +29,6 @@ __all__ = [
     "sample_function",
     "problem_spec",
     "l2_norm",
-    "l2_inner",
 ]
 
 _REL_TOL = 1e-12
@@ -43,6 +42,14 @@ _REL_TOL = 1e-12
 # peaks at 4.3, the transmission form at 4.5 and the periodic solve at 5.1
 # matrices.  Twice the cap would need about 15 GiB.
 MAX_NODES = 8192
+
+# Caps on the two other inputs that size an allocation, set from measured
+# peak memory to at most one operator matrix at MAX_NODES: the periodic
+# image table of (n - 1) x image_cutoff entries peaked at 40 bytes an entry
+# (320 MiB at both caps), and a uniform or triangular kernel's stencil of
+# 2 floor(rho / h) + 1 points at 32 bytes a point (512 MiB at its cap).
+MAX_IMAGE_CUTOFF = 1024
+MAX_STENCIL = 2**24
 
 
 def _check_node_count(count: float, what: str) -> None:
@@ -99,8 +106,9 @@ class PeriodicGrid:
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"periodic grid needs at least 4 nodes, got {self.n}")
-        if self.image_cutoff < 2:
-            raise ValueError("image_cutoff must be at least 2")
+        if not 2 <= self.image_cutoff <= MAX_IMAGE_CUTOFF:
+            raise ValueError(f"image_cutoff={self.image_cutoff} must lie in "
+                             f"[2, {MAX_IMAGE_CUTOFF}] (MAX_IMAGE_CUTOFF)")
         _check_node_count(self.n, "periodic grid")
 
     @property
@@ -261,7 +269,11 @@ def build_kernel(
             raise ValueError(
                 f"kernel radius rho={rho} is unresolvable on the grid (rho >= h required)"
             )
-        k_max = int(np.floor(rho / h + 1e-9))
+        reach = np.floor(rho / h + 1e-9)  # may be inf, so checked as a float
+        if 2.0 * reach + 1.0 > MAX_STENCIL:
+            raise ValueError(f"kernel radius rho={rho} needs more than "
+                             f"{MAX_STENCIL} (MAX_STENCIL) stencil points at h={h}")
+        k_max = int(reach)
         offsets = np.arange(-k_max, k_max + 1) * h
         if shape == "uniform":
             raw = np.where(np.abs(offsets) <= rho + 1e-15, 1.0 / (2.0 * rho), 0.0)
@@ -380,17 +392,7 @@ def _coefficient(grid: Grid | PeriodicGrid, name: str, f) -> Field:
     return f
 
 
-def _check_same_grid(a: Field, b: Field) -> None:
-    if a.grid is not b.grid and a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-
-
 def l2_norm(u: Field) -> float:
     """Discrete L2 norm sqrt(h * sum u_i^2)."""
     return float(np.sqrt(u.grid.h * np.sum(u.values**2)))
 
-
-def l2_inner(a: Field, b: Field) -> float:
-    """Discrete L2 inner product h * sum a_i b_i."""
-    _check_same_grid(a, b)
-    return float(a.grid.h * np.sum(a.values * b.values))

@@ -37,8 +37,7 @@ import numpy as np
 from scipy.linalg import circulant, toeplitz
 from scipy.special import zeta
 
-from .grids import (Field, Grid, Kernel, PeriodicGrid, ProblemSpec, build_grid,
-                    problem_spec)
+from .grids import Grid, Kernel, PeriodicGrid, ProblemSpec, build_grid, problem_spec
 
 __all__ = [
     "CLASSICAL_LIMIT_CONSTANT",
@@ -51,9 +50,6 @@ __all__ = [
     "assemble_transmission",
     "transmission_spec",
     "convolution_matrix",
-    "convolve",
-    "quadratic_form",
-    "apply_operator",
 ]
 
 # Multiple of the second derivative recovered from the 2s(1-s)-normalized
@@ -317,31 +313,17 @@ def assemble(grid: Grid | PeriodicGrid, s: float) -> NonlocalMatrix:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _stencil_blocks(kernel: Kernel, grid: Grid, lattice: np.ndarray) -> np.ndarray:
-    """B on nodes at integer lattice positions: entry (i, j) is
-    h weights[k_max + k] at offset k = lattice[i] - lattice[j] with
-    |k| <= k_max, and zero beyond, where every kernel profile vanishes.
-    Each block between two intervals is Toeplitz."""
-    h = grid.h
-
-    def stencil(k):
-        index = np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)
-        return np.where(np.abs(k) <= kernel.k_max, h * kernel.weights[index], 0.0)
-
-    return _interval_blocks(grid, lambda rows, cols: toeplitz(
-        stencil(lattice[rows] - lattice[cols][0]),
-        stencil(lattice[rows][0] - lattice[cols])))
-
-
 def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
     """Matrix B with (J*u)_i = (B u)_i = h sum_j J(x_i - x_j) u_j.
 
-    Lattice-aligned pairs use the renormalized stencil weights so that the
-    discrete unit-mass identity is inherited exactly; pairs across
-    non-aligned intervals fall back to the renormalized profile.  When all
-    nodes lie on one lattice, as on every grid whose interval endpoints
-    are multiples of h apart, B is spread from the stencil as Toeplitz
-    blocks between the intervals.
+    On a bounded grid B is built one block per pair of intervals.  When the
+    first nodes of the two intervals are a whole number k0 of spacings
+    apart (to 1e-9 h), every pair of their nodes lies on one lattice and
+    the block is the Toeplitz spread of the renormalized stencil weights,
+    zero beyond k_max, so the discrete unit-mass identity is inherited
+    exactly; otherwise the block takes the renormalized profile at every
+    pair.  On the periodic cell B is the circulant of the stencil summed
+    over the images.
     """
     h = grid.h
     if abs(kernel.h - h) > 1e-12 * h:
@@ -368,51 +350,21 @@ def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
             b_off[rows] = h * kernel.weights[kernel.k_max + run].sum(axis=1)
         return circulant(b_off)
     x = grid.nodes
-    lattice = np.rint((x - x[0]) / h)
-    # a tenth of the per-pair on-lattice tolerance below, so that every pair
-    # of these nodes passes it with offset lattice[i] - lattice[j]
-    if np.all(np.abs((x - x[0]) - lattice * h) <= 1e-10 * h):
-        return _stencil_blocks(kernel, grid, lattice.astype(int))
-    diff = x[:, None] - x[None, :]
-    k = np.rint(diff / h).astype(int)
-    on_lattice = np.abs(diff - k * h) <= 1e-9 * h
-    in_range = np.abs(k) <= kernel.k_max
-    b = np.where(
-        on_lattice & in_range,
-        kernel.weights[np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)],
-        kernel.profile(diff),
-    )
-    return h * b
 
+    def stencil(k):
+        index = np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)
+        return np.where(np.abs(k) <= kernel.k_max, h * kernel.weights[index], 0.0)
 
-def convolve(kernel: Kernel, field: Field) -> Field:
-    """Discrete convolution with zero extension or periodic wrap."""
-    b = convolution_matrix(kernel, field.grid)
-    return Field(grid=field.grid, values=b @ field.values)
+    def block(rows, cols):
+        x_rows, x_cols = x[rows], x[cols]
+        offset = x_rows[0] - x_cols[0]
+        k0 = int(np.rint(offset / h))
+        if abs(offset - k0 * h) > 1e-9 * h:
+            return h * kernel.profile(x_rows[:, None] - x_cols[None, :])
+        return toeplitz(stencil(k0 + np.arange(x_rows.size)),
+                        stencil(k0 - np.arange(x_cols.size)))
 
-
-# ---------------------------------------------------------------------------
-# quadratic form
-# ---------------------------------------------------------------------------
-
-def _check_grid(op: NonlocalMatrix, u: Field) -> None:
-    if op.grid is not u.grid and op.grid != u.grid:
-        raise ValueError("field and operator live on different grids")
-
-
-def apply_operator(op: NonlocalMatrix, u: Field) -> Field:
-    _check_grid(op, u)
-    return Field(grid=u.grid, values=op.a @ u.values)
-
-
-def quadratic_form(op: NonlocalMatrix, u: Field) -> float:
-    """h * u^T A u, the discrete Dirichlet energy form of the operator.
-
-    The accumulation matches l2_inner exactly, so the form and the inner
-    product against the applied operator agree bit for bit.
-    """
-    _check_grid(op, u)
-    return float(u.grid.h * np.sum(u.values * (op.a @ u.values)))
+    return _interval_blocks(grid, block)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 survival threshold.
 
 The eigenvalue solved for is the smallest lambda with A e = lambda e, which
-equals the minimum of quadratic_form(A, u) / l2_norm(u)^2 over nonzero
-fields: the h in the form and the h in the norm cancel, so the survival
+equals the minimum of the form h u^T A u over l2_norm(u)^2 = h u^T u for
+nonzero fields u: the h in the form and in the norm cancel, so the survival
 threshold compares directly with the resource rate sigma.  It is found by
 ARPACK's Lanczos iteration (scipy eigsh) on A^-1, applied through one
 Cholesky factorization of A.
@@ -20,12 +20,11 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError
 from .grids import Field, build_grid, l2_norm
-from .operators import NonlocalMatrix, assemble, quadratic_form
+from .operators import NonlocalMatrix, assemble
 
 __all__ = [
     "EigenPair",
     "first_eigenpair",
-    "rayleigh",
     "eigen_scaling",
     "union_eigen_study",
     "UnionStudy",
@@ -117,14 +116,6 @@ def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
     e = Field(grid=op.grid, values=x)
     e = Field(grid=op.grid, values=x / l2_norm(e))
     return EigenPair(lambda_=lam, vector=e, residual=res, iterations=solves)
-
-
-def rayleigh(op: NonlocalMatrix, u: Field) -> float:
-    """quadratic_form(A, u) / ||u||^2, an upper bound for the first eigenvalue."""
-    nrm = l2_norm(u)
-    if nrm == 0.0:
-        raise ValueError("Rayleigh quotient of the zero field")
-    return quadratic_form(op, u) / nrm**2
 
 
 @dataclass(frozen=True)

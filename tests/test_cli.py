@@ -67,9 +67,15 @@ def test_malformed_geometry_rejected():
         parse_config(json.dumps({"experiment": "eigen", "intervals": [[1, 0]]}))
 
 
-def test_invalid_json_rejected():
-    with pytest.raises(ConfigError, match="invalid JSON"):
-        parse_config("{nope")
+def test_invalid_json_rejected(tmp_path, capsys):
+    for text in ("{nope", "[" * 100_000):
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            parse_config(text)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert main(["eigen", "--config", str(cfg_path)]) == 64
+        err = capsys.readouterr().err
+        assert "invalid JSON" in err and "Traceback" not in err
 
 
 def test_coefficient_object_validation():
@@ -440,6 +446,15 @@ _MALFORMED = {
                            "--h: unknown key"),
     "solver-tol-on-eigen": ({**_EIGEN, "solver_tol": 1e-10}, [], None,
                             "config.solver_tol: unknown key"),
+    # inputs that size an allocation are bounded before it is made
+    "periodic-image-cutoff-too-large": (
+        {**_PERIODIC, "image_cutoff": 10**7}, [], None, "image_cutoff"),
+    "ext-crossing-r-count-too-large": (
+        {"experiment": "ext-crossing", "r_count": 10**9}, [], None,
+        "config.r_count"),
+    "kernel-rho-too-large": (
+        {**_SOLVE, "tau": 0.5, "kernel": {"shape": "uniform", "rho": 1e9}},
+        [], None, "rho=1000000000.0"),
 }
 
 

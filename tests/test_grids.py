@@ -7,7 +7,6 @@ from nlogis import (
     build_grid,
     build_kernel,
     build_periodic_grid,
-    l2_inner,
     l2_norm,
     problem_spec,
     sample_function,
@@ -143,20 +142,6 @@ def test_l2_norm_constant():
     assert l2_norm(one) == pytest.approx(np.sqrt(0.75))
     zero = sample_function(g, 0.0)
     assert l2_norm(zero) == 0.0
-
-
-def test_l2_inner_disjoint_supports():
-    g = build_grid([(0.0, 1.0), (2.0, 3.0)], 0.25)
-    left = sample_function(g, lambda x: 1.0 if x < 1.0 else 0.0)
-    right = sample_function(g, lambda x: 1.0 if x > 2.0 else 0.0)
-    assert l2_inner(left, right) == 0.0
-
-
-def test_l2_inner_grid_mismatch():
-    a = sample_function(build_grid([(0.0, 1.0)], 0.25), 1.0)
-    b = sample_function(build_grid([(0.0, 1.0)], 0.125), 1.0)
-    with pytest.raises(ValueError, match="different grids"):
-        l2_inner(a, b)
 
 
 def test_periodic_grid_basics():
