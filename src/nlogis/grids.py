@@ -57,7 +57,7 @@ def _check_node_count(count: float, what: str) -> None:
     # rounding; an infinite one (h underflowing the length) is rejected too
     if count > MAX_NODES + 0.5:
         raise ValueError(
-            f"{what} has {count:.0f} nodes, more than the {MAX_NODES} "
+            f"{what} has {count:g} nodes, more than the {MAX_NODES} "
             "(MAX_NODES) a dense operator is built for"
         )
 

@@ -6,7 +6,8 @@ equals the minimum of the form h u^T A u over l2_norm(u)^2 = h u^T u for
 nonzero fields u: the h in the form and in the norm cancel, so the survival
 threshold compares directly with the resource rate sigma.  It is found by
 ARPACK's Lanczos iteration (scipy eigsh) on A^-1, applied through one
-Cholesky factorization of A.
+Cholesky factorization of A, or of A folded onto its even half when the
+habitat mirrors onto itself.
 """
 
 from __future__ import annotations
@@ -78,6 +79,41 @@ def _inverse_lanczos(a: np.ndarray) -> tuple[np.ndarray, int]:
     return solve(ritz[:, 0]), solves
 
 
+def _mirrors(a: np.ndarray) -> bool:
+    """Whether a is persymmetric, a = J a J with J the reversal, within
+    64 eps max|diag a|; compared a block of rows at a time, so that no n x n
+    temporary is made, and stopped at the first block that differs."""
+    n = a.shape[0]
+    tol = 64.0 * np.finfo(float).eps * float(np.max(np.abs(np.diag(a))))
+    flipped = a[::-1, ::-1]
+    for r0 in range(0, (n + 1) // 2, 32):
+        rows = slice(r0, r0 + 32)
+        if not np.max(np.abs(a[rows] - flipped[rows])) <= tol:
+            return False
+    return True
+
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """W^-1/2 P^T a P W^-1/2 on the even half: c_ij = a_ij + a_{i,n-1-j}
+    for the first m = ceil(n/2) nodes, the middle row and column of an odd
+    n scaled by 1/sqrt 2."""
+    n = a.shape[0]
+    m = (n + 1) // 2
+    c = a[:m, :m] + a[:m, ::-1][:, :m]
+    if n % 2:
+        c[-1] *= np.sqrt(0.5)
+        c[:, -1] *= np.sqrt(0.5)
+    return c
+
+
+def _unfold(y: np.ndarray, n: int) -> np.ndarray:
+    """The even vector (y, reversed y) on n nodes, up to a factor: the
+    middle entry of an odd n is y's last times sqrt 2, and counted once."""
+    if n % 2:
+        y[-1] *= np.sqrt(2.0)
+    return np.concatenate((y, y[::-1][n % 2:]))
+
+
 def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
     """Smallest eigenpair by shift-invert Lanczos on one Cholesky factor.
 
@@ -88,16 +124,35 @@ def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
     more solve with the factor polishes the Ritz vector; iterations counts
     every solve.
 
-    The residual ||A e - lambda e|| must be within tol max(1, |lambda|),
-    else ConvergenceError is raised.  A y is computed to about
-    eps ||A||_inf, which bounds how small the residual can get; the error
-    names that floor when the residual is within 4 eps ||A||_inf of zero.
+    A habitat that mirrors onto itself gives a persymmetric A = J A J (J
+    the reversal), and then the pair is computed on the even half: the
+    Lanczos iteration and its factor run on the m x m matrix
+    C = W^-1/2 P^T A P W^-1/2, m = ceil(n/2), where P y = (y, reversed y)
+    and W = P^T P, and the vector is unfolded to P W^-1/2 y; iterations
+    then counts solves with C's factor.  This loses nothing: A is a
+    symmetric Z-matrix, so by Perron-Frobenius the lowest eigenvector of
+    each irreducible block is positive and simple, hence even when J maps
+    the block onto itself, and e + J e is even when J swaps two blocks, so
+    the smallest eigenvalue is always reached on the even vectors.  An A
+    that is not persymmetric (a transmission form, a union whose nodes do
+    not mirror) is factored whole.
+
+    The residual ||A e - lambda e|| is computed with the full A and must be
+    within tol max(1, |lambda|), else ConvergenceError is raised.  A y is
+    computed to about eps ||A||_inf, which bounds how small the residual
+    can get; the error names that floor when the residual is within
+    4 eps ||A||_inf of zero.
     """
     a = op.a
-    if a.shape[0] == 1:  # eigsh needs more nodes than eigenpairs
+    n = a.shape[0]
+    mirrored = _mirrors(a)
+    c = _fold(a) if mirrored else a
+    if c.shape[0] == 1:  # eigsh needs more nodes than eigenpairs
         x, solves = np.ones(1), 0
     else:
-        x, solves = _inverse_lanczos(a)
+        x, solves = _inverse_lanczos(c)
+    if mirrored:
+        x = _unfold(x, n)
     x /= np.linalg.norm(x)
     ax = a @ x
     lam = float(x @ ax)

@@ -78,6 +78,18 @@ def test_invalid_json_rejected(tmp_path, capsys):
         assert "invalid JSON" in err and "Traceback" not in err
 
 
+def test_huge_node_count_gets_a_short_message(tmp_path, capsys):
+    # r = 1e300 asks for about 3e301 nodes: the message writes that count
+    # in exponent form, not as 300 digits
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "eigen", "h": 2.0**-5,
+                                    "s_values": [0.5], "radii": [1e300]}))
+    assert main(["eigen", "--config", str(cfg_path)]) == 64
+    err = capsys.readouterr().err
+    assert "3.2e+301 nodes" in err and "MAX_NODES" in err
+    assert len(err) < 160 and "Traceback" not in err
+
+
 def test_coefficient_object_validation():
     with pytest.raises(ConfigError, match="unknown coefficient kind"):
         parse_config(json.dumps({"experiment": "solve",

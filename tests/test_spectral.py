@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import nlogis.cli as cli
@@ -15,13 +15,16 @@ from nlogis import (
     assemble_dirichlet,
     assemble_periodic,
     build_grid,
+    assemble_transmission,
     build_periodic_grid,
     eigen_scaling,
     first_eigenpair,
     l2_norm,
     sample_function,
+    transmission_spec,
     union_eigen_study,
 )
+from nlogis.operators import NonlocalMatrix
 
 
 def test_classical_eigenvalue_approaches_pi_squared():
@@ -254,3 +257,112 @@ def test_one_node_grid_eigenpair_is_its_entry():
     assert pair.lambda_ == op.a[0, 0]
     assert pair.residual == 0.0
     assert l2_norm(pair.vector) == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.fixture
+def factored_sizes(monkeypatch):
+    """The order of every matrix first_eigenpair hands to cho_factor."""
+    sizes = []
+    original = spectral.cho_factor
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(spectral, "cho_factor", recorded)
+    return sizes
+
+
+def _dense_pair(op):
+    """The smallest eigenpair by a dense eigendecomposition, the vector
+    unit-length with a positive sum."""
+    [lam], v = eigh(op.a, subset_by_index=[0, 0])
+    v = v[:, 0]
+    return lam, v * np.sign(v.sum())
+
+
+def _unit(pair):
+    x = pair.vector.values
+    return x / np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("intervals,h,n", [
+    ([(0.0, 1.0)], 2.0**-5, 31),                  # one interval, odd n
+    ([(0.0, 1.0), (1.5, 2.5)], 2.0**-5, 62),      # mirrored pair, even n
+    ([(0.0, 0.5)], 0.25, 1),
+    ([(0.0, 0.75)], 0.25, 2),
+    ([(0.0, 1.0)], 0.25, 3),
+])
+def test_mirrored_eigenpair_is_computed_on_the_even_half(intervals, h, n,
+                                                         factored_sizes):
+    op = assemble_dirichlet(build_grid(intervals, h), 0.5)
+    assert op.a.shape[0] == n
+    pair = first_eigenpair(op)
+    lam, v = _dense_pair(op)
+    assert abs(pair.lambda_ - lam) <= 1e-12 * lam
+    assert np.max(np.abs(_unit(pair) - v)) <= 1e-12 * np.max(np.abs(v))
+    # eigsh needs two nodes, so a fold to one node is never factored
+    assert factored_sizes == ([(n + 1) // 2] if n > 2 else [])
+
+
+def test_reducible_mirrored_pair_gets_an_even_positive_vector(
+        factored_sizes):
+    # at s = 1 the two intervals do not interact: lambda is double, and
+    # eigh may return any vector of its eigenspace
+    op = assemble_classical(build_grid([(0.0, 1.0), (2.0, 3.0)], 2.0**-5))
+    pair = first_eigenpair(op)
+    lam = eigh(op.a, subset_by_index=[0, 1], eigvals_only=True)
+    assert lam[1] - lam[0] <= 1e-12 * lam[0]
+    assert abs(pair.lambda_ - lam[0]) <= 1e-12 * lam[0]
+    x = pair.vector.values
+    assert x.min() > 0.0
+    np.testing.assert_array_equal(x, x[::-1])
+    assert factored_sizes == [31]
+
+
+def test_folded_periodic_eigenpair_survives_a_jittered_retry(monkeypatch):
+    # the semidefinite periodic matrix may or may not factor without
+    # jitter; failing the first attempt makes the retry certain, and it
+    # must refactor the intact folded matrix
+    sizes = []
+    original = spectral.cho_factor
+
+    def fail_first(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        if len(sizes) == 1:
+            raise LinAlgError("not positive definite")
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(spectral, "cho_factor", fail_first)
+    op = assemble_periodic(build_periodic_grid(48), 0.5)
+    pair = first_eigenpair(op)
+    lam, v = _dense_pair(op)
+    assert abs(pair.lambda_ - lam) <= 1e-12 * np.max(np.abs(op.a))
+    assert np.max(np.abs(_unit(pair) - v)) <= 1e-12 * np.max(np.abs(v))
+    assert sizes == [24, 24]
+
+
+def _perturbed_dirichlet():
+    """The Dirichlet matrix on (0, 1) with one entry and its transpose
+    moved by 1e-10 max|A|, so that it no longer mirrors."""
+    op = assemble_dirichlet(build_grid([(0.0, 1.0)], 2.0**-5), 0.5)
+    a = op.a.copy()
+    a[0, 1] += 1e-10 * np.max(np.abs(a))
+    a[1, 0] = a[0, 1]
+    return NonlocalMatrix(grid=op.grid, a=a)
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: assemble_transmission(transmission_spec(
+        (0.0, 1.0), (1.5, 2.5), 2.0**-5, s=0.5, s1=0.4, s2=0.6, nu1=1.0,
+        nu2=1.0, sigma=1.0, mu=1.0)),
+    lambda: assemble_dirichlet(build_grid([(0.0, 1.0), (1.5, 2.25)],
+                                          2.0**-4), 0.5),
+    _perturbed_dirichlet,
+], ids=["transmission", "asymmetric-union", "perturbed-entry"])
+def test_operators_that_do_not_mirror_are_factored_whole(make_op,
+                                                         factored_sizes):
+    op = make_op()
+    pair = first_eigenpair(op)
+    lam, v = _dense_pair(op)
+    assert abs(pair.lambda_ - lam) <= 1e-12 * lam
+    assert np.max(np.abs(_unit(pair) - v)) <= 1e-12 * np.max(np.abs(v))
+    assert factored_sizes == [op.a.shape[0]]

@@ -3,15 +3,18 @@
     python3 tools/bench_layers.py --before PARENT --out BENCH.json
 
 PARENT is a checkout (with src/ and perfbench/) compared against the one
-this script lives in.  Each of ROUNDS rounds runs one child process per
-checkout, alternating which goes first; a child imports nlogis from its
-checkout's src/, pins BLAS to one thread, and times every case REPEATS
-times after one untimed call.  The report gives each case's node count,
-per side the median and quartiles of all samples, and the calls one call
-makes (counted on a further call, by the name the module calls them by):
-of the dense factorizations, spectral's cho_factor, logistic's dpotrf and
-its symmetric-indefinite solve, a dpotrf that finds the matrix not
-positive definite counted apart as "logistic.dpotrf failed"; and of
+this script lives in.  One child process per checkout imports nlogis from
+its checkout's src/ and pins BLAS to one thread; the two stay alive for
+the whole run and take turns, case by case, so that a drift in the
+machine's speed over minutes falls on both sides alike.  For each case the
+children run ROUNDS rounds, alternating which goes first; in each round a
+child times REPEATS calls, after one untimed call on its first round.  The
+report gives each case's node count, per side the median and quartiles of
+all samples, and the calls one call makes (counted on a further call, by
+the name the module calls them by): of the dense factorizations,
+spectral's cho_factor with the order of the matrix it factors, logistic's
+dpotrf and its symmetric-indefinite solve, a dpotrf that finds the matrix
+not positive definite counted apart as "logistic.dpotrf failed"; and of
 solve_dirichlet from inside logistic, by the classification it returns.
 
 Cases: the fractional Dirichlet and classical operators and the
@@ -22,11 +25,16 @@ the periodic operator and the periodic convolution matrix
 (uniform kernel, rho = 1/4) at n = 256 ... 4096; the first eigenpair of the
 Dirichlet operator and two Dirichlet solves, mu = 1, on the unit interval
 at n = 255 ... 2047: sigma = 1.2 times the first eigenvalue, so the solve
-has a nontrivial state, and sigma = 0.8 times it, an extinct one; the same
-two transmission solves, mu = 1, at the transmission form's sizes, sigma a
-multiple of lambda_star; the critical radius of the unit interval at each
-spacing in CRITICAL_RADIUS_H, under the node count of its undilated grid.
-All at s = S.
+has a nontrivial state, and sigma = 0.8 times it, an extinct one; the
+first eigenpair of the Dirichlet operator on the mirrored pair (0, 1) and
+(1.5, 2.5), at the transmission form's even sizes, and on (0, 1) and
+(1.5, 2.25), which does not mirror, at the nearest size its intervals
+allow; the first eigenpair of the transmission form (lambda_star without
+its assembly) and the same two transmission solves, mu = 1, at the
+transmission form's sizes, sigma a multiple of lambda_star; the critical
+radius of the unit interval at each spacing in CRITICAL_RADIUS_H, under
+the node count of its undilated grid.  All at s = S.  The cases are built
+one at a time, so that a child holds only the current case's matrices.
 
 Then each checkout's perfbench/run.py --trace 1 --seed TRACE_SEED runs
 every workload once, and the report lists the counts (calls, iterations,
@@ -48,11 +56,12 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+from functools import partial  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 AFTER = Path(__file__).resolve().parent.parent
-ROUNDS = 3
-REPEATS = 5
+ROUNDS = 5
+REPEATS = 3
 TRACE_SEED = 7
 S = 0.3
 SIZES = (255, 511, 1023, 2047)
@@ -77,43 +86,78 @@ COUNTED = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
 
 
 def _cases(nl):
-    """(name, n, zero-argument call) for every case."""
+    """(name, n, make) for every case; make() does the case's setup and
+    returns the zero-argument call that is timed."""
     out = []
     for n in SIZES:
         grid = nl.build_grid([(0.0, 1.0)], 1.0 / (n + 1))
-        out.append(("dirichlet", n,
-                    lambda g=grid: nl.assemble_dirichlet(g, S)))
-        out.append(("classical", n, lambda g=grid: nl.assemble_classical(g)))
         kernel = nl.build_kernel("uniform", 0.25, grid.h)
-        out.append(("grid-convolution", n,
-                    lambda k=kernel, g=grid: nl.convolution_matrix(k, g)))
         ts = _transmission_spec(nl, n, 1.0)
-        out.append(("transmission", ts.grid.n,
-                    lambda t=ts: nl.assemble_transmission(t)))
+        out += [("dirichlet", n, _ready(nl.assemble_dirichlet, grid, S)),
+                ("classical", n, _ready(nl.assemble_classical, grid)),
+                ("grid-convolution", n,
+                 _ready(nl.convolution_matrix, kernel, grid)),
+                ("transmission", ts.grid.n,
+                 _ready(nl.assemble_transmission, ts))]
     for n in PERIODIC_SIZES:
         pg = nl.build_periodic_grid(n)
         kernel = nl.build_kernel("uniform", 0.25, pg.h)
-        out.append(("periodic", n, lambda p=pg: nl.assemble_periodic(p, S)))
-        out.append(("convolution", n,
-                    lambda k=kernel, p=pg: nl.convolution_matrix(k, p)))
+        out += [("periodic", n, _ready(nl.assemble_periodic, pg, S)),
+                ("convolution", n, _ready(nl.convolution_matrix, kernel, pg))]
     for n in SIZES:
         grid = nl.build_grid([(0.0, 1.0)], 1.0 / (n + 1))
-        op = nl.assemble_dirichlet(grid, S)
-        lam = nl.first_eigenpair(op).lambda_
-        out.append(("eigenpair", n, lambda o=op: nl.first_eigenpair(o)))
+        out.append(("eigenpair", n, _eigenpair(nl, nl.assemble_dirichlet,
+                                               grid, S)))
         for name, factor in DIRICHLET_SOLVES:
-            spec = nl.problem_spec(grid, S, factor * lam, 1.0)
-            out.append((name, n, lambda p=spec: nl.solve_dirichlet(p)))
+            out.append((name, n, _dirichlet_solve(nl, grid, factor)))
     for n in SIZES:
-        lam = nl.lambda_star(_transmission_spec(nl, n, 1.0)).lambda_
+        pair = nl.build_grid([(0.0, 1.0), (1.5, 2.5)], 2.0 / (n + 1))
+        k = (n + 2) // 7  # (0, 1) and (1.5, 2.25) at h = 1/(4k)
+        lopsided = nl.build_grid([(0.0, 1.0), (1.5, 2.25)], 1.0 / (4 * k))
+        out += [("eigenpair-pair", pair.n,
+                 _eigenpair(nl, nl.assemble_dirichlet, pair, S)),
+                ("eigenpair-asymmetric", lopsided.n,
+                 _eigenpair(nl, nl.assemble_dirichlet, lopsided, S))]
+    for n in SIZES:
+        ts = _transmission_spec(nl, n, 1.0)
+        out.append(("transmission-eigenpair", ts.grid.n,
+                    _eigenpair(nl, nl.assemble_transmission, ts)))
         for name, factor in TRANSMISSION_SOLVES:
-            ts = _transmission_spec(nl, n, factor * lam)
-            out.append((name, ts.grid.n,
-                        lambda t=ts: nl.minimize_transmission(t)))
+            out.append((name, ts.grid.n, _transmission_solve(nl, n, factor)))
     for h in CRITICAL_RADIUS_H:
         out.append(("critical-radius", round(1.0 / h) - 1,
-                    lambda h=h: nl.critical_radius((0.0, 1.0), S, h)))
+                    _ready(nl.critical_radius, (0.0, 1.0), S, h)))
     return out
+
+
+def _ready(fn, *args):
+    """make() for a case with no setup: fn(*args)."""
+    return lambda: partial(fn, *args)
+
+
+def _eigenpair(nl, assemble, *args):
+    """make() for the first eigenpair of assemble(*args)."""
+    def make():
+        return partial(nl.first_eigenpair, assemble(*args))
+    return make
+
+
+def _dirichlet_solve(nl, grid, factor):
+    """make() for a Dirichlet solve, sigma = factor times lambda_1."""
+    def make():
+        lam = nl.first_eigenpair(nl.assemble_dirichlet(grid, S)).lambda_
+        return partial(nl.solve_dirichlet,
+                       nl.problem_spec(grid, S, factor * lam, 1.0))
+    return make
+
+
+def _transmission_solve(nl, n, factor):
+    """make() for a transmission solve, sigma = factor times lambda_star."""
+    def make():
+        lam = nl.lambda_star(_transmission_spec(nl, n, 1.0)).lambda_
+        return partial(nl.minimize_transmission,
+                       _transmission_spec(nl, n, factor * lam))
+    return make
 
 
 def _transmission_spec(nl, n, sigma):
@@ -136,7 +180,9 @@ def _calls(nl, fn) -> dict:
 
         def counted(*args, _key=key, _fn=original, **kwargs):
             result = _fn(*args, **kwargs)
-            if _key == "logistic.dpotrf" and result[1] != 0:
+            if _key == "spectral.cho_factor":
+                _key += f" order={args[0].shape[0]}"
+            elif _key == "logistic.dpotrf" and result[1] != 0:
                 _key += " failed"
             elif _key == "logistic.solve_dirichlet":
                 _key += " " + result.classification
@@ -153,28 +199,57 @@ def _calls(nl, fn) -> dict:
 
 
 def _time_child(src: Path) -> None:
+    """Serve "time I" (REPEATS timings of case I) and "calls I" (its
+    counted calls) from stdin, one JSON line each; the first line out is
+    the list of case names."""
     sys.path.insert(0, str(src))
     import nlogis as nl
 
-    samples, counts = {}, {}
-    for name, n, fn in _cases(nl):
-        fn()
-        case = f"{name}/n={n}"
-        samples[case] = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
+    cases = _cases(nl)
+    print(json.dumps([f"{name}/n={n}" for name, n, _ in cases]), flush=True)
+    current, fn = None, None
+    for line in sys.stdin:
+        command, index = line.split()
+        if int(index) != current:
+            current, fn = int(index), None  # free the last case first
+            fn = cases[current][2]()
             fn()
-            samples[case].append(time.perf_counter() - t0)
-        counts[case] = _calls(nl, fn)
-    print(json.dumps({"samples": samples, "calls": counts}))
+        if command == "time":
+            samples = []
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                fn()
+                samples.append(time.perf_counter() - t0)
+            print(json.dumps(samples), flush=True)
+        else:
+            print(json.dumps(_calls(nl, fn)), flush=True)
 
 
-def _child_samples(checkout: Path) -> dict:
-    proc = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--time-src",
-         str(checkout / "src")],
-        capture_output=True, text=True, check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
+class _Child:
+    """A timing child for one checkout, asked one line at a time."""
+
+    def __init__(self, checkout: Path):
+        self.proc = subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--time-src",
+             str(checkout / "src")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        self.cases = self._answer()
+
+    def ask(self, command: str):
+        self.proc.stdin.write(command + "\n")
+        self.proc.stdin.flush()
+        return self._answer()
+
+    def _answer(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"timing child {self.proc.args} exited "
+                               f"with status {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self) -> None:
+        self.proc.stdin.close()
+        self.proc.wait()
 
 
 def _summary(samples: list[float]) -> dict:
@@ -225,22 +300,27 @@ def main(argv=None) -> int:
     if args.before is None or args.out is None:
         p.error("--before and --out are required")
     sides = {"before": args.before.resolve(), "after": AFTER}
-    pooled: dict[str, dict[str, list[float]]] = {side: {} for side in sides}
-    calls: dict[str, dict] = {}
-    for r in range(ROUNDS):
-        order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            child = _child_samples(sides[side])
-            for case, samples in child["samples"].items():
-                pooled[side].setdefault(case, []).extend(samples)
-            calls[side] = child["calls"]
+    children = {side: _Child(path) for side, path in sides.items()}
     layers = {}
-    for case in pooled["before"]:
-        before = _summary(pooled["before"][case])
-        after = _summary(pooled["after"][case])
-        layers[case] = {"before": before, "after": after,
-                        "ratio": after["median_s"] / before["median_s"],
-                        "calls": {side: calls[side][case] for side in sides}}
+    try:
+        if children["before"].cases != children["after"].cases:
+            raise RuntimeError("the two checkouts build different cases")
+        for index, case in enumerate(children["after"].cases):
+            pooled = {side: [] for side in sides}
+            for r in range(ROUNDS):
+                order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+                for side in order:
+                    pooled[side] += children[side].ask(f"time {index}")
+            before = _summary(pooled["before"])
+            after = _summary(pooled["after"])
+            layers[case] = {
+                "before": before, "after": after,
+                "ratio": after["median_s"] / before["median_s"],
+                "calls": {side: children[side].ask(f"calls {index}")
+                          for side in sides}}
+    finally:
+        for child in children.values():
+            child.close()
     import numpy
     import scipy
     report = {
@@ -256,13 +336,13 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for case, row in layers.items():
         counts = row["calls"]
-        print(f"{case:24s} {row['before']['median_s'] * 1e3:9.2f} ms -> "
+        print(f"{case:34s} {row['before']['median_s'] * 1e3:9.2f} ms -> "
               f"{row['after']['median_s'] * 1e3:9.2f} ms"
               + (f"  calls {counts['before']} -> {counts['after']}"
                  if counts["before"] or counts["after"] else ""))
     for workload, row in report["trace"].items():
         if isinstance(row, dict):
-            print(f"{workload:24s} counts that differ: "
+            print(f"{workload:34s} counts that differ: "
                   f"{row['count_differences'] or 'none'}")
     return 0
 
