@@ -19,7 +19,8 @@ _steady_state, and one report, SolveReport.  When the Hessian at zero is
 positive definite the energy is strictly convex (mu >= 0 makes the cubic
 term convex), zero is its only minimizer and the core returns the trivial
 state without descending; only when zero is unstable does it descend from
-two starts.
+two starts.  A problem that mirrors onto itself is certified and descended
+on its even half (_even_half), ceil(n/2) nodes.
 
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
@@ -54,7 +55,7 @@ from .grids import (
 )
 from .operators import (NonlocalMatrix, TransmissionSpec, assemble,
                         assemble_transmission, convolution_matrix)
-from .spectral import first_eigenpair, union_eigen_study
+from .spectral import _fold, _mirrors, first_eigenpair, union_eigen_study
 
 __all__ = [
     "SolveReport",
@@ -99,7 +100,10 @@ class _EnergyModel:
     """E(u) = 1/2 h u^T A_eff u + h sum(mu |u|^3/3 + lin u^2/2 - src u).
 
     probe, when set, is (e, A_eff e) for a field e along which the Hessian
-    is expected to have negative curvature: the first eigenvector.
+    is expected to have negative curvature: the first eigenvector.  root_w
+    is 1 except on a model folded onto its even half (_even_half), where it
+    holds the square roots of the node weights, and sup_norm reads the full
+    field's sup norm through it.
     """
 
     def __init__(self, a_eff: np.ndarray, h: float, mu: np.ndarray,
@@ -111,6 +115,7 @@ class _EnergyModel:
         self.src = src
         self.abs_diag = np.abs(np.diagonal(a_eff))
         self.probe = None
+        self.root_w = 1.0
 
     def set_probe(self, e: np.ndarray) -> np.ndarray:
         """Carry (e, A_eff e) as the probe; returns A_eff e."""
@@ -123,14 +128,29 @@ class _EnergyModel:
         """True when e^T H(u) e < 0, which proves H(u) not positive definite.
 
         The O(n) quadratic form must be negative by more than its rounding
-        error (n ulps of the sum of its terms' magnitudes), so a Cholesky
-        factorization this skips could not have succeeded.
+        error (as many ulps of the sum of its terms' magnitudes as the model
+        has nodes), so a Cholesky factorization this skips could not have
+        succeeded.
         """
         bulk = 2.0 * self.mu * np.abs(u) + self.lin
         e2 = e * e
         curvature = float(e @ ae) + float(bulk @ e2)
         magnitude = float(self.abs_diag @ e2) + float(np.abs(bulk) @ e2)
         return curvature < -e.size * np.finfo(float).eps * magnitude
+
+    def sup_norm(self, v: np.ndarray) -> float:
+        """Sup norm of the full field whose coordinates are v, a field of
+        this model or its gradient: on a fold, v / root_w is its first half."""
+        return float(np.max(np.abs(v / self.root_w)))
+
+    def fold(self, u: np.ndarray) -> np.ndarray:
+        """The coordinates root_w u[:m] of a full field u that is even."""
+        return self.root_w * u[:self.lin.size]
+
+    def unfold(self, y: np.ndarray, n: int) -> np.ndarray:
+        """The even field P W^-1/2 y on n nodes of a folded model's y."""
+        v = y / self.root_w
+        return np.concatenate((v, v[::-1][n % 2:]))
 
     def resolution(self, u: np.ndarray, e: float) -> float:
         """Smallest energy change the computed energy e = E(u) resolves.
@@ -196,7 +216,7 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
     converged = False
     for it in range(1, max_iter + 1):
         g = model.gradient(u)
-        if np.max(np.abs(g)) <= tol:
+        if model.sup_norm(g) <= tol:
             converged = True
             break
         accepted = False
@@ -226,7 +246,7 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
                     trial = u + d
                     g_trial = model.gradient(trial)
                     e_trial = model.energy(trial)
-                    if (np.max(np.abs(g_trial)) <= 0.5 * np.max(np.abs(g))
+                    if (model.sup_norm(g_trial) <= 0.5 * model.sup_norm(g)
                             and e_trial <= e + resolution):
                         u, e, accepted = trial, min(e_trial, e), True
             if accepted:
@@ -258,7 +278,7 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
                 t *= 0.5
             if not accepted:
                 # line search exhausted: numerically stationary
-                converged = np.max(np.abs(model.gradient(u))) <= tol
+                converged = model.sup_norm(model.gradient(u)) <= tol
                 break
         history.append(e)
     return u, history, it, converged
@@ -269,11 +289,12 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
 
     With src = 0 and mu >= 0 the energy is then strictly convex and zero is
     its only minimizer.  Negative curvature at zero along the constant
-    field, or else along the model's probe when one is set, settles the
-    question without factoring; else one Cholesky factorization does.
+    field (on a folded model its image root_w), or else along the model's
+    probe when one is set, settles the question without factoring; else one
+    Cholesky factorization does.
     """
     zeros = np.zeros(model.lin.size)
-    ones = np.ones(model.lin.size)
+    ones = np.ones(model.lin.size) * model.root_w
     if model.indefinite_along(zeros, ones, model.a_eff @ ones):
         return False
     if model.probe is not None and model.indefinite_along(zeros, *model.probe):
@@ -300,7 +321,7 @@ def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
                                                  e_abs)
             history.extend(hist2[1:])
             it1 += it2
-    residual = float(np.max(np.abs(model.gradient(u))))
+    residual = model.sup_norm(model.gradient(u))
     return u, history, it1, residual, residual <= tol
 
 
@@ -329,6 +350,35 @@ def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
     return op, model
 
 
+def _even_half(model: _EnergyModel) -> _EnergyModel:
+    """The model on its even half when it mirrors, else the model itself.
+
+    A model of a problem (src = 0) mirrors when mu and lin equal their
+    reverses exactly and A_eff is persymmetric (spectral._mirrors).  An
+    even field is u = P W^-1/2 y, where P y = (y, reversed y) on the first
+    m = ceil(n/2) nodes and W = P^T P = diag(2, ..., 2[, 1]); then E(u) is
+    the energy at y of the model with A_eff folded to
+    W^-1/2 P^T A_eff P W^-1/2 (spectral._fold), mu / sqrt w and the same
+    lin, whose gradient is W^1/2 times the full one's first m entries and
+    whose Hessian is the full Hessian folded.  The probe is folded along.
+    """
+    if not (np.array_equal(model.mu, model.mu[::-1])
+            and np.array_equal(model.lin, model.lin[::-1])
+            and _mirrors(model.a_eff)):
+        return model
+    n = model.lin.size
+    m = (n + 1) // 2
+    root_w = np.full(m, np.sqrt(2.0))
+    if n % 2:
+        root_w[-1] = 1.0
+    half = _EnergyModel(_fold(model.a_eff), model.h, model.mu[:m] / root_w,
+                        model.lin[:m])
+    half.root_w = root_w
+    if model.probe is not None:
+        half.set_probe(half.fold(model.probe[0]))
+    return half
+
+
 def _residual_scale(spec: ProblemSpec) -> float:
     """Natural size of the nodal equation, (sigma - mu u) u ~ (max sigma + tau)^2."""
     return max(1.0, (spec.sigma.max() + spec.tau) ** 2)
@@ -349,7 +399,8 @@ def _report(spec: ProblemSpec, model: _EnergyModel | None, u: np.ndarray,
             history = history + [0.0]
         u, e, residual, classification = np.zeros_like(u), 0.0, 0.0, "trivial"
     else:
-        assert np.all(u >= 0.0), f"final iterate has min {np.min(u):.3e} < 0"
+        if not np.all(u >= 0.0):
+            raise ConvergenceError(f"final iterate has min {np.min(u):.3e} < 0")
         e, classification = model.energy(u), "nontrivial"
     positive = u > spec.triviality_tol
     return SolveReport(
@@ -374,24 +425,37 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     """Report of the steady state: zero when certified, else the lowest
     converged energy, to the residual solver_tol * _residual_scale(spec).
 
-    first_start() is called only when zero is not certified; the descent
-    runs from it (budget max_iter) and from a microscopic constant
-    perturbation of zero (budget min(max_iter, 300)).  An unconverged start
-    is tolerated only while its stalled energy stays above the best
-    converged one, otherwise the minimum is uncertain and a
-    ConvergenceError is raised.  Ties break toward the smaller iterate (the
-    trivial state).
+    The certificate and the descents run on _even_half(model): on the even
+    half of a model that mirrors, else on the model itself.  first_start is
+    called with that model, only when zero is not certified, and returns a
+    start in its coordinates (it may set the probe); the descent runs from
+    it (budget max_iter) and from a microscopic constant perturbation of
+    zero (budget min(max_iter, 300)).  An unconverged start is tolerated
+    only while its stalled energy stays above the best converged one,
+    otherwise the minimum is uncertain and a ConvergenceError is raised.
+    Ties break toward the smaller iterate (the trivial state).  A folded
+    winner is unfolded and its energy and residual are those of the full
+    model; should that residual exceed the tolerance, the descent goes on
+    from it on the full model.
+
+    The fold is exact.  Every Hessian A_eff + diag(2 mu |u| + lin) is a
+    symmetric Z-matrix that commutes with the reversal J when the model
+    mirrors, so its smallest eigenvalue is reached on even vectors (see
+    spectral.first_eigenpair): the folded Cholesky succeeds exactly when
+    the full one does.  A descent from an even start stays even, and for
+    mu > 0 the positive steady state is unique (Brezis-Oswald), hence even.
     """
-    if _zero_is_minimizer(model):
+    half = _even_half(model)
+    if _zero_is_minimizer(half):
         return _extinct(spec)
     tol = spec.solver_tol * _residual_scale(spec)
-    starts = [(first_start(), max_iter),
-              (np.full(spec.grid.n, 0.1 * spec.triviality_tol), min(max_iter, 300))]
+    tiny = half.fold(np.full(spec.grid.n, 0.1 * spec.triviality_tol))
+    starts = [(first_start(half), max_iter), (tiny, min(max_iter, 300))]
     outcomes = []
     for u0, budget in starts:
-        u, history, iters, residual, ok = _minimize_model(model, u0, tol, budget)
+        u, history, iters, residual, ok = _minimize_model(half, u0, tol, budget)
         outcomes.append(
-            (model.energy(u), float(np.max(np.abs(u))), ok, u, history, iters, residual)
+            (half.energy(u), half.sup_norm(u), ok, u, history, iters, residual)
         )
     converged = [o for o in outcomes if o[2]]
     if not converged:
@@ -406,7 +470,22 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
                 f"an unconverged start (residual {o[6]:.3e}) undercut the "
                 "certified minimum"
             )
-    return _report(spec, model, *best[3:])
+    u, history, iters, residual = best[3:]
+    if half is not model:
+        u = half.unfold(u, spec.grid.n)
+        residual = model.sup_norm(model.gradient(u))
+        if residual > tol:
+            # near its roundoff floor the full residual can read above the
+            # folded one: descend on the full model, below the folded energy
+            u, more, extra, ok = _descend_loop(model, u, tol, min(max_iter, 300),
+                                               history[-1])
+            residual = model.sup_norm(model.gradient(u))
+            if not ok:
+                raise ConvergenceError(
+                    f"the unfolded state's residual {residual:.3e} exceeds "
+                    f"the tolerance {tol:.3e}")
+            history, iters = history + more[1:], iters + extra
+    return _report(spec, model, u, history, iters, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +528,19 @@ def minimize(spec: ProblemSpec, init: Field, max_iter: int = 800) -> SolveReport
 
 def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix,
                  model: _EnergyModel) -> np.ndarray:
-    """A start along the first eigenvector e of op, set as the model's
-    probe, at the amplitude from the small-amplitude expansion of the energy.
+    """A start along the first eigenvector e of op, in the model's
+    coordinates (model.fold) and set as its probe, at the amplitude from the
+    small-amplitude expansion of the energy.
 
     E(eps e) = eps^2/2 [form - int sigma e^2] + eps^3/3 int mu e^3, where
     form = h e^T A_eff e is the quadratic part at e (tau's convolution
     included) and sigma is read back from the model as -lin; descend to its
     minimizer when the quadratic coefficient is negative, otherwise start
-    at amplitude 1e-8 max(1, max sigma + tau).
+    at amplitude 1e-8 max(1, max sigma + tau).  Each sum reads the same
+    in a folded model's coordinates.
     """
-    e = first_eigenpair(op, tol=min(1e-10, spec.solver_tol * 100)).vector.values
+    e = model.fold(first_eigenpair(op, tol=min(1e-10, spec.solver_tol * 100))
+                   .vector.values)
     h = model.h
     form = h * float(e @ model.set_probe(e))
     c1 = 0.5 * (h * np.sum(-model.lin * e**2) - form)
@@ -475,14 +557,19 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     The certificate probes the boundary profile before it factors.  The
     first start rides the first eigenvector, computed only when zero is not
     certified, with the amplitude suggested by the small-amplitude
-    expansion (see _steady_state); the eigenvector then replaces the
-    profile as the probe of the Newton steps.
+    expansion (see _eigen_start); the eigenvector then replaces the
+    profile as the probe of the Newton steps.  A problem whose habitat,
+    sigma and mu mirror onto themselves (one interval, a congruent pair
+    placed symmetrically; constant or even resources) is certified and
+    descended on its even half, m = ceil(n/2) nodes (see _steady_state); a
+    dip off the centre, an asymmetric union or a transmission problem is
+    solved on all n nodes.
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
     op, model = _problem(spec)
-    return _steady_state(spec, model, lambda: _eigen_start(spec, op, model),
-                         max_iter)
+    return _steady_state(spec, model,
+                         lambda half: _eigen_start(spec, op, half), max_iter)
 
 
 def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
@@ -494,7 +581,9 @@ def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     curvature -sum sigma - tau n < 0 at zero, so the unstable zero costs it
     one matrix-vector product.  The first start is the constant suggested
     by the cell averages, which for constant coefficients is already the
-    exact solution (mean sigma + tau) / mean mu.
+    exact solution (mean sigma + tau) / mean mu.  The circulant operator
+    mirrors, so with constant (or reversal-even) sigma and mu the cell is
+    solved on its even half like a bounded habitat (see _steady_state).
     """
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
@@ -503,7 +592,8 @@ def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
         return _extinct(spec)
     h = spec.grid.h
     level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
-    return _steady_state(spec, model, lambda: np.full(spec.grid.n, level),
+    return _steady_state(spec, model,
+                         lambda half: half.fold(np.full(spec.grid.n, level)),
                          max_iter)
 
 
@@ -573,7 +663,8 @@ def critical_radius(
     cell whose zero state the certificate (the solve's own first step:
     probes, then at most one Cholesky at zero) does not prove extinct; a
     certified cell cannot survive, so full solves walk up from there to the
-    first nontrivial one.
+    first nontrivial one.  The certificate, like the solve, runs on the even
+    half of the mirrored habitat, and its verdict is the full Cholesky's.
     Wherever survival is monotone along the bracket this is the cell a
     bisection on full solves finds, and the upper end is assembled only
     when the walk reaches it.
@@ -592,7 +683,7 @@ def critical_radius(
         return solve_dirichlet(spec_at(m_cells)).classification == "nontrivial"
 
     def certified(m_cells: int) -> bool:
-        return _zero_is_minimizer(_problem(spec_at(m_cells))[1])
+        return _zero_is_minimizer(_even_half(_problem(spec_at(m_cells))[1]))
 
     lo = int(np.floor(0.55 * predicted * length / h))
     hi = int(np.ceil(1.6 * predicted * length / h))

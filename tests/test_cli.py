@@ -348,6 +348,28 @@ def test_main_nonconvergence_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_final_iterate_exits_2_without_traceback(tmp_path, capsys,
+                                                          monkeypatch):
+    # a descent whose final iterate is negative somewhere breaks the u >= 0
+    # postcondition; the report builder raises ConvergenceError for it
+    from nlogis import logistic
+    descend = logistic._minimize_model
+
+    def negated(*args):
+        u, *rest = descend(*args)
+        return (-u, *rest)
+    monkeypatch.setattr(logistic, "_minimize_model", negated)
+    cfg_path = tmp_path / "solve.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "solve", "h": 2.0**-4, "s": 0.5,
+        "sigma": {"kind": "eigenvalue-multiple", "factor": 1.5},
+    }))
+    assert main(["solve", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "final iterate has min" in err
+    assert "Traceback" not in err
+
+
 def test_main_io_failure_exit_code(tmp_path, capsys):
     cfg_path = tmp_path / "eigen.json"
     cfg_path.write_text(json.dumps(_eigen_config()))

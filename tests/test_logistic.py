@@ -30,10 +30,12 @@ from nlogis import (
 from nlogis import grids, logistic, transmission
 from nlogis.logistic import (
     _EnergyModel,
+    _even_half,
     _minimize_model,
     _newton_direction,
     _problem,
     _residual_scale,
+    _zero_is_minimizer,
 )
 from nlogis.operators import assemble, assemble_transmission
 
@@ -311,6 +313,16 @@ def test_report_flags_a_mixed_field():
             rep = logistic._report(spec, model, u, [0.0], 0, 0.0)
             assert rep.dichotomy_ok is ok
             assert rep.u.grid is spec.grid
+
+
+def test_report_rejects_a_negative_iterate():
+    spec = problem_spec(build_grid([(0.0, 1.0)], 2.0**-5), 0.5, 2.0, 1.0)
+    n = spec.grid.n
+    model = _EnergyModel(np.eye(n), spec.grid.h, spec.mu.values,
+                         -spec.sigma.values)
+    u = np.where(np.arange(n) == 3, -0.25, 1.0)
+    with pytest.raises(ConvergenceError, match="min -2.500e-01 < 0"):
+        logistic._report(spec, model, u, [0.0], 0, 0.0)
 
 
 def test_nonconvergence_raises():
@@ -683,3 +695,180 @@ def test_transmission_rayleigh_skip_on_each_side_of_lambda_star(
     assert calls_probed == (0 if expected == "nontrivial" else 1)
     assert np.array_equal(probed, tried)
     assert minimize_transmission(ts).classification == expected
+
+
+# ---------------------------------------------------------------------------
+# the steady state of a mirrored problem, solved on its even half
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def factored_orders(monkeypatch):
+    """The order of every matrix logistic hands to dpotrf or solve."""
+    orders = []
+    for name in ("dpotrf", "solve"):
+        original = getattr(logistic, name)
+
+        def recorded(a, *args, _original=original, **kwargs):
+            orders.append(a.shape[0])
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(logistic, name, recorded)
+    return orders
+
+
+def _full_path(spec):
+    """(classification, u, energy) of the steady state on all n nodes: the
+    model of _problem(spec), certified by _zero_is_minimizer and descended
+    by _minimize_model from the two starts of solve_dirichlet."""
+    op, model = _problem(spec)
+    n = spec.grid.n
+    if _zero_is_minimizer(model):
+        return "trivial", np.zeros(n), 0.0
+    tol = spec.solver_tol * _residual_scale(spec)
+    starts = ((logistic._eigen_start(spec, op, model), 800),
+              (np.full(n, 0.1 * spec.triviality_tol), 300))
+    outcomes = []
+    for u0, budget in starts:
+        u, _, _, _, ok = _minimize_model(model, u0, tol, budget)
+        assert ok
+        outcomes.append((model.energy(u), float(np.max(np.abs(u))), u))
+    e, sup, u = min(outcomes, key=lambda o: o[:2])
+    if sup <= spec.triviality_tol:
+        return "trivial", np.zeros(n), 0.0
+    return "nontrivial", u, e
+
+
+def _mirrored_spec(case, factor):
+    """A problem that mirrors, sigma = factor times the first eigenvalue of
+    its operator (of A - tau B for the reach case)."""
+    grids_at = {
+        "interval": ([(0.0, 1.0)], 2.0**-5, 0.5),         # n = 31
+        "pair": ([(0.0, 1.0), (1.5, 2.5)], 2.0**-5, 0.5),  # n = 62
+        "reach": ([(-1.0, 1.0)], 2.0**-5, 0.5),
+        "uncoupled": ([(0.0, 1.0), (2.0, 3.0)], 2.0**-5, 1.0),
+        "n=1": ([(0.0, 0.5)], 0.25, 0.5),
+        "n=2": ([(0.0, 0.75)], 0.25, 0.5),
+        "n=3": ([(0.0, 1.0)], 0.25, 0.5),
+    }
+    intervals, h, s = grids_at[case]
+    grid = build_grid(intervals, h)
+    if case == "reach":
+        kernel = build_kernel("uniform", 0.25, h)
+        spec = problem_spec(grid, s, 1.0, 1.0, tau=0.5, kernel=kernel)
+        a_eff = _problem(spec)[1].a_eff
+        lam = np.linalg.eigvalsh(a_eff)[0]
+        return problem_spec(grid, s, factor * lam, 1.0, tau=0.5, kernel=kernel)
+    lam = first_eigenpair(assemble(grid, s)).lambda_
+    return problem_spec(grid, s, factor * lam, 1.0)
+
+
+MIRRORED = ["interval", "pair", "reach", "uncoupled", "n=1", "n=2", "n=3"]
+
+
+@pytest.mark.parametrize("case", MIRRORED)
+def test_folded_model_is_the_full_model_on_even_fields(case):
+    spec = _mirrored_spec(case, 1.5)
+    model = _problem(spec)[1]
+    half = _even_half(model)
+    n = spec.grid.n
+    m = (n + 1) // 2
+    v = np.random.default_rng(5).uniform(-1.5, 1.5, m)
+    u = np.concatenate((v, v[::-1][n % 2:]))
+    y = half.fold(u)
+    np.testing.assert_allclose(half.unfold(y, n), u, rtol=1e-15)
+    assert half.sup_norm(y) == pytest.approx(np.max(np.abs(u)), rel=1e-15)
+    assert half.energy(y) == pytest.approx(model.energy(u), rel=1e-12)
+    g = model.gradient(u)
+    scale = np.max(np.abs(g))
+    np.testing.assert_allclose(half.gradient(y), half.fold(g), rtol=0.0,
+                               atol=1e-12 * scale)
+    assert half.sup_norm(half.gradient(y)) == pytest.approx(scale, rel=1e-12)
+    np.testing.assert_allclose(half.hessian(y),
+                               logistic._fold(model.hessian(u)), rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(model.a_eff)))
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.5, 4.0])
+@pytest.mark.parametrize("case", MIRRORED)
+def test_mirrored_solve_runs_on_the_even_half(case, factor, factored_orders):
+    spec = _mirrored_spec(case, factor)
+    n = spec.grid.n
+    expected, u_full, e_full = _full_path(spec)
+    factored_orders.clear()
+    rep = solve_dirichlet(spec)
+    assert factored_orders and set(factored_orders) == {(n + 1) // 2}
+    assert rep.classification == expected
+    u = rep.u.values
+    assert abs(rep.energy - e_full) <= 1e-10 * abs(e_full)
+    assert np.max(np.abs(u - u_full)) <= 1e-8 * np.max(np.abs(u_full))
+    # the unfolded state is even, and its residual is the full model's
+    np.testing.assert_array_equal(u, u[::-1])
+    assert rep.el_residual <= spec.solver_tol * _residual_scale(spec)
+    if expected == "nontrivial":
+        model = _problem(spec)[1]
+        assert rep.el_residual == np.max(np.abs(model.gradient(u)))
+        assert rep.energy == model.energy(u)
+
+
+def test_unfolded_state_off_tolerance_descends_on_the_full_model(
+        factored_orders, monkeypatch):
+    # a folded descent that stops a relative 1e-6 off the steady state
+    # leaves a full residual above the tolerance
+    spec = _mirrored_spec("interval", 1.5)
+    n = spec.grid.n
+    _, u_full, _ = _full_path(spec)
+    descend = logistic._minimize_model
+
+    def off(*args):
+        y, *rest = descend(*args)
+        return (y * (1.0 + 1e-6), *rest)
+    monkeypatch.setattr(logistic, "_minimize_model", off)
+    factored_orders.clear()
+    rep = solve_dirichlet(spec)
+    assert factored_orders[-1] == n
+    assert rep.el_residual <= spec.solver_tol * _residual_scale(spec)
+    u = rep.u.values
+    assert np.max(np.abs(u - u_full)) <= 1e-8 * np.max(np.abs(u_full))
+    assert np.all(np.diff(rep.history) <= 0.0)
+
+
+@pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
+@pytest.mark.parametrize("case", MIRRORED)
+def test_folded_certificate_is_the_full_cholesky(case, factor):
+    spec = _mirrored_spec(case, factor)
+    n = spec.grid.n
+    model = _problem(spec)[1]
+    half = _even_half(model)
+    assert half.a_eff.shape == ((n + 1) // 2,) * 2
+    _, info = dpotrf(model.hessian(np.zeros(n)).T, lower=True)
+    assert _zero_is_minimizer(half) == (info == 0) == (factor < 1.0)
+
+
+def _unmirrored_spec(case):
+    if case == "dip":
+        grid = build_grid([(0.0, 1.0)], 2.0**-5)
+        return problem_spec(grid, 0.5, sample_function(grid, _dipped), 1.0)
+    if case == "union":
+        grid = build_grid([(0.0, 1.0), (1.5, 2.25)], 2.0**-5)
+        return problem_spec(grid, 0.5, 8.0, 1.0)
+    return _tspec(8.0)
+
+
+@pytest.mark.parametrize("case", ["dip", "union", "transmission"])
+def test_unmirrored_solve_factors_at_full_order(case, factored_orders):
+    spec = _unmirrored_spec(case)
+    model = _problem(spec)[1]
+    assert _even_half(model) is model
+    rep = solve_dirichlet(spec)
+    assert rep.classification == "nontrivial"
+    assert factored_orders and set(factored_orders) == {spec.grid.n}
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_folded_critical_radius_equals_the_full_one(s, factored_orders,
+                                                    monkeypatch):
+    folded = critical_radius((0.0, 1.0), s, 2.0**-6)
+    half_orders = list(factored_orders)
+    factored_orders.clear()
+    monkeypatch.setattr(logistic, "_even_half", lambda model: model)
+    assert critical_radius((0.0, 1.0), s, 2.0**-6) == folded
+    assert max(half_orders) == (max(factored_orders) + 1) // 2

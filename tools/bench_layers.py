@@ -12,9 +12,9 @@ child times REPEATS calls, after one untimed call on its first round.  The
 report gives each case's node count, per side the median and quartiles of
 all samples, and the calls one call makes (counted on a further call, by
 the name the module calls them by): of the dense factorizations,
-spectral's cho_factor with the order of the matrix it factors, logistic's
-dpotrf and its symmetric-indefinite solve, a dpotrf that finds the matrix
-not positive definite counted apart as "logistic.dpotrf failed"; and of
+spectral's cho_factor, logistic's dpotrf and its symmetric-indefinite
+solve, each with the order of the matrix it factors, a dpotrf that finds
+the matrix not positive definite counted apart as "failed"; and of
 solve_dirichlet from inside logistic, by the classification it returns.
 
 Cases: the fractional Dirichlet and classical operators and the
@@ -25,7 +25,11 @@ the periodic operator and the periodic convolution matrix
 (uniform kernel, rho = 1/4) at n = 256 ... 4096; the first eigenpair of the
 Dirichlet operator and two Dirichlet solves, mu = 1, on the unit interval
 at n = 255 ... 2047: sigma = 1.2 times the first eigenvalue, so the solve
-has a nontrivial state, and sigma = 0.8 times it, an extinct one; the
+has a nontrivial state, and sigma = 0.8 times it, an extinct one; these
+habitats and resources mirror, so the solves run on the even half, and
+next to them a Dirichlet solve that does not mirror, on (-1, 1) at the
+same n with sigma the resource-sweep dip (level 30, centre 0.6, width
+0.2); the
 first eigenpair of the Dirichlet operator on the mirrored pair (0, 1) and
 (1.5, 2.5), at the transmission form's even sizes, and on (0, 1) and
 (1.5, 2.25), which does not mirror, at the nearest size its intervals
@@ -51,6 +55,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -77,6 +82,8 @@ SPAN_TIMES = ("operators.dirichlet.s", "operators.classical.s",
               "logistic.solve.s", "logistic.factorize_s")
 # (case name, sigma as a multiple of the first eigenvalue) of the solves
 DIRICHLET_SOLVES = (("dirichlet-solve", 1.2), ("extinct-solve", 0.8))
+# (level, centre, width) of the dip resource of the solve that does not mirror
+DIP = (30.0, 0.6, 0.2)
 TRANSMISSION_SOLVES = (("transmission-solve", 1.2),
                        ("transmission-extinct-solve", 0.8))
 # (module, name) of every dense factorization entry point a case may call,
@@ -110,6 +117,7 @@ def _cases(nl):
                                                grid, S)))
         for name, factor in DIRICHLET_SOLVES:
             out.append((name, n, _dirichlet_solve(nl, grid, factor)))
+        out.append(("dip-solve", n, _dip_solve(nl, n)))
     for n in SIZES:
         pair = nl.build_grid([(0.0, 1.0), (1.5, 2.5)], 2.0 / (n + 1))
         k = (n + 2) // 7  # (0, 1) and (1.5, 2.25) at h = 1/(4k)
@@ -151,6 +159,22 @@ def _dirichlet_solve(nl, grid, factor):
     return make
 
 
+def _dip_solve(nl, n):
+    """make() for the solve on (-1, 1) at n nodes under the DIP resource."""
+    level, centre, width = DIP
+
+    def dip(x):
+        if abs(x - centre) >= width:
+            return level
+        return level * 0.5 * (1.0 - math.cos(math.pi * (x - centre) / width))
+
+    def make():
+        grid = nl.build_grid([(-1.0, 1.0)], 2.0 / (n + 1))
+        return partial(nl.solve_dirichlet, nl.problem_spec(
+            grid, S, nl.sample_function(grid, dip), 1.0))
+    return make
+
+
 def _transmission_solve(nl, n, factor):
     """make() for a transmission solve, sigma = factor times lambda_star."""
     def make():
@@ -180,9 +204,9 @@ def _calls(nl, fn) -> dict:
 
         def counted(*args, _key=key, _fn=original, **kwargs):
             result = _fn(*args, **kwargs)
-            if _key == "spectral.cho_factor":
+            if _key != "logistic.solve_dirichlet":
                 _key += f" order={args[0].shape[0]}"
-            elif _key == "logistic.dpotrf" and result[1] != 0:
+            if _key.startswith("logistic.dpotrf") and result[1] != 0:
                 _key += " failed"
             elif _key == "logistic.solve_dirichlet":
                 _key += " " + result.classification

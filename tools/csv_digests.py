@@ -1,7 +1,7 @@
 """Print one line per benchmark candidate and default config: its id, its
 verification status and the sha1 of its CSV.
 
-    python3 tools/csv_digests.py [--root CHECKOUT] > digests.txt
+    python3 tools/csv_digests.py [--root CHECKOUT] [--csv] > digests.txt
 
 The package is imported from CHECKOUT/src and the candidates from
 CHECKOUT/perfbench (CHECKOUT defaults to the checkout holding this script),
@@ -14,7 +14,10 @@ Every timed candidate of perfbench.workloads is run (the excluded ones are
 left out), then each experiment at its default config (solve with sigma at
 1.2 times the first eigenvalue, so that it has a nontrivial state), each
 through nlogis.cli.parse_config, run and csv_text with one job.  The
-exit status is 1 when any line's status is not ok.
+exit status is 1 when any line's status is not ok.  With --csv each line is
+instead a JSON object holding the id, status, digest and the CSV text
+itself ("" when the op failed), which tools/csv_diff.py compares cell by
+cell.
 """
 
 from __future__ import annotations
@@ -51,7 +54,10 @@ def main(argv=None) -> int:
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ and perfbench/ to use")
-    root = parser.parse_args(argv).root.resolve()
+    parser.add_argument("--csv", action="store_true",
+                        help="print JSON lines that carry each CSV's text")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import nlogis
     import nlogis.cli as cli
@@ -69,9 +75,13 @@ def main(argv=None) -> int:
             status = "ok" if not problems else "FAILED " + "; ".join(problems)
             digest = hashlib.sha1(text.encode()).hexdigest()
         except (nlogis.ConvergenceError, ValueError) as exc:
-            status, digest = f"FAILED {type(exc).__name__}: {exc}", "-"
+            status, digest, text = f"FAILED {type(exc).__name__}: {exc}", "-", ""
         failed |= status != "ok"
-        print(f"{op['id']}\t{status}\t{digest}", flush=True)
+        if args.csv:
+            print(json.dumps({"id": op["id"], "status": status,
+                              "digest": digest, "csv": text}), flush=True)
+        else:
+            print(f"{op['id']}\t{status}\t{digest}", flush=True)
     return 1 if failed else 0
 
 
