@@ -487,7 +487,7 @@ def _run_beat(p, jobs):
 
 
 def _run_periodic(p, jobs):
-    pgrid = build_periodic_grid(p["n"], image_cutoff=p["image_cutoff"])
+    pgrid = build_periodic_grid(p["n"])
     kern = _kernel(p, pgrid.h)
     # constant-coefficient run: the solution must sit at (sigma + tau) / mu
     sigma_const = p["sigma"]["value"]
@@ -662,7 +662,7 @@ _EXPERIMENTS = {
                    2.0),
          "mu": (_constant(_positive), 1.0), "tau": (_nonnegative, 0.5),
          "kernel": (_kernel_spec, {"shape": "uniform", "rho": 0.25}),
-         "image_cutoff": (_integer(2), 16), "tolerance": (_positive, 1e-8)}),
+         "tolerance": (_positive, 1e-8)}),
     "transmission": _Experiment(
         "transmission-threshold", _run_transmission,
         ["experiment", "case", "sigma", "lambda_star", "classification",

@@ -43,12 +43,10 @@ _REL_TOL = 1e-12
 # matrices.  Twice the cap would need about 15 GiB.
 MAX_NODES = 8192
 
-# Caps on the two other inputs that size an allocation, set from measured
-# peak memory to at most one operator matrix at MAX_NODES: the periodic
-# image table of (n - 1) x image_cutoff entries peaked at 40 bytes an entry
-# (320 MiB at both caps), and a uniform or triangular kernel's stencil of
-# 2 floor(rho / h) + 1 points at 32 bytes a point (512 MiB at its cap).
-MAX_IMAGE_CUTOFF = 1024
+# Cap on the other input that sizes an allocation, set from measured peak
+# memory to at most one operator matrix at MAX_NODES: a uniform or
+# triangular kernel's stencil of 2 floor(rho / h) + 1 points at 32 bytes a
+# point (512 MiB at its cap).
 MAX_STENCIL = 2**24
 
 
@@ -92,23 +90,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Uniform lattice on the unit cell (-1/2, 1/2] with periodic wrap.
-
-    image_cutoff is the number of periodic images summed directly when the
-    singular kernel is periodized; the remainder of the image series is
-    accumulated analytically, so the default is already exact to far below
-    entry tolerance.
-    """
+    """Uniform lattice on the unit cell (-1/2, 1/2] with periodic wrap."""
 
     n: int
-    image_cutoff: int = 16
 
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"periodic grid needs at least 4 nodes, got {self.n}")
-        if not 2 <= self.image_cutoff <= MAX_IMAGE_CUTOFF:
-            raise ValueError(f"image_cutoff={self.image_cutoff} must lie in "
-                             f"[2, {MAX_IMAGE_CUTOFF}] (MAX_IMAGE_CUTOFF)")
         _check_node_count(self.n, "periodic grid")
 
     @property
@@ -204,8 +192,8 @@ def build_grid(intervals: Sequence[tuple[float, float]], h: float) -> Grid:
     )
 
 
-def build_periodic_grid(n: int, image_cutoff: int = 16) -> PeriodicGrid:
-    return PeriodicGrid(n=int(n), image_cutoff=int(image_cutoff))
+def build_periodic_grid(n: int) -> PeriodicGrid:
+    return PeriodicGrid(n=int(n))
 
 
 @dataclass(frozen=True)

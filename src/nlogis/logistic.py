@@ -20,7 +20,8 @@ positive definite the energy is strictly convex (mu >= 0 makes the cubic
 term convex), zero is its only minimizer and the core returns the trivial
 state without descending; only when zero is unstable does it descend from
 two starts.  A problem that mirrors onto itself is certified and descended
-on its even half (_even_half), ceil(n/2) nodes.
+on its even half, ceil(n/2) nodes (_even_half; spectral._EvenHalf says
+why that is exact).
 
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
@@ -55,7 +56,7 @@ from .grids import (
 )
 from .operators import (NonlocalMatrix, TransmissionSpec, assemble,
                         assemble_transmission, convolution_matrix)
-from .spectral import _fold, _mirrors, first_eigenpair, union_eigen_study
+from .spectral import _EvenHalf, first_eigenpair, union_eigen_study
 
 __all__ = [
     "SolveReport",
@@ -100,10 +101,9 @@ class _EnergyModel:
     """E(u) = 1/2 h u^T A_eff u + h sum(mu |u|^3/3 + lin u^2/2 - src u).
 
     probe, when set, is (e, A_eff e) for a field e along which the Hessian
-    is expected to have negative curvature: the first eigenvector.  root_w
-    is 1 except on a model folded onto its even half (_even_half), where it
-    holds the square roots of the node weights, and sup_norm reads the full
-    field's sup norm through it.
+    is expected to have negative curvature: the first eigenvector.  even
+    maps the full fields to the model's coordinates: the identity, except
+    on a model folded onto its even half (_even_half).
     """
 
     def __init__(self, a_eff: np.ndarray, h: float, mu: np.ndarray,
@@ -115,7 +115,7 @@ class _EnergyModel:
         self.src = src
         self.abs_diag = np.abs(np.diagonal(a_eff))
         self.probe = None
-        self.root_w = 1.0
+        self.even = _EvenHalf(lin.size)
 
     def set_probe(self, e: np.ndarray) -> np.ndarray:
         """Carry (e, A_eff e) as the probe; returns A_eff e."""
@@ -140,17 +140,8 @@ class _EnergyModel:
 
     def sup_norm(self, v: np.ndarray) -> float:
         """Sup norm of the full field whose coordinates are v, a field of
-        this model or its gradient: on a fold, v / root_w is its first half."""
-        return float(np.max(np.abs(v / self.root_w)))
-
-    def fold(self, u: np.ndarray) -> np.ndarray:
-        """The coordinates root_w u[:m] of a full field u that is even."""
-        return self.root_w * u[:self.lin.size]
-
-    def unfold(self, y: np.ndarray, n: int) -> np.ndarray:
-        """The even field P W^-1/2 y on n nodes of a folded model's y."""
-        v = y / self.root_w
-        return np.concatenate((v, v[::-1][n % 2:]))
+        this model or its gradient: v / sqrt w is its first half."""
+        return float(np.max(np.abs(v / self.even.root_w)))
 
     def resolution(self, u: np.ndarray, e: float) -> float:
         """Smallest energy change the computed energy e = E(u) resolves.
@@ -289,12 +280,11 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
 
     With src = 0 and mu >= 0 the energy is then strictly convex and zero is
     its only minimizer.  Negative curvature at zero along the constant
-    field (on a folded model its image root_w), or else along the model's
-    probe when one is set, settles the question without factoring; else one
-    Cholesky factorization does.
+    field, or else along the model's probe when one is set, settles the
+    question without factoring; else one Cholesky factorization does.
     """
     zeros = np.zeros(model.lin.size)
-    ones = np.ones(model.lin.size) * model.root_w
+    ones = model.even.fold(np.ones(model.even.n))
     if model.indefinite_along(zeros, ones, model.a_eff @ ones):
         return False
     if model.probe is not None and model.indefinite_along(zeros, *model.probe):
@@ -351,31 +341,22 @@ def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
 
 
 def _even_half(model: _EnergyModel) -> _EnergyModel:
-    """The model on its even half when it mirrors, else the model itself.
+    """The model on its even half (spectral._EvenHalf) when A_eff mirrors
+    and mu and lin are even, else the model itself.
 
-    A model of a problem (src = 0) mirrors when mu and lin equal their
-    reverses exactly and A_eff is persymmetric (spectral._mirrors).  An
-    even field is u = P W^-1/2 y, where P y = (y, reversed y) on the first
-    m = ceil(n/2) nodes and W = P^T P = diag(2, ..., 2[, 1]); then E(u) is
-    the energy at y of the model with A_eff folded to
-    W^-1/2 P^T A_eff P W^-1/2 (spectral._fold), mu / sqrt w and the same
-    lin, whose gradient is W^1/2 times the full one's first m entries and
-    whose Hessian is the full Hessian folded.  The probe is folded along.
+    At an even field u with coordinates y, E(u) (src = 0) is the energy at
+    y of the model with A_eff folded, mu / sqrt w and the same lin, whose
+    gradient is the fold of the full one and whose Hessian is the full
+    Hessian folded.  The probe is folded along.
     """
-    if not (np.array_equal(model.mu, model.mu[::-1])
-            and np.array_equal(model.lin, model.lin[::-1])
-            and _mirrors(model.a_eff)):
+    even = _EvenHalf.of(model.a_eff, model.mu, model.lin)
+    if not even.mirrored:
         return model
-    n = model.lin.size
-    m = (n + 1) // 2
-    root_w = np.full(m, np.sqrt(2.0))
-    if n % 2:
-        root_w[-1] = 1.0
-    half = _EnergyModel(_fold(model.a_eff), model.h, model.mu[:m] / root_w,
-                        model.lin[:m])
-    half.root_w = root_w
+    half = _EnergyModel(even.matrix(model.a_eff), model.h,
+                        model.mu[:even.m] / even.root_w, model.lin[:even.m])
+    half.even = even
     if model.probe is not None:
-        half.set_probe(half.fold(model.probe[0]))
+        half.set_probe(even.fold(model.probe[0]))
     return half
 
 
@@ -426,30 +407,23 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     converged energy, to the residual solver_tol * _residual_scale(spec).
 
     The certificate and the descents run on _even_half(model): on the even
-    half of a model that mirrors, else on the model itself.  first_start is
-    called with that model, only when zero is not certified, and returns a
-    start in its coordinates (it may set the probe); the descent runs from
-    it (budget max_iter) and from a microscopic constant perturbation of
-    zero (budget min(max_iter, 300)).  An unconverged start is tolerated
-    only while its stalled energy stays above the best converged one,
-    otherwise the minimum is uncertain and a ConvergenceError is raised.
-    Ties break toward the smaller iterate (the trivial state).  A folded
-    winner is unfolded and its energy and residual are those of the full
-    model; should that residual exceed the tolerance, the descent goes on
-    from it on the full model.
-
-    The fold is exact.  Every Hessian A_eff + diag(2 mu |u| + lin) is a
-    symmetric Z-matrix that commutes with the reversal J when the model
-    mirrors, so its smallest eigenvalue is reached on even vectors (see
-    spectral.first_eigenpair): the folded Cholesky succeeds exactly when
-    the full one does.  A descent from an even start stays even, and for
-    mu > 0 the positive steady state is unique (Brezis-Oswald), hence even.
+    half of a model that mirrors, else on the model itself, which is exact
+    (see spectral._EvenHalf).  first_start is called with that model, only
+    when zero is not certified, and returns a start in its coordinates (it
+    may set the probe); the descent runs from it (budget max_iter) and from
+    a microscopic constant perturbation of zero (budget min(max_iter, 300)).
+    An unconverged start is tolerated only while its stalled energy stays
+    above the best converged one, otherwise the minimum is uncertain and a
+    ConvergenceError is raised.  Ties break toward the smaller iterate (the
+    trivial state).  The winner is unfolded, and its energy and residual
+    are those of the full model; should that residual exceed the tolerance
+    (only a folded one's can), the descent continues on the full model.
     """
     half = _even_half(model)
     if _zero_is_minimizer(half):
         return _extinct(spec)
     tol = spec.solver_tol * _residual_scale(spec)
-    tiny = half.fold(np.full(spec.grid.n, 0.1 * spec.triviality_tol))
+    tiny = half.even.fold(np.full(spec.grid.n, 0.1 * spec.triviality_tol))
     starts = [(first_start(half), max_iter), (tiny, min(max_iter, 300))]
     outcomes = []
     for u0, budget in starts:
@@ -470,21 +444,20 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
                 f"an unconverged start (residual {o[6]:.3e}) undercut the "
                 "certified minimum"
             )
-    u, history, iters, residual = best[3:]
-    if half is not model:
-        u = half.unfold(u, spec.grid.n)
+    u, history, iters = best[3:6]
+    u = half.even.unfold(u)
+    residual = model.sup_norm(model.gradient(u))
+    if residual > tol:
+        # near its roundoff floor the full residual can read above the
+        # folded one: descend on the full model, below the folded energy
+        u, more, extra, ok = _descend_loop(model, u, tol, min(max_iter, 300),
+                                           history[-1])
         residual = model.sup_norm(model.gradient(u))
-        if residual > tol:
-            # near its roundoff floor the full residual can read above the
-            # folded one: descend on the full model, below the folded energy
-            u, more, extra, ok = _descend_loop(model, u, tol, min(max_iter, 300),
-                                               history[-1])
-            residual = model.sup_norm(model.gradient(u))
-            if not ok:
-                raise ConvergenceError(
-                    f"the unfolded state's residual {residual:.3e} exceeds "
-                    f"the tolerance {tol:.3e}")
-            history, iters = history + more[1:], iters + extra
+        if not ok:
+            raise ConvergenceError(
+                f"the unfolded state's residual {residual:.3e} exceeds "
+                f"the tolerance {tol:.3e}")
+        history, iters = history + more[1:], iters + extra
     return _report(spec, model, u, history, iters, residual)
 
 
@@ -529,8 +502,8 @@ def minimize(spec: ProblemSpec, init: Field, max_iter: int = 800) -> SolveReport
 def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix,
                  model: _EnergyModel) -> np.ndarray:
     """A start along the first eigenvector e of op, in the model's
-    coordinates (model.fold) and set as its probe, at the amplitude from the
-    small-amplitude expansion of the energy.
+    coordinates (model.even.fold) and set as its probe, at the amplitude
+    from the small-amplitude expansion of the energy.
 
     E(eps e) = eps^2/2 [form - int sigma e^2] + eps^3/3 int mu e^3, where
     form = h e^T A_eff e is the quadratic part at e (tau's convolution
@@ -539,8 +512,8 @@ def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix,
     at amplitude 1e-8 max(1, max sigma + tau).  Each sum reads the same
     in a folded model's coordinates.
     """
-    e = model.fold(first_eigenpair(op, tol=min(1e-10, spec.solver_tol * 100))
-                   .vector.values)
+    e = model.even.fold(first_eigenpair(
+        op, tol=min(1e-10, spec.solver_tol * 100)).vector.values)
     h = model.h
     form = h * float(e @ model.set_probe(e))
     c1 = 0.5 * (h * np.sum(-model.lin * e**2) - form)
@@ -593,7 +566,7 @@ def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     h = spec.grid.h
     level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
     return _steady_state(spec, model,
-                         lambda half: half.fold(np.full(spec.grid.n, level)),
+                         lambda half: half.even.fold(np.full(spec.grid.n, level)),
                          max_iter)
 
 

@@ -79,39 +79,70 @@ def _inverse_lanczos(a: np.ndarray) -> tuple[np.ndarray, int]:
     return solve(ritz[:, 0]), solves
 
 
-def _mirrors(a: np.ndarray) -> bool:
-    """Whether a is persymmetric, a = J a J with J the reversal, within
-    64 eps max|diag a|; compared a block of rows at a time, so that no n x n
-    temporary is made, and stopped at the first block that differs."""
-    n = a.shape[0]
-    tol = 64.0 * np.finfo(float).eps * float(np.max(np.abs(np.diag(a))))
-    flipped = a[::-1, ::-1]
-    for r0 in range(0, (n + 1) // 2, 32):
-        rows = slice(r0, r0 + 32)
-        if not np.max(np.abs(a[rows] - flipped[rows])) <= tol:
-            return False
-    return True
+class _EvenHalf:
+    """The even half of the fields on n nodes when they mirror, else the
+    identity: m = n, root_w = 1, and every map returns its input.
 
+    On the even half a field y on the first m = ceil(n/2) nodes stands for
+    the even field P W^-1/2 y (unfold), where P y = (y, reversed y), the
+    middle entry of an odd n counted once, W = P^T P = diag(2, ..., 2[, 1])
+    and root_w = sqrt w.  An even u has the coordinates W^1/2 u[:m] (fold),
+    and a matrix a the folded W^-1/2 P^T a P W^-1/2 (matrix).
 
-def _fold(a: np.ndarray) -> np.ndarray:
-    """W^-1/2 P^T a P W^-1/2 on the even half: c_ij = a_ij + a_{i,n-1-j}
-    for the first m = ceil(n/2) nodes, the middle row and column of an odd
-    n scaled by 1/sqrt 2."""
-    n = a.shape[0]
-    m = (n + 1) // 2
-    c = a[:m, :m] + a[:m, ::-1][:, :m]
-    if n % 2:
-        c[-1] *= np.sqrt(0.5)
-        c[:, -1] *= np.sqrt(0.5)
-    return c
+    The fold is exact for the matrices it is used on.  An operator less
+    tau B, plus a diagonal, is a symmetric Z-matrix, which commutes with the
+    reversal J when it mirrors.  By Perron-Frobenius the lowest eigenvector
+    of each irreducible block is positive and simple, hence even when J
+    maps the block onto itself, and e + J e is even when J swaps two
+    blocks: the smallest eigenvalue is reached on even vectors, so the
+    first eigenpair is found on the half, and a folded Cholesky
+    factorization succeeds exactly when the full one does.  A descent from
+    an even start stays even, and for mu > 0 the positive steady state is
+    unique (Brezis-Oswald), hence even.
+    """
 
+    def __init__(self, n: int, mirrored: bool = False):
+        self.n, self.mirrored = n, mirrored
+        self.m = (n + 1) // 2 if mirrored else n
+        # w is 2, but 1 at the middle node of an odd n
+        self.root_w = (np.sqrt(np.where(np.arange(self.m) < n // 2, 2.0, 1.0))
+                       if mirrored else 1.0)
 
-def _unfold(y: np.ndarray, n: int) -> np.ndarray:
-    """The even vector (y, reversed y) on n nodes, up to a factor: the
-    middle entry of an odd n is y's last times sqrt 2, and counted once."""
-    if n % 2:
-        y[-1] *= np.sqrt(2.0)
-    return np.concatenate((y, y[::-1][n % 2:]))
+    @classmethod
+    def of(cls, a: np.ndarray, *even_fields: np.ndarray) -> "_EvenHalf":
+        """The even half when every field equals its reverse exactly and a
+        is persymmetric, a = J a J, within 64 eps max|diag a|; else the
+        identity.  a is compared 32 rows at a time, so that no n x n
+        temporary is made, and the scan stops at the first rows that differ."""
+        n = a.shape[0]
+        tol = 64.0 * np.finfo(float).eps * float(np.max(np.abs(np.diag(a))))
+        flipped = a[::-1, ::-1]
+        return cls(n, all(np.array_equal(f, f[::-1]) for f in even_fields)
+                   and all(np.max(np.abs(a[r:r + 32] - flipped[r:r + 32])) <= tol
+                           for r in range(0, (n + 1) // 2, 32)))
+
+    def matrix(self, a: np.ndarray) -> np.ndarray:
+        """W^-1/2 P^T a P W^-1/2: c_ij = a_ij + a_{i,n-1-j} on the first m
+        nodes, the middle row and column of an odd n scaled by 1/sqrt 2."""
+        if not self.mirrored:
+            return a
+        c = a[:self.m, :self.m] + a[:self.m, ::-1][:, :self.m]
+        if self.n % 2:
+            c[-1] *= np.sqrt(0.5)
+            c[:, -1] *= np.sqrt(0.5)
+        return c
+
+    def fold(self, u: np.ndarray) -> np.ndarray:
+        """The coordinates W^1/2 u[:m] of an even field u."""
+        return self.root_w * u[:self.m] if self.mirrored else u
+
+    def mirror(self, y: np.ndarray) -> np.ndarray:
+        """P y."""
+        return np.concatenate((y, y[::-1][self.n % 2:])) if self.mirrored else y
+
+    def unfold(self, y: np.ndarray) -> np.ndarray:
+        """The even field P W^-1/2 y."""
+        return self.mirror(y / self.root_w)
 
 
 def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
@@ -124,18 +155,12 @@ def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
     more solve with the factor polishes the Ritz vector; iterations counts
     every solve.
 
-    A habitat that mirrors onto itself gives a persymmetric A = J A J (J
-    the reversal), and then the pair is computed on the even half: the
-    Lanczos iteration and its factor run on the m x m matrix
-    C = W^-1/2 P^T A P W^-1/2, m = ceil(n/2), where P y = (y, reversed y)
-    and W = P^T P, and the vector is unfolded to P W^-1/2 y; iterations
-    then counts solves with C's factor.  This loses nothing: A is a
-    symmetric Z-matrix, so by Perron-Frobenius the lowest eigenvector of
-    each irreducible block is positive and simple, hence even when J maps
-    the block onto itself, and e + J e is even when J swaps two blocks, so
-    the smallest eigenvalue is always reached on the even vectors.  An A
-    that is not persymmetric (a transmission form, a union whose nodes do
-    not mirror) is factored whole.
+    A habitat that mirrors onto itself gives a persymmetric A, and then the
+    pair is computed, exactly, on the even half (see _EvenHalf): the
+    Lanczos iteration and its factor run on the ceil(n/2)-square folded
+    matrix, and iterations counts solves with its factor.  An A that is
+    not persymmetric (a transmission form, a union whose nodes do not
+    mirror) is factored whole.
 
     The residual ||A e - lambda e|| is computed with the full A and must be
     within tol max(1, |lambda|), else ConvergenceError is raised.  A y is
@@ -144,15 +169,15 @@ def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
     4 eps ||A||_inf of zero.
     """
     a = op.a
-    n = a.shape[0]
-    mirrored = _mirrors(a)
-    c = _fold(a) if mirrored else a
+    even = _EvenHalf.of(a)
+    c = even.matrix(a)
     if c.shape[0] == 1:  # eigsh needs more nodes than eigenpairs
         x, solves = np.ones(1), 0
     else:
         x, solves = _inverse_lanczos(c)
-    if mirrored:
-        x = _unfold(x, n)
+    # P W^-1/2 x up to a factor the normalization removes: scaling only an
+    # odd n's middle entry (by sqrt 2) keeps the other entries' bits
+    x = even.mirror(x * (np.max(even.root_w) / even.root_w))
     x /= np.linalg.norm(x)
     ax = a @ x
     lam = float(x @ ax)

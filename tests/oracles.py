@@ -4,9 +4,9 @@ The quadrature oracles recompute quantities the library obtains in closed
 form, using scipy's adaptive quadrature instead, so the two paths share no
 arithmetic beyond the kernel definition itself.  The ref_* functions at the
 end are the other kind: the library's own closed forms, assembled entry by
-entry, as references for the tabulated assembly, and the critical radius
-found by bisecting on full solves, as the reference for the search on the
-extinction certificate.
+entry, as references for the tabulated assembly, the even half's maps
+as dense matrices, and the critical radius found by bisecting on full
+solves, as the reference for the search on the extinction certificate.
 """
 
 from __future__ import annotations
@@ -217,11 +217,12 @@ def ref_periodic_pair_weights(pgrid, s):
     """omega[d] for d = 0..n-1, accumulated offset by offset."""
     from scipy.special import zeta
 
+    from nlogis import operators
     from nlogis.operators import _far_weight, _half_weight, _singular_weight
 
     n = pgrid.n
     h = pgrid.h
-    cutoff = pgrid.image_cutoff
+    cutoff = operators.IMAGE_CUTOFF
     neighbor = _singular_weight(h, s) + _half_weight(h, s)
     m = np.arange(cutoff)
     omega = np.zeros(n)
@@ -272,6 +273,23 @@ def ref_convolution_matrix(kernel, grid):
         kernel.profile(diff),
     )
     return h * b
+
+
+def ref_mirror(n):
+    """Dense P (n x m, m = ceil(n/2)) with P y = (y, reversed y), the middle
+    entry of an odd n counted once, and W = P^T P."""
+    m = (n + 1) // 2
+    p = np.zeros((n, m))
+    p[np.arange(m), np.arange(m)] = 1.0
+    p[n - 1 - np.arange(m), np.arange(m)] = 1.0
+    return p, p.T @ p
+
+
+def ref_fold(a):
+    """W^-1/2 P^T a P W^-1/2 by dense products."""
+    p, w = ref_mirror(a.shape[0])
+    r = np.diag(1.0 / np.sqrt(np.diag(w)))
+    return r @ p.T @ a @ p @ r
 
 
 def ref_critical_radius(interval, s, h, solver_tol=1e-10):

@@ -129,7 +129,7 @@ _GOLDEN_DEFAULTS = {
                  "sigma": {"kind": "constant", "value": 2.0},
                  "mu": {"kind": "constant", "value": 1.0}, "tau": 0.5,
                  "kernel": {"shape": "uniform", "rho": 0.25},
-                 "image_cutoff": 16, "tolerance": 1e-08},
+                 "tolerance": 1e-08},
     "transmission": {"h": 0.001953125, "solver_tol": 1e-10,
                      "interval_local": (0.0, 1.0),
                      "interval_nonlocal": (1.5, 2.5), "s": 0.5, "s1": 0.4,
@@ -481,8 +481,6 @@ _MALFORMED = {
     "solver-tol-on-eigen": ({**_EIGEN, "solver_tol": 1e-10}, [], None,
                             "config.solver_tol: unknown key"),
     # inputs that size an allocation are bounded before it is made
-    "periodic-image-cutoff-too-large": (
-        {**_PERIODIC, "image_cutoff": 10**7}, [], None, "image_cutoff"),
     "ext-crossing-r-count-too-large": (
         {"experiment": "ext-crossing", "r_count": 10**9}, [], None,
         "config.r_count"),

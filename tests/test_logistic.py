@@ -773,17 +773,17 @@ def test_folded_model_is_the_full_model_on_even_fields(case):
     m = (n + 1) // 2
     v = np.random.default_rng(5).uniform(-1.5, 1.5, m)
     u = np.concatenate((v, v[::-1][n % 2:]))
-    y = half.fold(u)
-    np.testing.assert_allclose(half.unfold(y, n), u, rtol=1e-15)
+    y = half.even.fold(u)
+    np.testing.assert_allclose(half.even.unfold(y), u, rtol=1e-15)
     assert half.sup_norm(y) == pytest.approx(np.max(np.abs(u)), rel=1e-15)
     assert half.energy(y) == pytest.approx(model.energy(u), rel=1e-12)
     g = model.gradient(u)
     scale = np.max(np.abs(g))
-    np.testing.assert_allclose(half.gradient(y), half.fold(g), rtol=0.0,
+    np.testing.assert_allclose(half.gradient(y), half.even.fold(g), rtol=0.0,
                                atol=1e-12 * scale)
     assert half.sup_norm(half.gradient(y)) == pytest.approx(scale, rel=1e-12)
     np.testing.assert_allclose(half.hessian(y),
-                               logistic._fold(model.hessian(u)), rtol=0.0,
+                               oracles.ref_fold(model.hessian(u)), rtol=0.0,
                                atol=1e-13 * np.max(np.abs(model.a_eff)))
 
 
@@ -861,6 +861,44 @@ def test_unmirrored_solve_factors_at_full_order(case, factored_orders):
     rep = solve_dirichlet(spec)
     assert rep.classification == "nontrivial"
     assert factored_orders and set(factored_orders) == {spec.grid.n}
+
+
+def _even_cosine(n):
+    """2 + cos(2 pi (i - (n - 1)/2) / n) at node i: equal to its reverse
+    exactly, where 2 + cos 2 pi x sampled on the nodes is shifted by one."""
+    return 2.0 + np.cos(2.0 * np.pi * (np.arange(n) - (n - 1) / 2) / n)
+
+
+@pytest.mark.parametrize("even", [True, False])
+def test_periodic_cell_is_solved_on_its_even_half(even, factored_orders):
+    pg = build_periodic_grid(64)
+    n = pg.n
+    sigma = (_even_cosine(n) if even
+             else lambda x: 2.0 + np.cos(2.0 * np.pi * x))
+    spec = problem_spec(pg, 0.5, sigma, 1.0, tau=0.5,
+                        kernel=build_kernel("uniform", 0.25, pg.h))
+    values = spec.sigma.values
+    assert np.ptp(values) > 1.0
+    assert np.array_equal(values, values[::-1]) == even
+    # the full path: the full model descended from solve_periodic's starts
+    model = _problem(spec)[1]
+    h = pg.h
+    level = (h * np.sum(values) + spec.tau) / (h * np.sum(spec.mu.values))
+    tol = spec.solver_tol * _residual_scale(spec)
+    outcomes = []
+    for u0, budget in ((np.full(n, level), 800),
+                       (np.full(n, 0.1 * spec.triviality_tol), 300)):
+        u, _, _, _, ok = _minimize_model(model, u0, tol, budget)
+        assert ok
+        outcomes.append((model.energy(u), u))
+    e_full, u_full = min(outcomes, key=lambda o: o[0])
+    factored_orders.clear()
+    rep = solve_periodic(spec)
+    assert factored_orders and set(factored_orders) == {n // 2 if even else n}
+    assert rep.classification == "nontrivial"
+    assert np.ptp(rep.u.values) > 0.05
+    assert abs(rep.energy - e_full) <= 1e-10 * abs(e_full)
+    assert np.max(np.abs(rep.u.values - u_full)) <= 1e-8 * np.max(u_full)
 
 
 @pytest.mark.parametrize("s", [0.3, 0.7])

@@ -258,10 +258,13 @@ def test_periodic_eigenvalues_match_continuum_symbol(s, error, order, worst):
     assert fine.max() == pytest.approx(worst, rel=0.1)
 
 
-def test_periodic_image_cutoff_converged():
+def test_periodic_image_cutoff_converged(monkeypatch):
+    pg = build_periodic_grid(64)
     for s in (0.25, 0.75):
-        a16 = assemble_periodic(build_periodic_grid(64, image_cutoff=16), s).a
-        a48 = assemble_periodic(build_periodic_grid(64, image_cutoff=48), s).a
+        a16 = assemble_periodic(pg, s).a
+        monkeypatch.setattr(operators, "IMAGE_CUTOFF", 48)
+        a48 = assemble_periodic(pg, s).a
+        monkeypatch.undo()
         assert np.max(np.abs(a16 - a48)) < 1e-10
 
 
@@ -338,8 +341,9 @@ def test_convolution_matrix_matches_per_entry_reference(intervals, h, shape,
                           oracles.ref_convolution_matrix(k, grid))
 
 
-def test_kernel_radius_vs_image_cutoff():
-    pg = build_periodic_grid(16, image_cutoff=3)
+def test_kernel_radius_vs_image_cutoff(monkeypatch):
+    monkeypatch.setattr(operators, "IMAGE_CUTOFF", 3)
+    pg = build_periodic_grid(16)
     k = build_kernel("uniform", 2.5, pg.h)
     with pytest.raises(ValueError, match="image cutoff"):
         convolution_matrix(k, pg)
@@ -510,8 +514,9 @@ def test_transmission_matches_per_entry_reference(s, monkeypatch):
 @pytest.mark.parametrize("s", _S_SWEEP)
 @pytest.mark.parametrize("n, cutoff", [(4, 16), (5, 16), (128, 16),
                                        (1024, 16), (64, 3), (64, 48)])
-def test_periodic_weights_match_loop_reference(n, cutoff, s):
-    pg = build_periodic_grid(n, image_cutoff=cutoff)
+def test_periodic_weights_match_loop_reference(n, cutoff, s, monkeypatch):
+    monkeypatch.setattr(operators, "IMAGE_CUTOFF", cutoff)
+    pg = build_periodic_grid(n)
     assert np.array_equal(operators._periodic_pair_weights(pg, s),
                           oracles.ref_periodic_pair_weights(pg, s))
 

@@ -7,6 +7,7 @@ from scipy.linalg import LinAlgError, eigh
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import nlogis.cli as cli
+import oracles
 from nlogis import spectral
 from nlogis import (
     ConvergenceError,
@@ -283,6 +284,58 @@ def _dense_pair(op):
 def _unit(pair):
     x = pair.vector.values
     return x / np.linalg.norm(x)
+
+
+def _persymmetric(n, seed):
+    """A random symmetric matrix that equals its reversal J a J exactly."""
+    b = np.random.default_rng(seed).standard_normal((n, n))
+    a = b + b.T
+    return a + a[::-1, ::-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_even_half_is_the_dense_fold(n):
+    a = _persymmetric(n, n)
+    even = spectral._EvenHalf.of(a)
+    assert even.mirrored and even.m == (n + 1) // 2
+    p, w = oracles.ref_mirror(n)
+    dense = oracles.ref_fold(a)
+    # relative to the entries summed, as a folded entry may cancel
+    assert np.max(np.abs(even.matrix(a) - dense)) <= 1e-15 * np.max(np.abs(a))
+    y = np.random.default_rng(n + 10).uniform(-1.0, 1.0, even.m)
+    u = p @ y  # an even field
+    np.testing.assert_array_equal(even.mirror(y), u)
+    np.testing.assert_allclose(even.unfold(y), p @ (y / np.sqrt(np.diag(w))),
+                               rtol=1e-15)
+    np.testing.assert_allclose(even.fold(u), np.sqrt(np.diag(w)) * y,
+                               rtol=1e-15)
+    np.testing.assert_allclose(even.unfold(even.fold(u)), u, rtol=1e-15)
+    np.testing.assert_allclose(even.fold(even.unfold(y)), y, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6])
+def test_even_half_identity_returns_its_input(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, n))
+    u = rng.standard_normal(n)
+    even = spectral._EvenHalf(n)
+    assert not even.mirrored and even.m == n
+    assert np.array_equal(even.matrix(a), a)
+    for fn in (even.fold, even.unfold, even.mirror):
+        assert np.array_equal(fn(u), u)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_even_half_decision_is_exact(n):
+    a = _persymmetric(n, n)
+    lin = np.arange(n) * (n - 1 - np.arange(n)) + 0.1
+    assert spectral._EvenHalf.of(a, lin, lin).mirrored
+    moved = a.copy()
+    moved[0, 0] += 1e-8 * np.max(np.abs(np.diag(a)))
+    assert not spectral._EvenHalf.of(moved).mirrored
+    ulp = lin.copy()
+    ulp[0] = np.nextafter(ulp[0], np.inf)
+    assert not spectral._EvenHalf.of(a, lin, ulp).mirrored
 
 
 @pytest.mark.parametrize("intervals,h,n", [

@@ -33,7 +33,10 @@ same n with sigma the resource-sweep dip (level 30, centre 0.6, width
 first eigenpair of the Dirichlet operator on the mirrored pair (0, 1) and
 (1.5, 2.5), at the transmission form's even sizes, and on (0, 1) and
 (1.5, 2.25), which does not mirror, at the nearest size its intervals
-allow; the first eigenpair of the transmission form (lambda_star without
+allow; two periodic solves, mu = 1, tau = 0.5 with the uniform kernel
+(rho = 1/4), at n = 256 ... 2048: sigma = 2, which mirrors, so the cell
+is solved on its even half, and sigma = 2 + cos 2 pi x, which does not;
+the first eigenpair of the transmission form (lambda_star without
 its assembly) and the same two transmission solves, mu = 1, at the
 transmission form's sizes, sigma a multiple of lambda_star; the critical
 radius of the unit interval at each spacing in CRITICAL_RADIUS_H, under
@@ -84,6 +87,10 @@ SPAN_TIMES = ("operators.dirichlet.s", "operators.classical.s",
 DIRICHLET_SOLVES = (("dirichlet-solve", 1.2), ("extinct-solve", 0.8))
 # (level, centre, width) of the dip resource of the solve that does not mirror
 DIP = (30.0, 0.6, 0.2)
+# (case name, sigma) of the periodic solves
+PERIODIC_SOLVES = (("periodic-solve", 2.0),
+                   ("periodic-oscillatory-solve",
+                    lambda x: 2.0 + math.cos(2.0 * math.pi * x)))
 TRANSMISSION_SOLVES = (("transmission-solve", 1.2),
                        ("transmission-extinct-solve", 0.8))
 # (module, name) of every dense factorization entry point a case may call,
@@ -126,6 +133,9 @@ def _cases(nl):
                  _eigenpair(nl, nl.assemble_dirichlet, pair, S)),
                 ("eigenpair-asymmetric", lopsided.n,
                  _eigenpair(nl, nl.assemble_dirichlet, lopsided, S))]
+    for n in PERIODIC_SIZES[:-1]:
+        for name, sigma in PERIODIC_SOLVES:
+            out.append((name, n, _periodic_solve(nl, n, sigma)))
     for n in SIZES:
         ts = _transmission_spec(nl, n, 1.0)
         out.append(("transmission-eigenpair", ts.grid.n,
@@ -172,6 +182,16 @@ def _dip_solve(nl, n):
         grid = nl.build_grid([(-1.0, 1.0)], 2.0 / (n + 1))
         return partial(nl.solve_dirichlet, nl.problem_spec(
             grid, S, nl.sample_function(grid, dip), 1.0))
+    return make
+
+
+def _periodic_solve(nl, n, sigma):
+    """make() for a periodic solve on n nodes under sigma."""
+    def make():
+        pg = nl.build_periodic_grid(n)
+        return partial(nl.solve_periodic, nl.problem_spec(
+            pg, S, sigma, 1.0, tau=0.5,
+            kernel=nl.build_kernel("uniform", 0.25, pg.h)))
     return make
 
 
