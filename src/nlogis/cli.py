@@ -80,7 +80,7 @@ class ExperimentConfig:
 class ResultRow:
     experiment: str
     values: dict
-    passed: bool | None = None
+    passed: bool
 
 
 # ---------------------------------------------------------------------------
@@ -746,8 +746,7 @@ def report_summary(rows: list[ResultRow]) -> str:
     verdicts: dict[str, bool] = {}
     for row in rows:
         claim = _EXPERIMENTS[row.experiment].claim
-        if row.passed is not None:
-            verdicts[claim] = verdicts.get(claim, True) and row.passed
+        verdicts[claim] = verdicts.get(claim, True) and row.passed
         bound_ok = row.values.get("max_principle_ok")
         if bound_ok is not None:
             verdicts[MAX_PRINCIPLE_CLAIM] = (
@@ -835,7 +834,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 64
     print(report_summary(rows))
-    failed = [r for r in rows if r.passed is False]
+    failed = [r for r in rows if not r.passed]
     if failed:
         print(f"{len(failed)} of {len(rows)} rows failed", file=sys.stderr)
         return 3

@@ -11,24 +11,23 @@ whose nodal gradient (scaled by 1/h) is the steady logistic equation
 
     A u + mu |u| u - sigma u - tau (J*u) = 0.
 
-A problem builds its own operator and energy model (_problem): the
-transmission form for a TransmissionSpec, the habitat's operator
-otherwise.  solve_dirichlet solves every bounded habitat, Dirichlet or
-transmission, and solve_periodic the periodic cell; both share one core,
-_steady_state, and one report, SolveReport.  When the Hessian at zero is
-positive definite the energy is strictly convex (mu >= 0 makes the cubic
-term convex), zero is its only minimizer and the core returns the trivial
-state without descending; only when zero is unstable does it descend from
-two starts.  A problem that mirrors onto itself is certified and descended
-on its even half, ceil(n/2) nodes (_even_half; spectral._EvenHalf says
-why that is exact).
+A problem builds its own operator and energy model (_problem), whose
+probe is the habitat's first-eigenvector estimate.  solve_dirichlet solves
+every bounded habitat, Dirichlet or transmission, and solve_periodic the
+periodic cell; they differ only in their first start and share one core,
+_steady_state, and one report, SolveReport.  Without resources, or when
+the Hessian at zero is positive definite (mu >= 0 makes the cubic term
+convex), zero is the only minimizer and the core returns the trivial state
+without descending.  A problem that mirrors onto itself is certified and
+descended on its even half, ceil(n/2) nodes (_even_half; spectral._EvenHalf
+says why that is exact).
 
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
 on the nodal system is tried first, its Hessian factored by Cholesky and
 by a symmetric-indefinite solve only when it is not positive definite
-(known without factoring when the curvature along the first eigenvector
-is negative); a backtracking gradient step is the fallback.  A Newton
+(known without factoring when the curvature along the probe is
+negative); a backtracking gradient step is the fallback.  A Newton
 step whose predicted decrease lies below what the energy resolves goes to
 an endgame that accepts it on a halved residual.  The final iterate is
 replaced by its absolute value, which can only lower the energy.  A report
@@ -100,8 +99,8 @@ class SolveReport:
 class _EnergyModel:
     """E(u) = 1/2 h u^T A_eff u + h sum(mu |u|^3/3 + lin u^2/2 - src u).
 
-    probe, when set, is (e, A_eff e) for a field e along which the Hessian
-    is expected to have negative curvature: the first eigenvector.  even
+    probe is (e, A_eff e) for a field e along which the Hessian is expected
+    to have negative curvature; every problem's model has one.  even
     maps the full fields to the model's coordinates: the identity, except
     on a model folded onto its even half (_even_half).
     """
@@ -279,15 +278,12 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
     """True when the Hessian at zero is positive definite.
 
     With src = 0 and mu >= 0 the energy is then strictly convex and zero is
-    its only minimizer.  Negative curvature at zero along the constant
-    field, or else along the model's probe when one is set, settles the
+    its only minimizer.  Negative curvature at zero along the model's probe
+    (the habitat's first-eigenvector estimate, see _problem) settles the
     question without factoring; else one Cholesky factorization does.
     """
     zeros = np.zeros(model.lin.size)
-    ones = model.even.fold(np.ones(model.even.n))
-    if model.indefinite_along(zeros, ones, model.a_eff @ ones):
-        return False
-    if model.probe is not None and model.indefinite_along(zeros, *model.probe):
+    if model.indefinite_along(zeros, *model.probe):
         return False
     _, info = dpotrf(model.hessian(zeros).T, lower=True, overwrite_a=True,
                      clean=False)
@@ -296,7 +292,7 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
 
 def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
                     max_iter: int):
-    u, history, it1, conv1 = _descend_loop(model, init.astype(float), tol, max_iter)
+    u, history, it1, _ = _descend_loop(model, init.astype(float), tol, max_iter)
     ua = np.abs(u)
     if not np.array_equal(ua, u):
         # E(|u|) <= E(u) holds exactly (A and -tau J have no positive
@@ -307,8 +303,8 @@ def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
             u = ua
             e_abs = min(e_abs, history[-1])
             history.append(e_abs)
-            u, hist2, it2, conv1 = _descend_loop(model, u, tol, max(50, max_iter // 4),
-                                                 e_abs)
+            u, hist2, it2, _ = _descend_loop(model, u, tol, max(50, max_iter // 4),
+                                             e_abs)
             history.extend(hist2[1:])
             it1 += it2
     residual = model.sup_norm(model.gradient(u))
@@ -325,9 +321,10 @@ def _boundary_profile(grid: Grid, s: float) -> np.ndarray:
 
 def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
     """(op, model) of a problem: op is the transmission form of a
-    TransmissionSpec and the habitat's operator otherwise, the model's A_eff
-    is op less tau B, and on a bounded grid the model's probe is the
-    boundary profile, for the extinction certificate."""
+    TransmissionSpec and the habitat's operator otherwise, A_eff is op less
+    tau B, and the probe is the habitat's first-eigenvector estimate: the
+    boundary profile on a bounded grid, on the periodic cell the constant
+    (exactly the first eigenvector of the circulant A_eff)."""
     op = (assemble_transmission(spec) if isinstance(spec, TransmissionSpec)
           else assemble(spec.grid, spec.s))
     a_eff = op.a
@@ -335,8 +332,8 @@ def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
         a_eff = a_eff - spec.tau * convolution_matrix(spec.kernel, spec.grid)
     model = _EnergyModel(a_eff=a_eff, h=spec.grid.h, mu=spec.mu.values,
                          lin=-spec.sigma.values)
-    if isinstance(spec.grid, Grid):
-        model.set_probe(_boundary_profile(spec.grid, spec.s))
+    model.set_probe(_boundary_profile(spec.grid, spec.s)
+                    if isinstance(spec.grid, Grid) else np.ones(spec.grid.n))
     return op, model
 
 
@@ -355,8 +352,7 @@ def _even_half(model: _EnergyModel) -> _EnergyModel:
     half = _EnergyModel(even.matrix(model.a_eff), model.h,
                         model.mu[:even.m] / even.root_w, model.lin[:even.m])
     half.even = even
-    if model.probe is not None:
-        half.set_probe(even.fold(model.probe[0]))
+    half.set_probe(even.fold(model.probe[0]))
     return half
 
 
@@ -406,8 +402,9 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     """Report of the steady state: zero when certified, else the lowest
     converged energy, to the residual solver_tol * _residual_scale(spec).
 
-    The certificate and the descents run on _even_half(model): on the even
-    half of a model that mirrors, else on the model itself, which is exact
+    Without resources (sigma = 0, tau = 0) zero is returned at once, as A
+    is positive semidefinite on every habitat and so E >= 0 = E(0).  The
+    certificate and the descents run on _even_half(model), which is exact
     (see spectral._EvenHalf).  first_start is called with that model, only
     when zero is not certified, and returns a start in its coordinates (it
     may set the probe); the descent runs from it (budget max_iter) and from
@@ -419,6 +416,8 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     are those of the full model; should that residual exceed the tolerance
     (only a folded one's can), the descent continues on the full model.
     """
+    if spec.tau == 0.0 and not np.any(spec.sigma.values):
+        return _extinct(spec)
     half = _even_half(model)
     if _zero_is_minimizer(half):
         return _extinct(spec)
@@ -546,28 +545,24 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
 
 
 def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
-    """Minimize the periodic energy over one cell.
+    """Minimize the periodic energy over one cell (see _steady_state).
 
-    Without resources (sigma = 0, tau = 0) the energy is nonnegative, as
-    the periodic operator is positive semidefinite, so zero is returned
-    without a certificate.  Otherwise the certificate's constant probe has
-    curvature -sum sigma - tau n < 0 at zero, so the unstable zero costs it
-    one matrix-vector product.  The first start is the constant suggested
-    by the cell averages, which for constant coefficients is already the
-    exact solution (mean sigma + tau) / mean mu.  The circulant operator
+    The probe is the constant: at an unstable zero its curvature
+    -sum sigma - tau n < 0 settles the certificate in one matrix-vector
+    product, and no Newton step factors a Hessian it shows indefinite.  The
+    first start is the cell-average level (mean sigma + tau) / mean mu, for
+    constant coefficients the exact solution.  The circulant operator
     mirrors, so with constant (or reversal-even) sigma and mu the cell is
-    solved on its even half like a bounded habitat (see _steady_state).
+    solved on its even half.
     """
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
-    _, model = _problem(spec)
-    if spec.tau == 0.0 and not np.any(spec.sigma.values):
-        return _extinct(spec)
-    h = spec.grid.h
-    level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
-    return _steady_state(spec, model,
-                         lambda half: half.even.fold(np.full(spec.grid.n, level)),
-                         max_iter)
+
+    def level_start(half: _EnergyModel) -> np.ndarray:
+        h = spec.grid.h
+        level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
+        return half.even.fold(np.full(spec.grid.n, level))
+    return _steady_state(spec, _problem(spec)[1], level_start, max_iter)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nlogis.cli as cli
+from nlogis import build_grid, problem_spec, solve_dirichlet
 from nlogis.cli import (
     ConfigError,
     ResultRow,
@@ -581,6 +583,35 @@ def test_solve_experiment_with_eigenvalue_multiple(tmp_path):
     assert len(rows) == 1
     assert rows[0].passed
     assert rows[0].values["classification"] == "nontrivial"
+
+
+@pytest.mark.parametrize("sigma, profile", [
+    ({"kind": "indicator", "ball": [-0.5, 0.5], "inside": 20.0,
+      "outside": 0.0}, lambda x: 20.0 if -0.5 <= x <= 0.5 else 0.0),
+    ({"kind": "cosine", "mean": 3.0, "amplitude": 1.0, "frequency": 2},
+     lambda x: 3.0 + 1.0 * math.cos(2.0 * math.pi * 2.0 * x)),
+], ids=["indicator", "cosine"])
+def test_solve_resource_profile_is_the_one_problem_spec_samples(
+        sigma, profile, monkeypatch):
+    specs = []
+
+    def recorded(spec):
+        specs.append(spec)
+        return solve_dirichlet(spec)
+    monkeypatch.setattr(cli, "solve_dirichlet", recorded)
+    (row,) = run(parse_config(json.dumps({
+        "experiment": "solve", "h": 2.0**-4, "intervals": [[-1.0, 1.0]],
+        "s": 0.5, "sigma": sigma,
+    })))
+    ref = problem_spec(build_grid([(-1.0, 1.0)], 2.0**-4), 0.5, profile, 1.0)
+    (spec,) = specs
+    assert np.array_equal(spec.sigma.values, ref.sigma.values)
+    assert np.array_equal(spec.mu.values, ref.mu.values)
+    assert np.ptp(ref.sigma.values) > 1.0
+    rep = solve_dirichlet(ref)
+    assert row.passed and row.values["classification"] == "nontrivial"
+    assert (row.values["energy"], row.values["el_residual"],
+            row.values["max_u"]) == (rep.energy, rep.el_residual, rep.u.max())
 
 
 def test_periodic_experiment_rows(tmp_path):

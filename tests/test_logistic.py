@@ -652,6 +652,36 @@ def test_dirichlet_certificate_settled_by_the_boundary_profile(s, monkeypatch):
     assert verdicts == [(False, 0)]
 
 
+@pytest.mark.parametrize(
+    "sigma", [2.0, lambda x: 2.0 + np.cos(2.0 * np.pi * x)],
+    ids=["constant", "oscillatory"])
+def test_periodic_solve_with_an_unstable_zero_makes_no_failing_cholesky(
+        sigma, monkeypatch):
+    # the constant probe shows every indefinite Hessian before dpotrf would
+    infos = []
+    factor = logistic.dpotrf
+
+    def recorded(*args, **kwargs):
+        out = factor(*args, **kwargs)
+        infos.append(out[1])
+        return out
+    monkeypatch.setattr(logistic, "dpotrf", recorded)
+    spec = problem_spec(build_periodic_grid(64), 0.5, sigma, 1.0)
+    assert solve_periodic(spec).classification == "nontrivial"
+    assert all(info == 0 for info in infos)
+
+
+def test_bounded_solve_without_resources_is_trivial_without_factoring(
+        monkeypatch):
+    # sigma = 0, tau = 0: E >= 0 = E(0) since A is positive semidefinite
+    spec = problem_spec(build_grid([(0.0, 1.0)], 2.0**-5), 0.5, 0.0, 1.0)
+    factorizations = _counting(monkeypatch, "dpotrf")
+    rep = solve_dirichlet(spec)
+    assert rep.classification == "trivial"
+    assert not factorizations
+    assert rep.history == [0.0, 0.0] and rep.iterations == 0
+
+
 def _directions_with_and_without_probe(model, e, u, monkeypatch):
     """Newton directions at u with e as the probe and with none, and the
     dpotrf calls each made."""
@@ -910,3 +940,61 @@ def test_folded_critical_radius_equals_the_full_one(s, factored_orders,
     monkeypatch.setattr(logistic, "_even_half", lambda model: model)
     assert critical_radius((0.0, 1.0), s, 2.0**-6) == folded
     assert max(half_orders) == (max(factored_orders) + 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# the solver's failure exits
+# ---------------------------------------------------------------------------
+
+def test_singular_newton_system_gives_no_direction():
+    zeros = np.zeros(2)
+    model = _EnergyModel(np.zeros((2, 2)), 1.0, zeros, zeros)
+    assert _newton_direction(model, zeros, np.ones(2)) is None
+
+
+def test_exhausted_gradient_line_search_stops_unconverged():
+    # at tolerance 0, no step from the converged state lowers the energy
+    grid = build_grid([(0.0, 1.0)], 2.0**-5)
+    lam = first_eigenpair(assemble_dirichlet(grid, 0.5)).lambda_
+    spec = problem_spec(grid, 0.5, 1.5 * lam, 1.0)
+    u = solve_dirichlet(spec).u.values
+    _, history, iters, converged = logistic._descend_loop(
+        _problem(spec)[1], u, 0.0, 50)
+    assert (iters, converged) == (2, False)
+    assert np.all(np.diff(history) <= 0.0)
+
+
+def test_unconverged_start_below_the_converged_one_raises():
+    # at solver_tol 1e-30 the level start stalls at the steady state while
+    # the tiny start converges onto the unstable zero, above it
+    spec = problem_spec(build_periodic_grid(64), 0.5,
+                        lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0,
+                        solver_tol=1e-30)
+    with pytest.raises(ConvergenceError,
+                       match="undercut the certified minimum"):
+        solve_periodic(spec)
+
+
+def test_no_converged_start_raises(monkeypatch):
+    descend = logistic._minimize_model
+
+    def stalled(*args):
+        *outcome, _ = descend(*args)
+        return (*outcome, False)
+    monkeypatch.setattr(logistic, "_minimize_model", stalled)
+    with pytest.raises(ConvergenceError, match="no start converged"):
+        solve_dirichlet(_certificate_spec(0.5, "1.1"))
+
+
+def test_unfolded_state_left_off_tolerance_raises(monkeypatch):
+    # as in the full-model continuation test, but with no budget left for
+    # the continuation (max_iter = 0), so the state stays off tolerance
+    spec = _mirrored_spec("interval", 1.5)
+    descend = logistic._minimize_model
+
+    def off(model, init, tol, budget):
+        y, *rest = descend(model, init, tol, 800)
+        return (y * (1.0 + 1e-6), *rest)
+    monkeypatch.setattr(logistic, "_minimize_model", off)
+    with pytest.raises(ConvergenceError, match="exceeds the tolerance"):
+        solve_dirichlet(spec, max_iter=0)

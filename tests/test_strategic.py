@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nlogis import (
+    ConvergenceError,
     approximate_s_harmonic,
     assemble_dirichlet,
     build_grid,
@@ -27,6 +28,14 @@ def test_monotone_target_error_non_increasing():
     res = approximate_s_harmonic(lambda x: x, 0.5, 1e-12, [4.0, 6.0, 8.0], H)
     errs = [e for _, e in res.history]
     assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
+
+
+def test_previous_radius_data_carried_forward():
+    # at R = 6 the Tikhonov fit of its own has error 6.42e-4, the R = 4
+    # data zero-padded 5.52e-4: the padded data must be kept
+    res = approximate_s_harmonic(lambda x: x, 0.9, 1e-14, [4.0, 6.0, 8.0], H)
+    (_, err4), (_, err6), _ = res.history
+    assert err6 < 6.0e-4 < err4
 
 
 def test_quadratic_target_achieves_tolerance():
@@ -97,6 +106,14 @@ def test_source_rejects_negative_forcing():
     f[0] = -1.0
     with pytest.raises(ValueError, match="nonnegative"):
         minimize_with_source(f, np.ones(n1), np.ones(n1), a_inner, H)
+
+
+def test_source_minimization_stall_raises():
+    grid, b1, a_inner = _inner_setup()
+    n1 = int(b1.sum())
+    with pytest.raises(ConvergenceError, match="forced minimization stalled"):
+        minimize_with_source(np.ones(n1), np.ones(n1), np.ones(n1), a_inner,
+                             H, solver_tol=1e-30)
 
 
 def test_source_gradient_matches_finite_differences():
