@@ -449,10 +449,10 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     if residual > tol:
         # near its roundoff floor the full residual can read above the
         # folded one: descend on the full model, below the folded energy
-        u, more, extra, ok = _descend_loop(model, u, tol, min(max_iter, 300),
-                                           history[-1])
+        u, more, extra, _ = _descend_loop(model, u, tol, min(max_iter, 300),
+                                          history[-1])
         residual = model.sup_norm(model.gradient(u))
-        if not ok:
+        if residual > tol:
             raise ConvergenceError(
                 f"the unfolded state's residual {residual:.3e} exceeds "
                 f"the tolerance {tol:.3e}")
@@ -623,19 +623,23 @@ def critical_radius(
     The habitat (a, b) is dilated to (r a, r b) and the unit-resource
     problem sigma = mu = 1, tau = 0 is solved; the survival threshold is
     predicted by lambda_s(Omega)^(1/(2s)).  Radii are snapped to the grid
-    lattice, so the answer is resolved to one spacing.
+    lattice, so the answer is resolved to one spacing, the first cell m
+    (r = m h / (b - a)) whose solve is nontrivial.
 
-    The radius is located on the extinction certificate and confirmed by
-    the full solve.  A full solve at the bracket's lower end must be
-    trivial.  Bisection over the rest of the bracket then finds the first
-    cell whose zero state the certificate (the solve's own first step:
-    probes, then at most one Cholesky at zero) does not prove extinct; a
-    certified cell cannot survive, so full solves walk up from there to the
-    first nontrivial one.  The certificate, like the solve, runs on the even
-    half of the mirrored habitat, and its verdict is the full Cholesky's.
-    Wherever survival is monotone along the bracket this is the cell a
-    bisection on full solves finds, and the upper end is assembled only
-    when the walk reaches it.
+    The cell is guessed from the scaling law lambda_s(r Omega) =
+    r^(-2s) lambda_s(Omega): with sigma = mu = 1 a cell survives exactly
+    when its first eigenvalue is below 1, so one eigenpair at the predicted
+    cell m0 gives the guess ceil(m0 lambda(m0)^(1/(2s))), clamped into the
+    bracket (lo, hi] = [0.55, 1.6] x predicted cells; when that eigenpair
+    does not converge the guess is m0 itself.  Full solves then walk down
+    from the guess while the cell below it survives (reaching lo means the
+    bracket has no switch) and up from it to the first nontrivial cell.
+    Usually the guess is that cell: a trivial solve one cell below it,
+    whose certificate (one Cholesky) is the whole solve, and a nontrivial
+    solve at it settle the search.  Every solve runs on the even half of
+    the mirrored habitat.  Wherever survival is monotone along the bracket
+    this is the cell a bisection on full solves finds, and the upper end is
+    assembled only when the walk reaches it.
     """
     base = build_grid([interval], h)
     lam = first_eigenpair(assemble(base, s)).lambda_
@@ -650,25 +654,24 @@ def critical_radius(
     def survives(m_cells: int) -> bool:
         return solve_dirichlet(spec_at(m_cells)).classification == "nontrivial"
 
-    def certified(m_cells: int) -> bool:
-        return _zero_is_minimizer(_even_half(_problem(spec_at(m_cells))[1]))
-
     lo = int(np.floor(0.55 * predicted * length / h))
     hi = int(np.ceil(1.6 * predicted * length / h))
     lo = max(lo, 2)
-    if survives(lo):
-        raise ValueError("bisection bracket does not straddle the threshold")
-    m_star = hi
-    while m_star - lo > 1:
-        mid = (lo + m_star) // 2
-        if certified(mid):
-            lo = mid
-        else:
-            m_star = mid
+    m_star = max(int(round(predicted * length / h)), lo + 1)
+    try:
+        lam0 = first_eigenpair(assemble(spec_at(m_star).grid, s)).lambda_
+        m_star = int(np.ceil(m_star * lam0 ** (1.0 / (2.0 * s))))
+    except ConvergenceError:
+        pass
+    m_star = max(min(m_star, hi), lo + 1)
+    while survives(m_star - 1):
+        m_star -= 1
+        if m_star == lo:
+            raise ValueError("the bracket does not straddle the threshold")
     while not survives(m_star):
         m_star += 1
         if m_star > hi:
-            raise ValueError("bisection bracket does not straddle the threshold")
+            raise ValueError("the bracket does not straddle the threshold")
     r_star = m_star * h / length
     return CriticalRadius(
         r_star=r_star,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg.lapack import dpotrf
@@ -440,6 +442,10 @@ def test_critical_radius_against_prediction():
     ((0.0, 1.0), 0.75, 2.0**-7),
     ((0.0, 1.0), 1.0, 2.0**-7),
     ((0.5, 1.5), 0.5, 2.0**-6),
+    ((0.0, 1.0), 0.2, 2.0**-6),
+    ((0.0, 1.0), 0.9, 2.0**-6),
+    ((-1.0, 1.0), 0.4, 2.0**-6),
+    ((0.25, 1.0), 0.6, 2.0**-6),
 ])
 def test_critical_radius_equals_the_full_solve_bisection(interval, s, h):
     assert critical_radius(interval, s, h) == \
@@ -447,13 +453,53 @@ def test_critical_radius_equals_the_full_solve_bisection(interval, s, h):
 
 
 def test_critical_radius_solves_only_at_the_threshold(monkeypatch):
-    # one trivial solve at the bracket's lower end, certificates inside it,
-    # and one nontrivial solve at r*: eigenpairs of the base habitat and of
-    # that solve only
+    # eigenpairs of the base habitat, of the predicted cell (the scaling
+    # law's guess) and of the nontrivial solve at r*; one trivial solve at
+    # the cell below, settled by its certificate, and no certificate
+    # outside the two solves
     eigenpairs = _counting(monkeypatch, "first_eigenpair")
     solves = _counting(monkeypatch, "solve_dirichlet")
+    certificates = _counting(monkeypatch, "_zero_is_minimizer")
     critical_radius((0.0, 1.0), 0.5, 2.0**-7)
-    assert (len(eigenpairs), len(solves)) == (2, 2)
+    assert (len(eigenpairs), len(solves), len(certificates)) == (3, 2, 2)
+
+
+@pytest.mark.parametrize("factor, direction", [
+    (0.9, "up"), (0.97, "up"), (1.03, "down"), (1.1, "down"), (None, "up"),
+])
+def test_critical_radius_walks_to_the_threshold_when_the_guess_misses(
+        factor, direction, monkeypatch):
+    # the predicted cell's eigenvalue (the second eigenpair) scaled by
+    # factor, or raising for None, which leaves the predicted cell as the
+    # guess: a guess below r* walks up to it through trivial solves, one
+    # above it walks down through nontrivial ones
+    expected = oracles.ref_critical_radius((0.0, 1.0), 0.5, 2.0**-6)
+    eigenpair = logistic.first_eigenpair
+    calls = []
+
+    def skewed(op, **kwargs):
+        calls.append(1)
+        if len(calls) != 2:
+            return eigenpair(op, **kwargs)
+        if factor is None:
+            raise ConvergenceError("no eigenpair at the predicted cell")
+        pair = eigenpair(op, **kwargs)
+        return dataclasses.replace(pair, lambda_=factor * pair.lambda_)
+    monkeypatch.setattr(logistic, "first_eigenpair", skewed)
+    solve = logistic.solve_dirichlet
+    classes = []
+
+    def recorded(spec):
+        rep = solve(spec)
+        classes.append(rep.classification)
+        return rep
+    monkeypatch.setattr(logistic, "solve_dirichlet", recorded)
+    assert critical_radius((0.0, 1.0), 0.5, 2.0**-6) == expected
+    assert len(classes) > 2
+    if direction == "up":
+        assert classes.count("nontrivial") == 1
+    else:
+        assert classes[0] == "nontrivial" and classes.count("trivial") == 1
 
 
 def test_critical_radius_never_builds_an_upper_end_it_does_not_reach(
@@ -469,8 +515,8 @@ def test_critical_radius_never_builds_an_upper_end_it_does_not_reach(
 @pytest.mark.parametrize("classification", ["trivial", "nontrivial"])
 def test_critical_radius_rejects_a_bracket_without_a_switch(classification,
                                                            monkeypatch):
-    # survival everywhere fails at the lower end; survival nowhere walks
-    # from the first uncertified cell past the upper end
+    # survival everywhere walks down to the lower end; survival nowhere
+    # walks up past the upper end
     solve = logistic.solve_dirichlet
 
     def fixed(spec):
@@ -998,3 +1044,20 @@ def test_unfolded_state_left_off_tolerance_raises(monkeypatch):
     monkeypatch.setattr(logistic, "_minimize_model", off)
     with pytest.raises(ConvergenceError, match="exceeds the tolerance"):
         solve_dirichlet(spec, max_iter=0)
+
+
+def test_unfolded_state_meeting_the_tolerance_on_its_last_step_is_accepted(
+        monkeypatch):
+    # the continuation's one allowed step (max_iter = 1) reaches the
+    # tolerance, which the descent would only test at the top of a next
+    # iteration
+    spec = _mirrored_spec("interval", 1.5)
+    descend = logistic._minimize_model
+
+    def off(model, init, tol, budget):
+        y, *rest = descend(model, init, tol, 800)
+        return (y * (1.0 + 1e-6), *rest)
+    monkeypatch.setattr(logistic, "_minimize_model", off)
+    rep = solve_dirichlet(spec, max_iter=1)
+    assert rep.el_residual <= spec.solver_tol * _residual_scale(spec)
+    assert rep.classification == "nontrivial"
