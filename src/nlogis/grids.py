@@ -39,8 +39,11 @@ _REL_TOL = 1e-12
 # convolution matrix and the solver's matrices held together): their peak
 # resident memory above the import was 7.5 matrices at n = 1023 and 2047 and
 # 6.6 at n = 4095, so at most 3.8 GiB here, within a 7 GB machine; eigen
-# peaks at 4.3, the transmission form at 4.5 and the periodic solve at 5.1
-# matrices.  Twice the cap would need about 15 GiB.
+# peaks at 4.3 and the transmission form at 4.5 matrices.  The periodic
+# solve applies its circulant by FFT and holds no matrix (3.5 MiB above the
+# import at n = 4096), but the periodic cell keeps the cap: its public
+# builders, assemble_periodic and convolution_matrix, are dense.  Twice the
+# cap would need about 15 GiB.
 MAX_NODES = 8192
 
 # Cap on the other input that sizes an allocation, set from measured peak

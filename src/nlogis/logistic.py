@@ -18,16 +18,20 @@ periodic cell; they differ only in their first start and share one core,
 _steady_state, and one report, SolveReport.  Without resources, or when
 the Hessian at zero is positive definite (mu >= 0 makes the cubic term
 convex), zero is the only minimizer and the core returns the trivial state
-without descending.  A problem that mirrors onto itself is certified and
-descended on its even half, ceil(n/2) nodes (_even_half; spectral._EvenHalf
-says why that is exact).
+without descending.  A bounded problem that mirrors onto itself is
+certified and descended on its even half, ceil(n/2) nodes
+(_EnergyModel.even_half; spectral._EvenHalf says why that is exact).  The
+periodic cell's model is a circulant applied by FFT (_CirculantModel),
+which keeps no n x n matrix and is not folded.
 
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
-on the nodal system is tried first, its Hessian factored by Cholesky and
-by a symmetric-indefinite solve only when it is not positive definite
-(known without factoring when the curvature along the probe is
-negative); a backtracking gradient step is the fallback.  A Newton
+on the nodal system is tried first, the model's own: on a bounded habitat
+its Hessian is factored by Cholesky, and by a symmetric-indefinite solve
+only when it is not positive definite (known without factoring when the
+curvature along the probe is negative); on the periodic cell it is solved
+by MINRES with a circulant preconditioner.  A backtracking gradient step
+is the fallback.  A Newton
 step whose predicted decrease lies below what the energy resolves goes to
 an endgame that accepts it on a halved residual.  The final iterate is
 replaced by its absolute value, which can only lower the energy.  A report
@@ -40,8 +44,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve
+from scipy.linalg import LinAlgError, circulant, solve
 from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import ConvergenceError
 from .grids import (
@@ -53,8 +58,9 @@ from .grids import (
     build_kernel,
     problem_spec,
 )
-from .operators import (NonlocalMatrix, TransmissionSpec, assemble,
-                        assemble_transmission, convolution_matrix)
+from .operators import (NonlocalMatrix, TransmissionSpec, _periodic_column,
+                        _periodic_stencil, assemble, assemble_transmission,
+                        convolution_matrix)
 from .spectral import _EvenHalf, first_eigenpair, union_eigen_study
 
 __all__ = [
@@ -102,7 +108,7 @@ class _EnergyModel:
     probe is (e, A_eff e) for a field e along which the Hessian is expected
     to have negative curvature; every problem's model has one.  even
     maps the full fields to the model's coordinates: the identity, except
-    on a model folded onto its even half (_even_half).
+    on a model folded onto its even half (even_half).
     """
 
     def __init__(self, a_eff: np.ndarray, h: float, mu: np.ndarray,
@@ -116,9 +122,13 @@ class _EnergyModel:
         self.probe = None
         self.even = _EvenHalf(lin.size)
 
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """A_eff u."""
+        return self.a_eff @ u
+
     def set_probe(self, e: np.ndarray) -> np.ndarray:
         """Carry (e, A_eff e) as the probe; returns A_eff e."""
-        ae = self.a_eff @ e
+        ae = self.apply(e)
         self.probe = (e, ae)
         return ae
 
@@ -156,10 +166,10 @@ class _EnergyModel:
 
     def energy(self, u: np.ndarray) -> float:
         bulk = self.mu * np.abs(u) ** 3 / 3.0 + self.lin * u**2 / 2.0 - self.src * u
-        return float(0.5 * self.h * (u @ (self.a_eff @ u)) + self.h * bulk.sum())
+        return float(0.5 * self.h * (u @ self.apply(u)) + self.h * bulk.sum())
 
     def gradient(self, u: np.ndarray) -> np.ndarray:
-        return self.a_eff @ u + self.mu * np.abs(u) * u + self.lin * u - self.src
+        return self.apply(u) + self.mu * np.abs(u) * u + self.lin * u - self.src
 
     def hessian(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The Hessian (scaled by 1/h) in C order, written into out if given."""
@@ -168,28 +178,106 @@ class _EnergyModel:
         hess[np.diag_indices_from(hess)] += 2.0 * self.mu * np.abs(u) + self.lin
         return hess
 
+    def newton_direction(self, u: np.ndarray, g: np.ndarray):
+        """Solution d of H d = -g, or None when H is singular.
 
-def _newton_direction(model: _EnergyModel, u: np.ndarray, g: np.ndarray):
-    """Solution d of H d = -g, or None when H is singular.
+        H is built in C order, so H.T is the Fortran-ordered matrix LAPACK
+        works on, and Cholesky factors it in its own storage (H is
+        symmetric and only its upper triangle is read).  Only when H is not
+        positive definite is it rebuilt in place for the symmetric-indefinite
+        solve, so one n x n Hessian is alive at a time.  Cholesky is not
+        tried when the model's probe already shows negative curvature.
+        """
+        hess = self.hessian(u)
+        if self.probe is None or not self.indefinite_along(u, *self.probe):
+            factor, info = dpotrf(hess.T, lower=True, overwrite_a=True,
+                                  clean=False)
+            if info == 0:
+                d, info = dpotrs(factor, -g, lower=True)
+                return d if info == 0 else None
+            self.hessian(u, out=hess)
+        try:
+            return solve(hess.T, -g, assume_a="sym", lower=True,
+                         overwrite_a=True)
+        except LinAlgError:
+            return None
 
-    H is built in C order, so H.T is the Fortran-ordered matrix LAPACK
-    works on, and Cholesky factors it in its own storage (H is symmetric
-    and only its upper triangle is read).  Only when H is not positive
-    definite is it rebuilt in place for the symmetric-indefinite solve, so
-    one n x n Hessian is alive at a time.  Cholesky is not tried when the
-    model's probe already shows negative curvature.
+    def even_half(self) -> "_EnergyModel":
+        """The model on its even half (spectral._EvenHalf) when A_eff
+        mirrors and mu and lin are even, else the model itself.
+
+        At an even field u with coordinates y, E(u) (src = 0) is the energy
+        at y of the model with A_eff folded, mu / sqrt w and the same lin,
+        whose gradient is the fold of the full one and whose Hessian is the
+        full Hessian folded.  The probe is folded along.
+        """
+        even = _EvenHalf.of(self.a_eff, self.mu, self.lin)
+        if not even.mirrored:
+            return self
+        half = _EnergyModel(even.matrix(self.a_eff), self.h,
+                            self.mu[:even.m] / even.root_w, self.lin[:even.m])
+        half.even = even
+        half.set_probe(even.fold(self.probe[0]))
+        return half
+
+
+class _CirculantModel(_EnergyModel):
+    """The model of the periodic cell, where A_eff is the circulant whose
+    first column is col: rfft diagonalizes it, and its eigenvalues are the
+    real symbol rfft(col).  A_eff is applied by FFT, so energy, gradient
+    and probe cost O(n log n) and no n x n matrix is kept.
+
+    A Newton system (A_eff + diag d) x = -g is solved by MINRES, which
+    serves positive definite and indefinite Hessians alike, preconditioned
+    by the circulant A_eff + mean(d) I (T. Chan 1988; R. Chan and Strang
+    1989) with its symbol taken in absolute value, so that the
+    preconditioner is positive definite, and floored away from zero.
+    even_half returns the model itself: folded onto its even half, A_eff
+    would no longer be a circulant.
     """
-    hess = model.hessian(u)
-    if model.probe is None or not model.indefinite_along(u, *model.probe):
-        factor, info = dpotrf(hess.T, lower=True, overwrite_a=True, clean=False)
-        if info == 0:
-            d, info = dpotrs(factor, -g, lower=True)
-            return d if info == 0 else None
-        model.hessian(u, out=hess)
-    try:
-        return solve(hess.T, -g, assume_a="sym", lower=True, overwrite_a=True)
-    except LinAlgError:
-        return None
+
+    def __init__(self, col: np.ndarray, h: float, mu: np.ndarray,
+                 lin: np.ndarray):
+        self.col = col
+        self.symbol = np.fft.rfft(col).real
+        self.h, self.mu, self.lin, self.src = h, mu, lin, 0.0
+        self.abs_diag = np.full(col.size, abs(col[0]))
+        self.probe = None
+        self.even = _EvenHalf(col.size)
+
+    def _circulant(self, symbol: np.ndarray, u: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(np.fft.rfft(u) * symbol, self.col.size)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        return self._circulant(self.symbol, u)
+
+    def hessian(self, u: np.ndarray) -> np.ndarray:
+        """The dense Hessian, built only for the extinction certificate's
+        Cholesky factorization when the probe does not settle it."""
+        hess = circulant(self.col)
+        hess[np.diag_indices_from(hess)] += 2.0 * self.mu * np.abs(u) + self.lin
+        return hess
+
+    def newton_direction(self, u: np.ndarray, g: np.ndarray):
+        """Solution d of H d = -g by preconditioned MINRES, or None when
+        MINRES does not converge within its iteration limit."""
+        n = self.col.size
+        diag = 2.0 * self.mu * np.abs(u) + self.lin
+        shifted = np.abs(self.symbol + diag.mean())
+        inverse = 1.0 / np.maximum(shifted, 1e-12 * np.max(shifted))
+        hess = LinearOperator((n, n), dtype=float,
+                              matvec=lambda x: self.apply(x) + diag * x)
+        precond = LinearOperator((n, n), dtype=float,
+                                 matvec=lambda r: self._circulant(inverse, r))
+        # minres stops on a backward error, ||r|| / (||H|| ||d||); at 1e-12
+        # the step was up to 2e-11 off the dense solve even where H is
+        # well conditioned, at 1e-14 it is within 2e-13, for about one
+        # iteration more
+        d, info = minres(hess, -g, rtol=1e-14, maxiter=200, M=precond)
+        return d if info == 0 else None
+
+    def even_half(self) -> "_CirculantModel":
+        return self
 
 
 def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
@@ -213,7 +301,7 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
         # Newton step on the nodal system; skipped with exponential backoff
         # while the Hessian is indefinite (early, near the unstable zero)
         if newton_skip == 0:
-            d = _newton_direction(model, u, g)
+            d = model.newton_direction(u, g)
             if d is not None and np.all(np.isfinite(d)):
                 # g is the gradient scaled by 1/h: E changes at rate h slope
                 slope = float(g @ d)
@@ -319,12 +407,24 @@ def _boundary_profile(grid: Grid, s: float) -> np.ndarray:
     return ((grid.nodes - ends[:, 0]) * (ends[:, 1] - grid.nodes)) ** s
 
 
-def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
-    """(op, model) of a problem: op is the transmission form of a
-    TransmissionSpec and the habitat's operator otherwise, A_eff is op less
-    tau B, and the probe is the habitat's first-eigenvector estimate: the
-    boundary profile on a bounded grid, on the periodic cell the constant
-    (exactly the first eigenvector of the circulant A_eff)."""
+def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix | None, _EnergyModel]:
+    """(op, model) of a problem, A_eff being its operator less tau B.
+
+    On a bounded grid op is the transmission form of a TransmissionSpec and
+    the habitat's operator otherwise, and the probe is the boundary
+    profile, the first-eigenvector estimate.  On the periodic cell op is
+    None: the model is a _CirculantModel built from the first columns of
+    the operator and of B, and its probe is the constant, exactly the first
+    eigenvector of the circulant A_eff.
+    """
+    if isinstance(spec.grid, PeriodicGrid):
+        col = _periodic_column(spec.grid, spec.s)
+        if spec.tau > 0.0:
+            col = col - spec.tau * _periodic_stencil(spec.kernel, spec.grid)
+        model = _CirculantModel(col, spec.grid.h, spec.mu.values,
+                                -spec.sigma.values)
+        model.set_probe(np.ones(spec.grid.n))
+        return None, model
     op = (assemble_transmission(spec) if isinstance(spec, TransmissionSpec)
           else assemble(spec.grid, spec.s))
     a_eff = op.a
@@ -332,28 +432,8 @@ def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix, _EnergyModel]:
         a_eff = a_eff - spec.tau * convolution_matrix(spec.kernel, spec.grid)
     model = _EnergyModel(a_eff=a_eff, h=spec.grid.h, mu=spec.mu.values,
                          lin=-spec.sigma.values)
-    model.set_probe(_boundary_profile(spec.grid, spec.s)
-                    if isinstance(spec.grid, Grid) else np.ones(spec.grid.n))
+    model.set_probe(_boundary_profile(spec.grid, spec.s))
     return op, model
-
-
-def _even_half(model: _EnergyModel) -> _EnergyModel:
-    """The model on its even half (spectral._EvenHalf) when A_eff mirrors
-    and mu and lin are even, else the model itself.
-
-    At an even field u with coordinates y, E(u) (src = 0) is the energy at
-    y of the model with A_eff folded, mu / sqrt w and the same lin, whose
-    gradient is the fold of the full one and whose Hessian is the full
-    Hessian folded.  The probe is folded along.
-    """
-    even = _EvenHalf.of(model.a_eff, model.mu, model.lin)
-    if not even.mirrored:
-        return model
-    half = _EnergyModel(even.matrix(model.a_eff), model.h,
-                        model.mu[:even.m] / even.root_w, model.lin[:even.m])
-    half.even = even
-    half.set_probe(even.fold(model.probe[0]))
-    return half
 
 
 def _residual_scale(spec: ProblemSpec) -> float:
@@ -404,7 +484,7 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
 
     Without resources (sigma = 0, tau = 0) zero is returned at once, as A
     is positive semidefinite on every habitat and so E >= 0 = E(0).  The
-    certificate and the descents run on _even_half(model), which is exact
+    certificate and the descents run on model.even_half(), which is exact
     (see spectral._EvenHalf).  first_start is called with that model, only
     when zero is not certified, and returns a start in its coordinates (it
     may set the probe); the descent runs from it (budget max_iter) and from
@@ -418,7 +498,7 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     """
     if spec.tau == 0.0 and not np.any(spec.sigma.values):
         return _extinct(spec)
-    half = _even_half(model)
+    half = model.even_half()
     if _zero_is_minimizer(half):
         return _extinct(spec)
     tol = spec.solver_tol * _residual_scale(spec)
@@ -547,13 +627,14 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
 def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """Minimize the periodic energy over one cell (see _steady_state).
 
-    The probe is the constant: at an unstable zero its curvature
-    -sum sigma - tau n < 0 settles the certificate in one matrix-vector
-    product, and no Newton step factors a Hessian it shows indefinite.  The
+    The model is a _CirculantModel: energy, gradient and Newton steps apply
+    the circulant A - tau B by FFT and no n x n matrix is built.  The probe
+    is the constant: at an unstable zero its curvature -sum sigma - tau n
+    < 0 settles the certificate in one FFT product; only were it not
+    negative would the certificate build and factor the dense Hessian.  The
     first start is the cell-average level (mean sigma + tau) / mean mu, for
-    constant coefficients the exact solution.  The circulant operator
-    mirrors, so with constant (or reversal-even) sigma and mu the cell is
-    solved on its even half.
+    constant coefficients the exact solution.  The cell is solved on all n
+    nodes.
     """
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")

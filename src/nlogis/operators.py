@@ -26,7 +26,9 @@ nonpositive off-diagonal entries (an M-matrix), and A @ ones == 2s(1-s) T.
 Every weight depends only on the lattice distance between two nodes, so
 the weights are tabulated once per distance, O(n) kernel evaluations, and
 spread over the dense n x n matrix: Toeplitz blocks between the intervals
-of a grid, a circulant on the periodic cell.
+of a grid, a circulant on the periodic cell.  The periodic circulants'
+first columns (_periodic_column, _periodic_stencil) are all the periodic
+energy model keeps.
 """
 
 from __future__ import annotations
@@ -290,19 +292,25 @@ def _periodic_pair_weights(pgrid: PeriodicGrid, s: float) -> np.ndarray:
     return omega
 
 
+def _periodic_column(pgrid: PeriodicGrid, s: float) -> np.ndarray:
+    """First column of the periodic operator, a circulant: 2s(1-s) times
+    -omega, with the row sum of omega on the diagonal."""
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"fractional exponent s={s} must lie in (0, 1)")
+    omega = _periodic_pair_weights(pgrid, s)
+    col = -omega
+    col[0] = omega[1:].sum()
+    col *= 2.0 * s * (1.0 - s)
+    return col
+
+
 def assemble_periodic(pgrid: PeriodicGrid, s: float) -> NonlocalMatrix:
     """Fractional operator on the unit cell with periodized kernel.
 
     Rows sum to zero exactly: the periodic extension of a constant is
     annihilated, there is no exterior to lose mass to.
     """
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"fractional exponent s={s} must lie in (0, 1)")
-    omega = _periodic_pair_weights(pgrid, s)
-    a = -circulant(omega)
-    np.fill_diagonal(a, omega[1:].sum())
-    a *= 2.0 * s * (1.0 - s)
-    return NonlocalMatrix(grid=pgrid, a=a)
+    return NonlocalMatrix(grid=pgrid, a=circulant(_periodic_column(pgrid, s)))
 
 
 def assemble(grid: Grid | PeriodicGrid, s: float) -> NonlocalMatrix:
@@ -319,6 +327,38 @@ def assemble(grid: Grid | PeriodicGrid, s: float) -> NonlocalMatrix:
 # convolution
 # ---------------------------------------------------------------------------
 
+def _check_spacing(kernel: Kernel, h: float) -> None:
+    if abs(kernel.h - h) > 1e-12 * h:
+        raise ValueError("kernel lattice spacing differs from grid spacing")
+
+
+def _periodic_stencil(kernel: Kernel, pgrid: PeriodicGrid) -> np.ndarray:
+    """b_off[d]: the convolution weight h J at cell offset d = 0..n-1,
+    the stencil summed over the periodic images; the first column of the
+    periodic convolution matrix, a circulant."""
+    _check_spacing(kernel, pgrid.h)
+    if kernel.rho >= IMAGE_CUTOFF - 1:
+        raise ValueError(
+            f"kernel radius {kernel.rho} exceeds periodic image cutoff "
+            f"{IMAGE_CUTOFF} - 1"
+        )
+    n = pgrid.n
+    wrap = int(np.ceil(kernel.rho)) + 1
+    q = np.arange(n)[:, None] + np.arange(-wrap, wrap + 1) * n
+    sel = np.abs(q) <= kernel.k_max
+    # the stencil offsets of one cell offset are a contiguous run of
+    # images; summing the runs of one length as the rows of one array
+    # adds each in offset order, the same sums at any kernel radius
+    count = sel.sum(axis=1)
+    first = sel.argmax(axis=1)
+    b_off = np.zeros(n)
+    for c in np.unique(count[count > 0]):
+        rows = np.nonzero(count == c)[0]
+        run = q[rows[:, None], first[rows, None] + np.arange(c)]
+        b_off[rows] = pgrid.h * kernel.weights[kernel.k_max + run].sum(axis=1)
+    return b_off
+
+
 def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
     """Matrix B with (J*u)_i = (B u)_i = h sum_j J(x_i - x_j) u_j.
 
@@ -331,30 +371,10 @@ def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
     pair.  On the periodic cell B is the circulant of the stencil summed
     over the images.
     """
-    h = grid.h
-    if abs(kernel.h - h) > 1e-12 * h:
-        raise ValueError("kernel lattice spacing differs from grid spacing")
     if isinstance(grid, PeriodicGrid):
-        if kernel.rho >= IMAGE_CUTOFF - 1:
-            raise ValueError(
-                f"kernel radius {kernel.rho} exceeds periodic image cutoff "
-                f"{IMAGE_CUTOFF} - 1"
-            )
-        n = grid.n
-        wrap = int(np.ceil(kernel.rho)) + 1
-        q = np.arange(n)[:, None] + np.arange(-wrap, wrap + 1) * n
-        sel = np.abs(q) <= kernel.k_max
-        # the stencil offsets of one cell offset are a contiguous run of
-        # images; summing the runs of one length as the rows of one array
-        # adds each in offset order, the same sums at any kernel radius
-        count = sel.sum(axis=1)
-        first = sel.argmax(axis=1)
-        b_off = np.zeros(n)
-        for c in np.unique(count[count > 0]):
-            rows = np.nonzero(count == c)[0]
-            run = q[rows[:, None], first[rows, None] + np.arange(c)]
-            b_off[rows] = h * kernel.weights[kernel.k_max + run].sum(axis=1)
-        return circulant(b_off)
+        return circulant(_periodic_stencil(kernel, grid))
+    h = grid.h
+    _check_spacing(kernel, h)
     x = grid.nodes
 
     def stencil(k):

@@ -5,8 +5,10 @@ form, using scipy's adaptive quadrature instead, so the two paths share no
 arithmetic beyond the kernel definition itself.  The ref_* functions at the
 end are the other kind: the library's own closed forms, assembled entry by
 entry, as references for the tabulated assembly, the even half's maps
-as dense matrices, and the critical radius found by bisecting on full
-solves, as the reference for the search on the extinction certificate.
+as dense matrices, the critical radius found by bisecting on full
+solves, as the reference for the search on the extinction certificate,
+and the periodic cell's energy model on dense matrices, as the reference
+for the circulant model applied by FFT.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from nlogis import (
     problem_spec,
     solve_dirichlet,
 )
-from nlogis.operators import assemble
+from nlogis.logistic import _EnergyModel
+from nlogis.operators import assemble, assemble_periodic, convolution_matrix
 
 
 def kernel(t, s):
@@ -323,3 +326,14 @@ def ref_critical_radius(interval, s, h, solver_tol=1e-10):
         predicted=predicted,
         rel_gap=abs(r_star - predicted) / predicted,
     )
+
+
+def ref_periodic_model(spec):
+    """The periodic problem's energy model on the dense circulants of the
+    public builders, A_eff = A - tau B, with the constant as its probe."""
+    a_eff = assemble_periodic(spec.grid, spec.s).a
+    if spec.tau > 0.0:
+        a_eff = a_eff - spec.tau * convolution_matrix(spec.kernel, spec.grid)
+    model = _EnergyModel(a_eff, spec.grid.h, spec.mu.values, -spec.sigma.values)
+    model.set_probe(np.ones(spec.grid.n))
+    return model

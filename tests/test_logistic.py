@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,9 +33,7 @@ from nlogis import (
 from nlogis import grids, logistic, transmission
 from nlogis.logistic import (
     _EnergyModel,
-    _even_half,
     _minimize_model,
-    _newton_direction,
     _problem,
     _residual_scale,
     _zero_is_minimizer,
@@ -739,7 +738,7 @@ def _directions_with_and_without_probe(model, e, u, monkeypatch):
         if probe is not None:
             model.set_probe(probe)
         before = len(factorizations)
-        out.append((_newton_direction(model, u, g),
+        out.append((model.newton_direction(u, g),
                     len(factorizations) - before))
     return out
 
@@ -844,7 +843,7 @@ MIRRORED = ["interval", "pair", "reach", "uncoupled", "n=1", "n=2", "n=3"]
 def test_folded_model_is_the_full_model_on_even_fields(case):
     spec = _mirrored_spec(case, 1.5)
     model = _problem(spec)[1]
-    half = _even_half(model)
+    half = model.even_half()
     n = spec.grid.n
     m = (n + 1) // 2
     v = np.random.default_rng(5).uniform(-1.5, 1.5, m)
@@ -913,7 +912,7 @@ def test_folded_certificate_is_the_full_cholesky(case, factor):
     spec = _mirrored_spec(case, factor)
     n = spec.grid.n
     model = _problem(spec)[1]
-    half = _even_half(model)
+    half = model.even_half()
     assert half.a_eff.shape == ((n + 1) // 2,) * 2
     _, info = dpotrf(model.hessian(np.zeros(n)).T, lower=True)
     assert _zero_is_minimizer(half) == (info == 0) == (factor < 1.0)
@@ -933,7 +932,7 @@ def _unmirrored_spec(case):
 def test_unmirrored_solve_factors_at_full_order(case, factored_orders):
     spec = _unmirrored_spec(case)
     model = _problem(spec)[1]
-    assert _even_half(model) is model
+    assert model.even_half() is model
     rep = solve_dirichlet(spec)
     assert rep.classification == "nontrivial"
     assert factored_orders and set(factored_orders) == {spec.grid.n}
@@ -946,7 +945,7 @@ def _even_cosine(n):
 
 
 @pytest.mark.parametrize("even", [True, False])
-def test_periodic_cell_is_solved_on_its_even_half(even, factored_orders):
+def test_periodic_cell_is_solved_without_factoring(even, factored_orders):
     pg = build_periodic_grid(64)
     n = pg.n
     sigma = (_even_cosine(n) if even
@@ -956,8 +955,8 @@ def test_periodic_cell_is_solved_on_its_even_half(even, factored_orders):
     values = spec.sigma.values
     assert np.ptp(values) > 1.0
     assert np.array_equal(values, values[::-1]) == even
-    # the full path: the full model descended from solve_periodic's starts
-    model = _problem(spec)[1]
+    # the full path: the dense model descended from solve_periodic's starts
+    model = oracles.ref_periodic_model(spec)
     h = pg.h
     level = (h * np.sum(values) + spec.tau) / (h * np.sum(spec.mu.values))
     tol = spec.solver_tol * _residual_scale(spec)
@@ -970,7 +969,7 @@ def test_periodic_cell_is_solved_on_its_even_half(even, factored_orders):
     e_full, u_full = min(outcomes, key=lambda o: o[0])
     factored_orders.clear()
     rep = solve_periodic(spec)
-    assert factored_orders and set(factored_orders) == {n // 2 if even else n}
+    assert factored_orders == []
     assert rep.classification == "nontrivial"
     assert np.ptp(rep.u.values) > 0.05
     assert abs(rep.energy - e_full) <= 1e-10 * abs(e_full)
@@ -983,9 +982,114 @@ def test_folded_critical_radius_equals_the_full_one(s, factored_orders,
     folded = critical_radius((0.0, 1.0), s, 2.0**-6)
     half_orders = list(factored_orders)
     factored_orders.clear()
-    monkeypatch.setattr(logistic, "_even_half", lambda model: model)
+    monkeypatch.setattr(_EnergyModel, "even_half", lambda model: model)
     assert critical_radius((0.0, 1.0), s, 2.0**-6) == folded
     assert max(half_orders) == (max(factored_orders) + 1) // 2
+
+
+# ---------------------------------------------------------------------------
+# the periodic cell's circulant model, against the dense one
+# ---------------------------------------------------------------------------
+
+def _cosine_cell(n, s, tau):
+    pg = build_periodic_grid(n)
+    kernel = build_kernel("uniform", 0.25, pg.h) if tau else None
+    return problem_spec(pg, s, lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0,
+                        tau=tau, kernel=kernel)
+
+
+@pytest.mark.parametrize("tau", [0.0, 1.0])
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [4, 5, 64, 1024])
+def test_circulant_model_is_the_dense_model(n, s, tau):
+    spec = _cosine_cell(n, s, tau)
+    model = _problem(spec)[1]
+    dense = oracles.ref_periodic_model(spec)
+    # a product with A_eff is rounded relative to ||A_eff||_inf
+    norm_a = np.sum(np.abs(model.col))
+    ones, a_ones = model.probe
+    assert np.array_equal(ones, dense.probe[0])
+    assert np.max(np.abs(a_ones - dense.probe[1])) <= 1e-12 * norm_a
+    x = spec.grid.nodes
+    states = {
+        "definite": (spec.sigma.values + tau) * (1.0 + 0.1 * np.sin(6.0 * np.pi * x)),
+        "tiny": np.full(n, 0.1 * spec.triviality_tol),
+    }
+    for name, u in states.items():
+        # 1e-12 relative, or 16 ulps of the quadratic part's terms where
+        # that is larger (the rounding _EnergyModel.resolution allows)
+        e = dense.energy(u)
+        terms = spec.grid.h * float(dense.abs_diag @ (u * u))
+        bound = max(1e-12 * abs(e), 16.0 * np.finfo(float).eps * terms)
+        assert abs(model.energy(u) - e) <= bound
+        g = dense.gradient(u)
+        scale = max(np.max(np.abs(g)), norm_a * np.max(np.abs(u)))
+        assert np.max(np.abs(model.gradient(u) - g)) <= 1e-12 * scale
+        eig = np.linalg.eigvalsh(dense.hessian(u))
+        assert (eig[0] > 0.0) == (name == "definite")
+        d = dense.newton_direction(u, g)
+        # no double-precision solve resolves d better than cond(H) eps,
+        # which exceeds 1e-12 only at n = 1024, s = 0.9 (cond about 5e5)
+        cond = np.max(np.abs(eig)) / np.min(np.abs(eig))
+        rel = max(1e-12, np.finfo(float).eps * cond)
+        assert (np.max(np.abs(model.newton_direction(u, g) - d))
+                <= rel * np.max(np.abs(d)))
+
+
+def test_unconverged_minres_gives_no_direction(monkeypatch):
+    spec = _cosine_cell(64, 0.5, 0.0)
+    model = _problem(spec)[1]
+    u = np.full(spec.grid.n, 0.1 * spec.triviality_tol)
+    g = model.gradient(u)
+    assert model.newton_direction(u, g) is not None
+    minres = logistic.minres
+    monkeypatch.setattr(logistic, "minres",
+                        lambda *args, **kwargs: minres(*args, **{**kwargs, "maxiter": 1}))
+    assert model.newton_direction(u, g) is None
+
+
+@pytest.mark.parametrize("c", [3.5, 4.5])
+def test_periodic_certificate_the_probe_cannot_settle_is_the_dense_cholesky(
+        c, monkeypatch):
+    # sigma = -1 + c on |x| < 0.1 (13 of 64 nodes), set past problem_spec,
+    # which takes no negative sigma: sum sigma <= 0, so the constant probe
+    # shows no negative curvature at zero and the certificate factors H(0);
+    # the Hessian at zero turns indefinite at c = 3.98
+    pg = build_periodic_grid(64)
+    patch = np.abs(pg.nodes) < 0.1
+    spec = dataclasses.replace(problem_spec(pg, 0.5, 0.0, 1.0),
+                               sigma=Field(grid=pg, values=-1.0 + c * patch))
+    assert np.sum(spec.sigma.values) <= 0.0
+    model = _problem(spec)[1]
+    zeros = np.zeros(pg.n)
+    assert not model.indefinite_along(zeros, *model.probe)
+    _, info = dpotrf(oracles.ref_periodic_model(spec).hessian(zeros).T,
+                     lower=True)
+    factorizations = _counting(monkeypatch, "dpotrf")
+    assert _zero_is_minimizer(model) == (info == 0) == (c < 3.98)
+    assert len(factorizations) == 1
+
+
+def test_periodic_solve_builds_no_dense_matrix(monkeypatch):
+    # the constant probe settles the certificate and every product with
+    # A_eff is an FFT: no dense builder or factorization is called, and the
+    # solve's peak memory stays below a quarter of one n x n matrix
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense matrix was built or factored")
+    for name in ("assemble", "convolution_matrix", "circulant", "dpotrf",
+                 "solve"):
+        monkeypatch.setattr(logistic, name, forbidden)
+    spec = problem_spec(build_periodic_grid(1024), 0.5,
+                        lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0, tau=0.5,
+                        kernel=build_kernel("uniform", 0.25, 2.0**-10))
+    tracemalloc.start()
+    try:
+        rep = solve_periodic(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.classification == "nontrivial"
+    assert peak < 2 * spec.grid.n**2
 
 
 # ---------------------------------------------------------------------------
@@ -995,7 +1099,7 @@ def test_folded_critical_radius_equals_the_full_one(s, factored_orders,
 def test_singular_newton_system_gives_no_direction():
     zeros = np.zeros(2)
     model = _EnergyModel(np.zeros((2, 2)), 1.0, zeros, zeros)
-    assert _newton_direction(model, zeros, np.ones(2)) is None
+    assert model.newton_direction(zeros, np.ones(2)) is None
 
 
 def test_exhausted_gradient_line_search_stops_unconverged():

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import circulant
 from scipy.special import gamma
 
 import oracles
@@ -256,6 +257,21 @@ def test_periodic_eigenvalues_match_continuum_symbol(s, error, order, worst):
     assert fine[0] == pytest.approx(error, rel=0.1)
     assert np.log2(coarse[0] / fine[0]) == pytest.approx(order, abs=0.1)
     assert fine.max() == pytest.approx(worst, rel=0.1)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n", [4, 5, 64, 1024])
+def test_periodic_columns_are_the_dense_builders_columns(n, s):
+    # the circulant energy model keeps only these columns; every column of
+    # the dense builders' matrices is a rotation of them, bit for bit
+    pg = build_periodic_grid(n)
+    kernel = build_kernel("uniform", 0.25, pg.h)
+    for col, dense in (
+            (operators._periodic_column(pg, s), assemble_periodic(pg, s).a),
+            (operators._periodic_stencil(kernel, pg),
+             convolution_matrix(kernel, pg))):
+        assert np.array_equal(col, dense[:, 0])
+        assert np.array_equal(circulant(col), dense)
 
 
 def test_periodic_image_cutoff_converged(monkeypatch):

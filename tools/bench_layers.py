@@ -14,7 +14,9 @@ all samples, and the calls one call makes (counted on a further call, by
 the name the module calls them by): of the dense factorizations,
 spectral's cho_factor, logistic's dpotrf and its symmetric-indefinite
 solve, each with the order of the matrix it factors, a dpotrf that finds
-the matrix not positive definite counted apart as "failed"; and of
+the matrix not positive definite counted apart as "failed"; of logistic's
+MINRES solves (the periodic cell's Newton steps), with their order and, as
+"iterations", the MINRES iterations they took together; and of
 solve_dirichlet from inside logistic, by the classification it returns.
 
 Cases: the fractional Dirichlet and classical operators and the
@@ -34,8 +36,7 @@ first eigenpair of the Dirichlet operator on the mirrored pair (0, 1) and
 (1.5, 2.5), at the transmission form's even sizes, and on (0, 1) and
 (1.5, 2.25), which does not mirror, at the nearest size its intervals
 allow; two periodic solves, mu = 1, tau = 0.5 with the uniform kernel
-(rho = 1/4), at n = 256 ... 2048: sigma = 2, which mirrors, so the cell
-is solved on its even half, and sigma = 2 + cos 2 pi x, which does not;
+(rho = 1/4), at n = 128 ... 2048: sigma = 2 and sigma = 2 + cos 2 pi x;
 the first eigenpair of the transmission form (lambda_star without
 its assembly) and the same two transmission solves, mu = 1, at the
 transmission form's sizes, sigma a multiple of lambda_star; the critical
@@ -74,6 +75,7 @@ TRACE_SEED = 7
 S = 0.3
 SIZES = (255, 511, 1023, 2047)
 PERIODIC_SIZES = (256, 512, 1024, 2048, 4096)
+PERIODIC_SOLVE_SIZES = (128, 256, 512, 1024, 2048)
 CRITICAL_RADIUS_H = (2.0**-7, 2.0**-8)
 WORKLOADS = ("resource-sweep", "threshold-bisection", "eigen-scaling",
              "coupled-habitats")
@@ -94,9 +96,11 @@ PERIODIC_SOLVES = (("periodic-solve", 2.0),
 TRANSMISSION_SOLVES = (("transmission-solve", 1.2),
                        ("transmission-extinct-solve", 0.8))
 # (module, name) of every dense factorization entry point a case may call,
-# and of the solve critical_radius calls
+# of the iterative solve of the periodic Newton steps, and of the solve
+# critical_radius calls
 COUNTED = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
-           ("logistic", "solve"), ("logistic", "solve_dirichlet"))
+           ("logistic", "solve"), ("logistic", "minres"),
+           ("logistic", "solve_dirichlet"))
 
 
 def _cases(nl):
@@ -133,7 +137,7 @@ def _cases(nl):
                  _eigenpair(nl, nl.assemble_dirichlet, pair, S)),
                 ("eigenpair-asymmetric", lopsided.n,
                  _eigenpair(nl, nl.assemble_dirichlet, lopsided, S))]
-    for n in PERIODIC_SIZES[:-1]:
+    for n in PERIODIC_SOLVE_SIZES:
         for name, sigma in PERIODIC_SOLVES:
             out.append((name, n, _periodic_solve(nl, n, sigma)))
     for n in SIZES:
@@ -223,6 +227,13 @@ def _calls(nl, fn) -> dict:
         key = f"{module_name}.{attr}"
 
         def counted(*args, _key=key, _fn=original, **kwargs):
+            if _key == "logistic.minres":
+                iterations = f"{_key} iterations order={args[0].shape[0]}"
+                counts.setdefault(iterations, 0)
+
+                def step(x, _iterations=iterations):
+                    counts[_iterations] += 1
+                kwargs["callback"] = step
             result = _fn(*args, **kwargs)
             if _key != "logistic.solve_dirichlet":
                 _key += f" order={args[0].shape[0]}"
