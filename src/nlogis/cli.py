@@ -359,8 +359,7 @@ def _run_solve(p, jobs):
 
 
 def _run_threshold(p, jobs):
-    results = _pmap(critical_radius, [(p["interval"], s, p["h"],
-                                       p["solver_tol"])
+    results = _pmap(critical_radius, [(p["interval"], s, p["h"])
                                       for s in p["s_values"]], jobs)
     return [ResultRow("threshold-radius", {
         "s": s, "r_star": res.r_star, "predicted": res.predicted,
@@ -371,8 +370,7 @@ def _run_threshold(p, jobs):
 
 def _run_ext(p, jobs):
     rs = np.geomspace(p["r_min"], p["r_max"], p["r_count"])
-    res = ext_crossing(p["interval"], p["s"], p["S"], rs, p["h"],
-                       solver_tol=p["solver_tol"])
+    res = ext_crossing(p["interval"], p["s"], p["S"], rs, p["h"])
     curve = zip(res.r_values, res.lambda_small_s, res.lambda_big_s)
     rows = [ResultRow("ext-crossing", {
         "phase": "curve", "r": r, "lambda_fast": ls, "lambda_slow": lb,
@@ -615,14 +613,14 @@ _EXPERIMENTS = {
         "critical-radius", _run_threshold,
         ["experiment", "s", "r_star", "predicted", "rel_gap", "tolerance",
          "pass"],
-        {**_GRID, "interval": (_pair, [0.0, 1.0]),
+        {"h": _GRID["h"], "interval": (_pair, [0.0, 1.0]),
          "s_values": (_list_of(_fraction), [0.5, 0.75]),
          "tolerance": (_positive, 0.05)}),
     "ext-crossing": _Experiment(
         "exponent-crossing", _run_ext,
         ["experiment", "phase", "r", "lambda_fast", "lambda_slow", "sign",
          "exponent", "sigma", "tau", "classification", "expected", "pass"],
-        {**_GRID, "h": (_positive, 2.0**-6), "interval": (_pair, [0.0, 1.0]),
+        {"h": (_positive, 2.0**-6), "interval": (_pair, [0.0, 1.0]),
          "s": (_exponent, 0.25), "S": (_exponent, 1.0),
          "r_min": (_positive, 0.05), "r_max": (_positive, 20.0),
          # snapped radii are whole cell counts: no more can be distinct

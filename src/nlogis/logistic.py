@@ -378,6 +378,13 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
     return info == 0
 
 
+def _survives(spec: ProblemSpec) -> bool:
+    """True when zero is unstable, A - tau B - diag sigma not positive
+    definite: then, and only then, the steady state is positive (Brezis
+    and Oswald 1986).  The certificate runs on the even half."""
+    return not _zero_is_minimizer(_problem(spec)[1].even_half())
+
+
 def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
                     max_iter: int):
     u, history, it1, _ = _descend_loop(model, init.astype(float), tol, max_iter)
@@ -520,9 +527,9 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     for o in outcomes:
         if not o[2] and o[0] < best[0] - slack:
             raise ConvergenceError(
-                f"an unconverged start (residual {o[6]:.3e}) undercut the "
-                "certified minimum"
-            )
+                f"an unconverged start (residual {o[6]:.3e}, tolerance "
+                f"{tol:.3e}) undercut the certified minimum (energy "
+                f"{best[0]:.3e}, sup norm {best[1]:.3e})")
     u, history, iters = best[3:6]
     u = half.even.unfold(u)
     residual = model.sup_norm(model.gradient(u))
@@ -697,30 +704,30 @@ def critical_radius(
     interval: tuple[float, float],
     s: float,
     h: float,
-    solver_tol: float = 1e-10,
 ) -> CriticalRadius:
     """Locate the dilation factor at which survival switches on.
 
-    The habitat (a, b) is dilated to (r a, r b) and the unit-resource
-    problem sigma = mu = 1, tau = 0 is solved; the survival threshold is
-    predicted by lambda_s(Omega)^(1/(2s)).  Radii are snapped to the grid
-    lattice, so the answer is resolved to one spacing, the first cell m
-    (r = m h / (b - a)) whose solve is nontrivial.
+    The habitat (a, b) is dilated to (r a, r b) under sigma = mu = 1,
+    tau = 0; the survival threshold is predicted by
+    lambda_s(Omega)^(1/(2s)).  Radii are snapped to the grid lattice, so
+    the answer is resolved to one spacing, the first cell m
+    (r = m h / (b - a)) that survives, as the extinction certificate
+    (_survives) decides: no steady state is solved for.
 
     The cell is guessed from the scaling law lambda_s(r Omega) =
     r^(-2s) lambda_s(Omega): with sigma = mu = 1 a cell survives exactly
     when its first eigenvalue is below 1, so one eigenpair at the predicted
     cell m0 gives the guess ceil(m0 lambda(m0)^(1/(2s))), clamped into the
     bracket (lo, hi] = [0.55, 1.6] x predicted cells; when that eigenpair
-    does not converge the guess is m0 itself.  Full solves then walk down
+    does not converge the guess is m0 itself.  Certificates then walk down
     from the guess while the cell below it survives (reaching lo means the
-    bracket has no switch) and up from it to the first nontrivial cell.
-    Usually the guess is that cell: a trivial solve one cell below it,
-    whose certificate (one Cholesky) is the whole solve, and a nontrivial
-    solve at it settle the search.  Every solve runs on the even half of
-    the mirrored habitat.  Wherever survival is monotone along the bracket
-    this is the cell a bisection on full solves finds, and the upper end is
-    assembled only when the walk reaches it.
+    bracket has no switch) and up from it to the first surviving cell.
+    Usually the guess is that cell, and two certificates settle the
+    search: one just below it, one Cholesky, and one at it, which the
+    boundary profile or one Cholesky settles.  Each runs on the even half
+    of the mirrored habitat.  Wherever survival is monotone along the
+    bracket this is the cell a bisection on full solves finds, and the
+    upper end is assembled only when the walk reaches it.
     """
     base = build_grid([interval], h)
     lam = first_eigenpair(assemble(base, s)).lambda_
@@ -730,10 +737,7 @@ def critical_radius(
     def spec_at(m_cells: int) -> ProblemSpec:
         r = m_cells * h / length
         grid = build_grid([(r * interval[0], r * interval[1])], h)
-        return problem_spec(grid, s, 1.0, 1.0, solver_tol=solver_tol)
-
-    def survives(m_cells: int) -> bool:
-        return solve_dirichlet(spec_at(m_cells)).classification == "nontrivial"
+        return problem_spec(grid, s, 1.0, 1.0)
 
     lo = int(np.floor(0.55 * predicted * length / h))
     hi = int(np.ceil(1.6 * predicted * length / h))
@@ -745,11 +749,11 @@ def critical_radius(
     except ConvergenceError:
         pass
     m_star = max(min(m_star, hi), lo + 1)
-    while survives(m_star - 1):
+    while _survives(spec_at(m_star - 1)):
         m_star -= 1
         if m_star == lo:
             raise ValueError("the bracket does not straddle the threshold")
-    while not survives(m_star):
+    while not _survives(spec_at(m_star)):
         m_star += 1
         if m_star > hi:
             raise ValueError("the bracket does not straddle the threshold")
@@ -778,12 +782,12 @@ def ext_crossing(
     big_s: float,
     r_values: Sequence[float],
     h: float,
-    solver_tol: float = 1e-10,
 ) -> ExtCrossing:
     """Survival comparison of a fast and a slow diffuser across dilations.
 
     Tabulates both eigenvalue curves over the dilation grid, locates the
-    single sign change of their difference, and in each regime solves the
+    single sign change of their difference, and in each regime classifies
+    by the extinction certificate (_survives, no steady state solved) the
     two problems with resource and reach rates placed strictly between the
     eigenvalues (thirds of the gap), so exactly one species survives.
     """
@@ -821,12 +825,10 @@ def ext_crossing(
         sigma_r = lo + gap / 3.0
         tau_r = gap / 3.0
         rho = max(2 * h, int(round(rs[idx] * length / (8 * h))) * h)
-        spec_kwargs = dict(tau=tau_r, kernel=build_kernel("uniform", rho, h),
-                           solver_tol=solver_tol)
-        rep_s = solve_dirichlet(problem_spec(grid, s, sigma_r, 1.0, **spec_kwargs))
-        rep_big = solve_dirichlet(
-            problem_spec(grid, big_s, sigma_r, 1.0, **spec_kwargs)
-        )
+        kernel = build_kernel("uniform", rho, h)
+        fast, slow = ("nontrivial" if _survives(problem_spec(
+            grid, e, sigma_r, 1.0, tau=tau_r, kernel=kernel)) else "trivial"
+            for e in (s, big_s))
         # in each regime only the species with the smaller eigenvalue survives
         expect_s = "nontrivial" if lam_s[idx] < lam_big[idx] else "trivial"
         expect_big = "trivial" if lam_s[idx] < lam_big[idx] else "nontrivial"
@@ -834,13 +836,12 @@ def ext_crossing(
             "r": float(rs[idx]),
             "sigma": sigma_r,
             "tau": tau_r,
-            "fast": rep_s.classification,
-            "slow": rep_big.classification,
+            "fast": fast,
+            "slow": slow,
             "expected_fast": expect_s,
             "expected_slow": expect_big,
         }
-        pattern_ok = pattern_ok and rep_s.classification == expect_s
-        pattern_ok = pattern_ok and rep_big.classification == expect_big
+        pattern_ok = pattern_ok and (fast, slow) == (expect_s, expect_big)
     return ExtCrossing(
         r_values=rs,
         lambda_small_s=lam_s,

@@ -30,7 +30,7 @@ def test_minimal_config_gets_defaults():
     cfg = parse_config(json.dumps({"experiment": "eigen"}))
     assert cfg.params["h"] == 2.0**-9
     assert cfg.params["s_values"] == [0.25, 0.5, 0.75]
-    cfg = parse_config(json.dumps({"experiment": "threshold-radius"}))
+    cfg = parse_config(json.dumps({"experiment": "congruence"}))
     assert cfg.params["solver_tol"] == 1e-10
 
 
@@ -60,7 +60,7 @@ def test_unknown_experiment():
 
 def test_nonpositive_tolerance_rejected():
     with pytest.raises(ConfigError, match="positive"):
-        parse_config(json.dumps({"experiment": "threshold-radius",
+        parse_config(json.dumps({"experiment": "congruence",
                                  "solver_tol": 0.0}))
 
 
@@ -112,12 +112,10 @@ _GOLDEN_DEFAULTS = {
               "sigma": {"kind": "constant", "value": 1.0},
               "mu": {"kind": "constant", "value": 1.0}, "tau": 0.0,
               "kernel": None, "expect": None},
-    "threshold-radius": {"h": 0.001953125, "solver_tol": 1e-10,
-                         "interval": (0.0, 1.0), "s_values": [0.5, 0.75],
-                         "tolerance": 0.05},
-    "ext-crossing": {"h": 0.015625, "solver_tol": 1e-10,
-                     "interval": (0.0, 1.0), "s": 0.25, "S": 1.0,
-                     "r_min": 0.05, "r_max": 20.0, "r_count": 25},
+    "threshold-radius": {"h": 0.001953125, "interval": (0.0, 1.0),
+                         "s_values": [0.5, 0.75], "tolerance": 0.05},
+    "ext-crossing": {"h": 0.015625, "interval": (0.0, 1.0), "s": 0.25,
+                     "S": 1.0, "r_min": 0.05, "r_max": 20.0, "r_count": 25},
     "congruence": {"h": 0.001953125, "solver_tol": 1e-10, "length": 1.0,
                    "separation": 1.0, "s": 0.5, "classical_control": True},
     "abundance": {"h": 0.001953125, "solver_tol": 1e-10,
@@ -482,6 +480,12 @@ _MALFORMED = {
                            "--h: unknown key"),
     "solver-tol-on-eigen": ({**_EIGEN, "solver_tol": 1e-10}, [], None,
                             "config.solver_tol: unknown key"),
+    "solver-tol-on-threshold-radius": (
+        {**_THRESHOLD, "solver_tol": 1e-10}, [], None,
+        "config.solver_tol: unknown key"),
+    "solver-tol-on-ext-crossing": (
+        {"experiment": "ext-crossing", "solver_tol": 1e-10}, [], None,
+        "config.solver_tol: unknown key"),
     # inputs that size an allocation are bounded before it is made
     "ext-crossing-r-count-too-large": (
         {"experiment": "ext-crossing", "r_count": 10**9}, [], None,

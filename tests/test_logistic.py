@@ -451,16 +451,17 @@ def test_critical_radius_equals_the_full_solve_bisection(interval, s, h):
         oracles.ref_critical_radius(interval, s, h)
 
 
-def test_critical_radius_solves_only_at_the_threshold(monkeypatch):
-    # eigenpairs of the base habitat, of the predicted cell (the scaling
-    # law's guess) and of the nontrivial solve at r*; one trivial solve at
-    # the cell below, settled by its certificate, and no certificate
-    # outside the two solves
+def test_critical_radius_certifies_only_at_the_threshold(monkeypatch):
+    # eigenpairs of the base habitat and of the predicted cell (the scaling
+    # law's guess); one certificate at r* and one at the cell below, and no
+    # steady state solved for
     eigenpairs = _counting(monkeypatch, "first_eigenpair")
     solves = _counting(monkeypatch, "solve_dirichlet")
+    steady_states = _counting(monkeypatch, "_steady_state")
     certificates = _counting(monkeypatch, "_zero_is_minimizer")
     critical_radius((0.0, 1.0), 0.5, 2.0**-7)
-    assert (len(eigenpairs), len(solves), len(certificates)) == (3, 2, 2)
+    assert (len(eigenpairs), len(solves), len(certificates)) == (2, 0, 2)
+    assert steady_states == []
 
 
 @pytest.mark.parametrize("factor, direction", [
@@ -470,8 +471,8 @@ def test_critical_radius_walks_to_the_threshold_when_the_guess_misses(
         factor, direction, monkeypatch):
     # the predicted cell's eigenvalue (the second eigenpair) scaled by
     # factor, or raising for None, which leaves the predicted cell as the
-    # guess: a guess below r* walks up to it through trivial solves, one
-    # above it walks down through nontrivial ones
+    # guess: a guess below r* walks up to it through extinct cells, one
+    # above it walks down through surviving ones
     expected = oracles.ref_critical_radius((0.0, 1.0), 0.5, 2.0**-6)
     eigenpair = logistic.first_eigenpair
     calls = []
@@ -485,20 +486,19 @@ def test_critical_radius_walks_to_the_threshold_when_the_guess_misses(
         pair = eigenpair(op, **kwargs)
         return dataclasses.replace(pair, lambda_=factor * pair.lambda_)
     monkeypatch.setattr(logistic, "first_eigenpair", skewed)
-    solve = logistic.solve_dirichlet
-    classes = []
+    survives = logistic._survives
+    outcomes = []
 
     def recorded(spec):
-        rep = solve(spec)
-        classes.append(rep.classification)
-        return rep
-    monkeypatch.setattr(logistic, "solve_dirichlet", recorded)
+        outcomes.append(survives(spec))
+        return outcomes[-1]
+    monkeypatch.setattr(logistic, "_survives", recorded)
     assert critical_radius((0.0, 1.0), 0.5, 2.0**-6) == expected
-    assert len(classes) > 2
+    assert len(outcomes) > 2
     if direction == "up":
-        assert classes.count("nontrivial") == 1
+        assert outcomes.count(True) == 1
     else:
-        assert classes[0] == "nontrivial" and classes.count("trivial") == 1
+        assert outcomes[0] and outcomes.count(False) == 1
 
 
 def test_critical_radius_never_builds_an_upper_end_it_does_not_reach(
@@ -516,20 +516,43 @@ def test_critical_radius_rejects_a_bracket_without_a_switch(classification,
                                                            monkeypatch):
     # survival everywhere walks down to the lower end; survival nowhere
     # walks up past the upper end
-    solve = logistic.solve_dirichlet
-
-    def fixed(spec):
-        rep = solve(spec)
-        rep.classification = classification
-        return rep
-    monkeypatch.setattr(logistic, "solve_dirichlet", fixed)
+    monkeypatch.setattr(logistic, "_survives",
+                        lambda spec: classification == "nontrivial")
     with pytest.raises(ValueError, match="does not straddle the threshold"):
         critical_radius((0.0, 1.0), 0.5, 2.0**-5)
 
 
-def test_ext_crossing_pattern():
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("s", [0.3, 0.75, 1.0])
+@pytest.mark.parametrize("intervals", [[(0.0, 1.0)], [(0.0, 1.0), (2.0, 3.0)]],
+                         ids=["interval", "union"])
+def test_survival_certificate_agrees_with_the_solve(intervals, s, tau):
+    """_survives reads as the solve's classification at sigma = f lambda_1
+    on both sides of the threshold, lambda_1 the first eigenvalue of
+    A - tau B (tau a multiple of A's, under the uniform kernel).
+
+    The two can differ only where zero is unstable but the surviving
+    state's sup norm is below triviality_tol, which the solve reports as
+    trivial; no case here comes near that band.
+    """
+    grid = build_grid(intervals, 2.0**-5)
+    lam_a = first_eigenpair(assemble(grid, s)).lambda_
+    reach = (dict(tau=tau * lam_a, kernel=build_kernel("uniform", 0.25, grid.h))
+             if tau else {})
+    a_eff = _problem(problem_spec(grid, s, 0.0, 1.0, **reach))[1].a_eff
+    lam = np.linalg.eigvalsh(a_eff)[0]
+    for f in (0.9, 0.99, 1.01, 1.1):
+        spec = problem_spec(grid, s, f * lam, 1.0, **reach)
+        solved = solve_dirichlet(spec).classification == "nontrivial"
+        assert logistic._survives(spec) == solved == (f > 1.0), f
+
+
+def test_ext_crossing_pattern(monkeypatch):
+    # survival is certified, no steady state solved for
+    steady_states = _counting(monkeypatch, "_steady_state")
     rs = np.geomspace(0.1, 10.0, 9)
     res = ext_crossing((0.0, 1.0), 0.25, 1.0, rs, 2.0**-6)
+    assert steady_states == []
     assert res.n_sign_changes == 1
     assert res.pattern_ok
     assert 0.1 < res.crossing_estimate < 10.0
@@ -1121,7 +1144,8 @@ def test_unconverged_start_below_the_converged_one_raises():
                         lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0,
                         solver_tol=1e-30)
     with pytest.raises(ConvergenceError,
-                       match="undercut the certified minimum"):
+                       match="undercut the certified minimum "
+                             r"\(energy .*, sup norm .*\)"):
         solve_periodic(spec)
 
 

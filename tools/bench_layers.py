@@ -16,8 +16,10 @@ spectral's cho_factor, logistic's dpotrf and its symmetric-indefinite
 solve, each with the order of the matrix it factors, a dpotrf that finds
 the matrix not positive definite counted apart as "failed"; of logistic's
 MINRES solves (the periodic cell's Newton steps), with their order and, as
-"iterations", the MINRES iterations they took together; and of
-solve_dirichlet from inside logistic, by the classification it returns.
+"iterations", the MINRES iterations they took together; of
+solve_dirichlet from inside logistic, by the classification it returns;
+and of logistic's survival certificate _survives, which critical_radius
+calls in its place, by its verdict ("survives" or "extinct").
 
 Cases: the fractional Dirichlet and classical operators and the
 convolution matrix (uniform kernel, rho = 1/4) on the unit interval, and
@@ -96,11 +98,12 @@ PERIODIC_SOLVES = (("periodic-solve", 2.0),
 TRANSMISSION_SOLVES = (("transmission-solve", 1.2),
                        ("transmission-extinct-solve", 0.8))
 # (module, name) of every dense factorization entry point a case may call,
-# of the iterative solve of the periodic Newton steps, and of the solve
-# critical_radius calls
+# of the iterative solve of the periodic Newton steps, and of the survival
+# test critical_radius calls: the certificate _survives or, at an older
+# checkout, solve_dirichlet
 COUNTED = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
            ("logistic", "solve"), ("logistic", "minres"),
-           ("logistic", "solve_dirichlet"))
+           ("logistic", "solve_dirichlet"), ("logistic", "_survives"))
 
 
 def _cases(nl):
@@ -235,12 +238,14 @@ def _calls(nl, fn) -> dict:
                     counts[_iterations] += 1
                 kwargs["callback"] = step
             result = _fn(*args, **kwargs)
-            if _key != "logistic.solve_dirichlet":
-                _key += f" order={args[0].shape[0]}"
-            if _key.startswith("logistic.dpotrf") and result[1] != 0:
-                _key += " failed"
-            elif _key == "logistic.solve_dirichlet":
+            if _key == "logistic.solve_dirichlet":
                 _key += " " + result.classification
+            elif _key == "logistic._survives":
+                _key += " survives" if result else " extinct"
+            else:
+                _key += f" order={args[0].shape[0]}"
+                if _key.startswith("logistic.dpotrf") and result[1] != 0:
+                    _key += " failed"
             counts[_key] = counts.get(_key, 0) + 1
             return result
         setattr(module, attr, counted)
