@@ -34,16 +34,17 @@ __all__ = [
 _REL_TOL = 1e-12
 
 # Largest node count of a grid.  The operators are dense: one n x n float64
-# matrix takes 8 n^2 bytes, 512 MiB at this cap.  The heaviest paths are a
-# solve with a kernel and tau > 0 and the strategic construction (operator,
-# convolution matrix and the solver's matrices held together): their peak
-# resident memory above the import was 7.5 matrices at n = 1023 and 2047 and
-# 6.6 at n = 4095, so at most 3.8 GiB here, within a 7 GB machine; eigen
-# peaks at 4.3 and the transmission form at 4.5 matrices.  The periodic
-# solve applies its circulant by FFT and holds no matrix (3.5 MiB above the
-# import at n = 4096), but the periodic cell keeps the cap: its public
-# builders, assemble_periodic and convolution_matrix, are dense.  Twice the
-# cap would need about 15 GiB.
+# matrix takes 8 n^2 bytes, 512 MiB at this cap.  The heaviest path is a
+# solve with a kernel and tau > 0 (operator, convolution matrix and the
+# solver's matrices held together): its peak memory above the import
+# (tracemalloc) was 3.1 matrices at n = 1023, 2047 and 4095, so about
+# 1.6 GiB here.  The strategic construction peaks at 2.7 matrices in its
+# harmonic fit and reads only the inner ball's rows of A - tau B after it;
+# eigen peaks at 2.0 and the transmission form at 2.1 matrices.  The
+# periodic solve applies its circulant by FFT and holds no matrix (3.5 MiB
+# above the import at n = 4096), but the periodic cell keeps the cap: its
+# public builders, assemble_periodic and convolution_matrix, are dense.
+# Twice the cap would need about 6.3 GiB, nearly all of a 7 GB machine.
 MAX_NODES = 8192
 
 # Cap on the other input that sizes an allocation, set from measured peak

@@ -73,8 +73,11 @@ def approximate_s_harmonic(
     on the (-1, 1) nodes plus a Tikhonov penalty.  Stops at the first R
     meeting eps in sup norm, else returns the best attempt; the best
     previous exterior data is carried forward so the error never increases
-    along the schedule.
+    along the schedule.  The whole schedule is checked before any work.
     """
+    if not r_schedule or min(r_schedule) <= INNER_RADIUS:
+        raise ValueError("the schedule needs a support radius, and each "
+                         "must exceed the harmonicity radius")
     if not callable(f):
         const = float(f)
         f = lambda x: np.full_like(np.asarray(x, dtype=float), const)
@@ -82,8 +85,6 @@ def approximate_s_harmonic(
     prev_g: dict[int, float] = {}
     history = []
     for r_support in r_schedule:
-        if r_support <= INNER_RADIUS:
-            raise ValueError("support radius must exceed the harmonicity radius")
         grid = build_grid([(-r_support, r_support)], h)
         op = assemble_dirichlet(grid, s)
         inner, fit, ext = _region_masks(grid)
@@ -193,10 +194,11 @@ def build_strategic(
 
     The target of the harmonic approximation is sigma / mu; its positive
     part is the planned distribution W, the effective resource is mu * w,
-    the slack f_eps = tau (J*W) - A W is nonnegative on the inner ball by
-    the sign structure of the operator, and the forced minimizer v added on
-    top makes W + v solve the logistic equation there exactly (to solver
-    tolerance) while never dropping below sigma_eps / mu.
+    the slack f_eps = -(A - tau B) W on the inner ball, with B the
+    convolution matrix, is nonnegative there by the sign structure of the
+    operator, and the forced minimizer v added on top makes W + v solve the
+    logistic equation there exactly (to solver tolerance) while never
+    dropping below sigma_eps / mu.
     """
     if tau < 0.0:
         raise ValueError("tau must be nonnegative")
@@ -213,7 +215,6 @@ def build_strategic(
 
     grid = approx.w.grid
     x = grid.nodes
-    op = assemble_dirichlet(grid, s)
     _, b1, _ = _region_masks(grid)
     w_vals = approx.w.values
     if np.min(w_vals[b1]) <= 0.0:
@@ -221,43 +222,33 @@ def build_strategic(
             "approximant is not positive on the inner ball; refine eps"
         )
     w_cap = np.abs(w_vals)  # the planned distribution W = |w|
-    mu_nodes = mu(x)
-    sigma_eps_vals = mu_nodes[b1] * w_vals[b1]
+    mu_b1 = mu(x)[b1]
+    sigma_eps_vals = mu_b1 * w_vals[b1]
 
+    # the inner ball's rows of A - tau B: all the construction reads of them
+    rows = assemble_dirichlet(grid, s).a[b1]
     if tau > 0.0:
-        conv = convolution_matrix(kernel, grid)
-        jw = conv @ w_cap
-    else:
-        jw = np.zeros(grid.n)
-    f_eps_vals = (tau * jw - op.a @ w_cap)[b1]
+        rows -= tau * convolution_matrix(kernel, grid)[b1]
+    f_eps_vals = -(rows @ w_cap)
     if np.min(f_eps_vals) < -solver_tol:
         raise ValueError(
             "slack term went negative on the inner ball; refine eps"
         )
     f_eps_vals = np.maximum(f_eps_vals, 0.0)
 
-    a_inner = op.a[np.ix_(b1, b1)]
-    if tau > 0.0:
-        a_inner = a_inner - tau * conv[np.ix_(b1, b1)]
     v, _, _ = minimize_with_source(
-        f_eps_vals, sigma_eps_vals, mu_nodes[b1], a_inner, grid.h,
+        f_eps_vals, sigma_eps_vals, mu_b1, rows[:, b1], grid.h,
         solver_tol=solver_tol,
     )
     u_vals = w_cap.copy()
     u_vals[b1] += v
-
-    if tau > 0.0:
-        ju = conv @ u_vals
-    else:
-        ju = np.zeros(grid.n)
-    logistic_rhs = np.zeros(grid.n)
-    logistic_rhs[b1] = (sigma_eps_vals - mu_nodes[b1] * u_vals[b1]) * u_vals[b1]
-    logistic_rhs += tau * ju
-    el_residual = float(np.max(np.abs((op.a @ u_vals - logistic_rhs)[b1])))
+    u_b1 = u_vals[b1]
+    el_residual = float(np.max(np.abs(
+        rows @ u_vals - (sigma_eps_vals - mu_b1 * u_b1) * u_b1)))
 
     b1_grid = build_grid([(-1.0, 1.0)], h)
     sigma_gap = float(np.max(np.abs(sigma_eps_vals - sigma(x[b1]))))
-    lower_margin = float(np.min(u_vals[b1] - sigma_eps_vals / mu_nodes[b1]))
+    lower_margin = float(np.min(u_b1 - sigma_eps_vals / mu_b1))
 
     return StrategicResult(
         w=approx.w,

@@ -8,7 +8,9 @@ entry, as references for the tabulated assembly, the even half's maps
 as dense matrices, the critical radius found by bisecting on full
 solves, as the reference for the search on the extinction certificate,
 and the periodic cell's energy model on dense matrices, as the reference
-for the circulant model applied by FFT.
+for the circulant model applied by FFT, and the strategic construction
+from whole-grid products, as the reference for the one that reads only
+the inner ball's rows of A - tau B.
 """
 
 from __future__ import annotations
@@ -20,11 +22,17 @@ from nlogis import (
     CriticalRadius,
     build_grid,
     first_eigenpair,
+    minimize_with_source,
     problem_spec,
     solve_dirichlet,
 )
 from nlogis.logistic import _EnergyModel
-from nlogis.operators import assemble, assemble_periodic, convolution_matrix
+from nlogis.operators import (
+    assemble,
+    assemble_dirichlet,
+    assemble_periodic,
+    convolution_matrix,
+)
 
 
 def kernel(t, s):
@@ -337,3 +345,31 @@ def ref_periodic_model(spec):
     model = _EnergyModel(a_eff, spec.grid.h, spec.mu.values, -spec.sigma.values)
     model.set_probe(np.ones(spec.grid.n))
     return model
+
+
+def ref_strategic(w, mu, tau, kernel, s, solver_tol=1e-10):
+    """build_strategic's construction on top of the harmonic fit w, from
+    whole-grid products with A and B = convolution_matrix: the slack
+    f_eps = (tau B W - A W) on the inner ball (-1, 1), W = |w|, the forced
+    minimizer v on the inner block of A - tau B, the population u = W + v
+    and the residual sup |A u - (sigma_eps - mu u) u - tau B u| on the inner
+    ball, sigma_eps = mu w.  Returns (f_eps, u, residual, scale), scale the
+    rounding scale ||A - tau B||_inf ||u||_inf of the products."""
+    grid = w.grid
+    b1 = np.abs(grid.nodes) < 1.0 - 1e-12
+    a = assemble_dirichlet(grid, s).a
+    conv = (convolution_matrix(kernel, grid) if tau > 0.0
+            else np.zeros_like(a))
+    w_cap = np.abs(w.values)
+    mu_b1 = mu(grid.nodes)[b1]
+    sigma_eps = mu_b1 * w.values[b1]
+    f_eps = np.maximum((tau * conv @ w_cap - a @ w_cap)[b1], 0.0)
+    a_eff = a - tau * conv
+    v, _, _ = minimize_with_source(f_eps, sigma_eps, mu_b1,
+                                   a_eff[np.ix_(b1, b1)], grid.h, solver_tol)
+    u = w_cap.copy()
+    u[b1] += v
+    rhs = (sigma_eps - mu_b1 * u[b1]) * u[b1] + tau * (conv @ u)[b1]
+    residual = float(np.max(np.abs((a @ u)[b1] - rhs)))
+    scale = np.max(np.sum(np.abs(a_eff), axis=1)) * np.max(np.abs(u))
+    return f_eps, u, residual, scale

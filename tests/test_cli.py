@@ -445,6 +445,9 @@ _MALFORMED = {
                            "not a multiple of h"),
     "r-schedule-inside-harmonic-ball": (
         {**_STRATEGIC, "r_schedule": [1.0]}, [], None, "support radius"),
+    # a later radius inside the ball is rejected before R = 4 is fitted
+    "r-schedule-ends-inside-harmonic-ball": (
+        {**_STRATEGIC, "r_schedule": [4.0, 1.5]}, [], None, "support radius"),
     "s-values-bool": ({**_EIGEN, "s_values": [True]}, [], None,
                       "config.s_values[0]"),
     "interval-bools": ({**_THRESHOLD, "interval": [False, True]}, [], None,

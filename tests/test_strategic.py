@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from nlogis import (
     ConvergenceError,
     approximate_s_harmonic,
@@ -10,6 +11,7 @@ from nlogis import (
     build_strategic,
     minimize_with_source,
 )
+from nlogis import strategic
 from nlogis.logistic import _EnergyModel
 
 
@@ -53,9 +55,16 @@ def test_harmonicity_enforced_on_inner_region():
     assert np.max(np.abs(action[inner])) <= 1e-6 * np.max(np.abs(res.w.values))
 
 
-def test_support_radius_must_exceed_inner():
-    with pytest.raises(ValueError, match="must exceed"):
-        approximate_s_harmonic(1.0, 0.5, 0.1, [1.5], H)
+def test_support_radius_must_exceed_inner(monkeypatch):
+    # the whole schedule is checked before the first grid is built: [4.0,
+    # 1.5] would otherwise return at R = 4 without reaching 1.5
+    def no_grid(*args):
+        raise AssertionError("a grid was built before the check")
+
+    monkeypatch.setattr(strategic, "build_grid", no_grid)
+    for schedule in ([1.5], [4.0, 1.5], []):
+        with pytest.raises(ValueError, match="must exceed"):
+            approximate_s_harmonic(1.0, 0.5, 0.1, schedule, H)
 
 
 def test_tabulated_target_through_a_callable():
@@ -172,6 +181,24 @@ def test_build_strategic_with_resource_reach():
     assert np.all(res.f_eps.values >= 0.0)
     assert res.el_residual <= 1e-8
     assert res.lower_bound_margin >= -1e-10
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+def test_build_strategic_matches_whole_grid_reference(s, tau):
+    # the construction reads only the inner ball's rows of A - tau B; the
+    # formulas with whole-grid products A W, B W, A u and B u agree with it
+    # to within 1.1 eps of the rounding scale on every case
+    h = 2.0**-6
+    sigma = lambda x: 1.0 + np.asarray(x, dtype=float) ** 2 / 8.0
+    kernel = build_kernel("uniform", 0.5, h) if tau > 0.0 else None
+    res = build_strategic(sigma, constant_profile, tau, kernel, s, 0.1, h)
+    f_eps, u, el_residual, scale = oracles.ref_strategic(
+        res.w, constant_profile, tau, kernel, s)
+    tol = 16.0 * np.finfo(float).eps * scale
+    assert np.max(np.abs(res.f_eps.values - f_eps)) <= tol
+    assert np.max(np.abs(res.u.values - u)) <= tol
+    assert abs(res.el_residual - el_residual) <= tol
 
 
 def test_build_strategic_needs_positive_data():

@@ -43,8 +43,14 @@ the first eigenpair of the transmission form (lambda_star without
 its assembly) and the same two transmission solves, mu = 1, at the
 transmission form's sizes, sigma a multiple of lambda_star; the critical
 radius of the unit interval at each spacing in CRITICAL_RADIUS_H, under
-the node count of its undilated grid.  All at s = S.  The cases are built
-one at a time, so that a child holds only the current case's matrices.
+the node count of its undilated grid; build_strategic on the strategic
+experiment's default resource (sigma = mu = 1, eps = 0.1, support radii
+4, 6, 8) at each spacing in STRATEGIC_H, tau = 0 and tau = 1/2 with the
+uniform kernel (rho = 1/2), under the node count of its grid on (-4, 4),
+with the calls of one op to strategic's assemble_dirichlet and
+convolution_matrix, by the order of what they build.  All at s = S.  The
+cases are built one at a time, so that a child holds only the current
+case's matrices.
 
 Then each checkout's perfbench/run.py --trace 1 --seed TRACE_SEED runs
 every workload once, and the report lists the counts (calls, iterations,
@@ -79,6 +85,8 @@ SIZES = (255, 511, 1023, 2047)
 PERIODIC_SIZES = (256, 512, 1024, 2048, 4096)
 PERIODIC_SOLVE_SIZES = (128, 256, 512, 1024, 2048)
 CRITICAL_RADIUS_H = (2.0**-7, 2.0**-8)
+STRATEGIC_H = (2.0**-6, 2.0**-7)
+STRATEGIC_TAUS = (0.0, 0.5)
 WORKLOADS = ("resource-sweep", "threshold-bisection", "eigen-scaling",
              "coupled-habitats")
 COUNT_SUFFIXES = (".calls", ".iters", ".iters_max", ".factorizations",
@@ -100,10 +108,13 @@ TRANSMISSION_SOLVES = (("transmission-solve", 1.2),
 # (module, name) of every dense factorization entry point a case may call,
 # of the iterative solve of the periodic Newton steps, and of the survival
 # test critical_radius calls: the certificate _survives or, at an older
-# checkout, solve_dirichlet
+# checkout, solve_dirichlet; and of the assemblies of the strategic
+# construction
 COUNTED = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
            ("logistic", "solve"), ("logistic", "minres"),
-           ("logistic", "solve_dirichlet"), ("logistic", "_survives"))
+           ("logistic", "solve_dirichlet"), ("logistic", "_survives"),
+           ("strategic", "assemble_dirichlet"),
+           ("strategic", "convolution_matrix"))
 
 
 def _cases(nl):
@@ -152,6 +163,10 @@ def _cases(nl):
     for h in CRITICAL_RADIUS_H:
         out.append(("critical-radius", round(1.0 / h) - 1,
                     _ready(nl.critical_radius, (0.0, 1.0), S, h)))
+    for h in STRATEGIC_H:
+        for tau in STRATEGIC_TAUS:
+            out.append((f"strategic-tau={tau:g}", round(8.0 / h) - 1,
+                        _strategic(nl, h, tau)))
     return out
 
 
@@ -211,6 +226,16 @@ def _transmission_solve(nl, n, factor):
     return make
 
 
+def _strategic(nl, h, tau):
+    """make() for build_strategic on the default resource at spacing h."""
+    def make():
+        import numpy as np
+        one = lambda x: np.ones_like(np.asarray(x, dtype=float))
+        kernel = nl.build_kernel("uniform", 0.5, h) if tau > 0.0 else None
+        return partial(nl.build_strategic, one, one, tau, kernel, S, 0.1, h)
+    return make
+
+
 def _transmission_spec(nl, n, sigma):
     """The transmission problem on (0, 1) and (1.5, 2.5) at about n nodes."""
     return nl.transmission_spec((0.0, 1.0), (1.5, 2.5), 2.0 / (n + 1), s=S,
@@ -242,6 +267,8 @@ def _calls(nl, fn) -> dict:
                 _key += " " + result.classification
             elif _key == "logistic._survives":
                 _key += " survives" if result else " extinct"
+            elif _key.startswith("strategic."):
+                _key += f" order={getattr(result, 'a', result).shape[0]}"
             else:
                 _key += f" order={args[0].shape[0]}"
                 if _key.startswith("logistic.dpotrf") and result[1] != 0:
