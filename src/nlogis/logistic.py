@@ -20,9 +20,10 @@ the Hessian at zero is positive definite (mu >= 0 makes the cubic term
 convex), zero is the only minimizer and the core returns the trivial state
 without descending.  A bounded problem that mirrors onto itself is
 certified and descended on its even half, ceil(n/2) nodes
-(_EnergyModel.even_half; spectral._EvenHalf says why that is exact).  The
-periodic cell's model is a circulant applied by FFT (_CirculantModel),
-which keeps no n x n matrix and is not folded.
+(_EnergyModel.even_half; spectral._EvenHalf says why that is exact); the
+threshold experiments' certificate on one interval assembles that half
+directly (_half_model).  The periodic cell's model is a circulant applied
+by FFT (_CirculantModel), which keeps no n x n matrix and is not folded.
 
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
@@ -58,10 +59,11 @@ from .grids import (
     build_kernel,
     problem_spec,
 )
-from .operators import (NonlocalMatrix, TransmissionSpec, _periodic_column,
-                        _periodic_stencil, assemble, assemble_transmission,
-                        convolution_matrix)
-from .spectral import _EvenHalf, first_eigenpair, union_eigen_study
+from .operators import (NonlocalMatrix, TransmissionSpec, _half_convolution,
+                        _half_operator, _periodic_column, _periodic_stencil,
+                        assemble, assemble_transmission, convolution_matrix)
+from .spectral import (_EvenHalf, _half_eigenvalue, first_eigenpair,
+                       union_eigen_study)
 
 __all__ = [
     "SolveReport",
@@ -214,11 +216,19 @@ class _EnergyModel:
         even = _EvenHalf.of(self.a_eff, self.mu, self.lin)
         if not even.mirrored:
             return self
-        half = _EnergyModel(even.matrix(self.a_eff), self.h,
-                            self.mu[:even.m] / even.root_w, self.lin[:even.m])
-        half.even = even
-        half.set_probe(even.fold(self.probe[0]))
-        return half
+        return _on_half(even, even.matrix(self.a_eff), self.h, self.mu,
+                        self.lin, self.probe[0])
+
+
+def _on_half(even: _EvenHalf, c: np.ndarray, h: float, mu: np.ndarray,
+             lin: np.ndarray, probe: np.ndarray) -> _EnergyModel:
+    """The model on the even half even of a full model whose A_eff folds to
+    c: mu / sqrt w and lin on the first m nodes, and the full probe field
+    folded."""
+    half = _EnergyModel(c, h, mu[:even.m] / even.root_w, lin[:even.m])
+    half.even = even
+    half.set_probe(even.fold(probe))
+    return half
 
 
 class _CirculantModel(_EnergyModel):
@@ -381,8 +391,8 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
 def _survives(spec: ProblemSpec) -> bool:
     """True when zero is unstable, A - tau B - diag sigma not positive
     definite: then, and only then, the steady state is positive (Brezis
-    and Oswald 1986).  The certificate runs on the even half."""
-    return not _zero_is_minimizer(_problem(spec)[1].even_half())
+    and Oswald 1986).  The certificate runs on the even half (_half_model)."""
+    return not _zero_is_minimizer(_half_model(spec))
 
 
 def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
@@ -441,6 +451,27 @@ def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix | None, _EnergyModel]:
                          lin=-spec.sigma.values)
     model.set_probe(_boundary_profile(spec.grid, spec.s))
     return op, model
+
+
+def _half_model(spec: ProblemSpec) -> _EnergyModel:
+    """_problem(spec)[1].even_half(), without an n x n matrix where it can.
+
+    A habitat of one interval whose sigma and mu equal their reverses
+    mirrors onto itself: its half model is assembled directly, A_eff folded
+    as operators._half_operator less tau _half_convolution.  Any other
+    problem is built whole, and folded when it mirrors.
+    """
+    grid = spec.grid
+    sigma, mu = spec.sigma.values, spec.mu.values
+    if (not isinstance(grid, Grid) or len(grid.intervals) != 1
+            or not np.array_equal(sigma, sigma[::-1])
+            or not np.array_equal(mu, mu[::-1])):
+        return _problem(spec)[1].even_half()
+    c = _half_operator(grid, spec.s)
+    if spec.tau > 0.0:
+        c -= spec.tau * _half_convolution(spec.kernel, grid)
+    return _on_half(_EvenHalf(grid.n, mirrored=True), c, grid.h, mu, -sigma,
+                    _boundary_profile(grid, spec.s))
 
 
 def _residual_scale(spec: ProblemSpec) -> float:
@@ -716,44 +747,50 @@ def critical_radius(
 
     The cell is guessed from the scaling law lambda_s(r Omega) =
     r^(-2s) lambda_s(Omega): with sigma = mu = 1 a cell survives exactly
-    when its first eigenvalue is below 1, so one eigenpair at the predicted
-    cell m0 gives the guess ceil(m0 lambda(m0)^(1/(2s))), clamped into the
-    bracket (lo, hi] = [0.55, 1.6] x predicted cells; when that eigenpair
-    does not converge the guess is m0 itself.  Certificates then walk down
-    from the guess while the cell below it survives (reaching lo means the
-    bracket has no switch) and up from it to the first surviving cell.
-    Usually the guess is that cell, and two certificates settle the
-    search: one just below it, one Cholesky, and one at it, which the
-    boundary profile or one Cholesky settles.  Each runs on the even half
-    of the mirrored habitat.  Wherever survival is monotone along the
-    bracket this is the cell a bisection on full solves finds, and the
-    upper end is assembled only when the walk reaches it.
+    when its first eigenvalue is below 1, so one eigenvalue at the
+    predicted cell m0 (spectral._half_eigenvalue) gives the guess
+    ceil(m0 lambda(m0)^(1/(2s))), clamped into the bracket (lo, hi] =
+    [0.55, 1.6] x predicted cells; when that eigenvalue does not converge
+    the guess is m0 itself.  Certificates then walk down from the guess
+    while the cell below it survives (reaching lo means the bracket has no
+    switch) and up from it to the first surviving cell.  Usually the guess
+    is that cell, and two certificates settle the search: one just below
+    it, one Cholesky, and one at it, which the boundary profile or one
+    Cholesky settles.  The guess and the certificates run on the even half
+    of the mirrored habitat, and the cells are assembled only as such
+    ceil(n/2)-square matrices, straight from the O(n) distance table
+    (operators._half_operator): the one n x n matrix is the base
+    habitat's, whose eigenpair gives the prediction.  Wherever survival is
+    monotone along the bracket this is the cell a bisection on full solves
+    finds.
     """
     base = build_grid([interval], h)
     lam = first_eigenpair(assemble(base, s)).lambda_
     predicted = lam ** (1.0 / (2.0 * s))
     length = interval[1] - interval[0]
 
-    def spec_at(m_cells: int) -> ProblemSpec:
+    def grid_at(m_cells: int) -> Grid:
         r = m_cells * h / length
-        grid = build_grid([(r * interval[0], r * interval[1])], h)
-        return problem_spec(grid, s, 1.0, 1.0)
+        return build_grid([(r * interval[0], r * interval[1])], h)
+
+    def survives(m_cells: int) -> bool:
+        return _survives(problem_spec(grid_at(m_cells), s, 1.0, 1.0))
 
     lo = int(np.floor(0.55 * predicted * length / h))
     hi = int(np.ceil(1.6 * predicted * length / h))
     lo = max(lo, 2)
     m_star = max(int(round(predicted * length / h)), lo + 1)
     try:
-        lam0 = first_eigenpair(assemble(spec_at(m_star).grid, s)).lambda_
+        lam0 = _half_eigenvalue(_half_operator(grid_at(m_star), s))
         m_star = int(np.ceil(m_star * lam0 ** (1.0 / (2.0 * s))))
     except ConvergenceError:
         pass
     m_star = max(min(m_star, hi), lo + 1)
-    while _survives(spec_at(m_star - 1)):
+    while survives(m_star - 1):
         m_star -= 1
         if m_star == lo:
             raise ValueError("the bracket does not straddle the threshold")
-    while not _survives(spec_at(m_star)):
+    while not survives(m_star):
         m_star += 1
         if m_star > hi:
             raise ValueError("the bracket does not straddle the threshold")

@@ -28,7 +28,9 @@ the weights are tabulated once per distance, O(n) kernel evaluations, and
 spread over the dense n x n matrix: Toeplitz blocks between the intervals
 of a grid, a circulant on the periodic cell.  The periodic circulants'
 first columns (_periodic_column, _periodic_stencil) are all the periodic
-energy model keeps.
+energy model keeps.  On one interval the even half of each operator
+(_half_operator, _half_convolution) is folded straight from those tables
+into a ceil(n/2)-square matrix, with no n x n one.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import circulant, toeplitz
 from scipy.special import zeta
 
@@ -359,6 +362,12 @@ def _periodic_stencil(kernel: Kernel, pgrid: PeriodicGrid) -> np.ndarray:
     return b_off
 
 
+def _stencil(kernel: Kernel, h: float, k: np.ndarray) -> np.ndarray:
+    """The convolution weights h J at lattice offsets k, zero beyond k_max."""
+    index = np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)
+    return np.where(np.abs(k) <= kernel.k_max, h * kernel.weights[index], 0.0)
+
+
 def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
     """Matrix B with (J*u)_i = (B u)_i = h sum_j J(x_i - x_j) u_j.
 
@@ -377,20 +386,125 @@ def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
     _check_spacing(kernel, h)
     x = grid.nodes
 
-    def stencil(k):
-        index = np.clip(kernel.k_max + k, 0, kernel.weights.size - 1)
-        return np.where(np.abs(k) <= kernel.k_max, h * kernel.weights[index], 0.0)
-
     def block(rows, cols):
         x_rows, x_cols = x[rows], x[cols]
         offset = x_rows[0] - x_cols[0]
         k0 = int(np.rint(offset / h))
         if abs(offset - k0 * h) > 1e-9 * h:
             return h * kernel.profile(x_rows[:, None] - x_cols[None, :])
-        return toeplitz(stencil(k0 + np.arange(x_rows.size)),
-                        stencil(k0 - np.arange(x_cols.size)))
+        return toeplitz(_stencil(kernel, h, k0 + np.arange(x_rows.size)),
+                        _stencil(kernel, h, k0 - np.arange(x_cols.size)))
 
     return _interval_blocks(grid, block)
+
+
+# ---------------------------------------------------------------------------
+# the even half of one interval, assembled without the n x n matrix
+# ---------------------------------------------------------------------------
+
+def _fold_toeplitz(col: np.ndarray) -> np.ndarray:
+    """c_ij = t_ij + t_{i,n-1-j} on the first m = ceil(n/2) nodes, for the
+    symmetric Toeplitz t whose first column is col (n entries).
+
+    This is toeplitz(col[:m]) plus the Hankel block col[n-1-i-j], both read
+    from strided views of col into one m x m array (a copy, then an add in
+    place: a single np.add of the two views took twice as long);
+    _weigh_middle then makes it the even half W^-1/2 P^T t P W^-1/2
+    (spectral._EvenHalf.matrix).
+    """
+    n = col.size
+    m = (n + 1) // 2
+    both_ways = np.concatenate((col[m - 1:0:-1], col[:m]))  # col[|k|], |k| < m
+    out = np.array(sliding_window_view(both_ways, m)[::-1])
+    out += sliding_window_view(col[::-1][:2 * m - 1], m)
+    return out
+
+
+def _weigh_middle(c: np.ndarray, n: int) -> np.ndarray:
+    """The fold c of n nodes weighed by W^-1/2 on both sides, in place: for
+    odd n the middle row and column scaled by 1/sqrt 2."""
+    if n % 2:
+        c[-1] *= np.sqrt(0.5)
+        c[:, -1] *= np.sqrt(0.5)
+    return c
+
+
+def _even_part(v: np.ndarray) -> np.ndarray:
+    """(v + reversed v) / 2."""
+    return 0.5 * (v + v[::-1])
+
+
+def _one_interval(grid: Grid) -> tuple[float, float]:
+    if len(grid.intervals) != 1:
+        raise ValueError("the even half is assembled on one interval only")
+    return grid.intervals[0]
+
+
+def _half_dirichlet(grid: Grid, s: float) -> np.ndarray:
+    """The even half of assemble_dirichlet(grid, s).a on one interval, from
+    O(n) tables.
+
+    The weights are the Toeplitz table t of _distance_weights, t[1] the
+    neighbour weight, plus the two boundary folds on the first and last
+    row and column.  -c t folds by _fold_toeplitz, and each boundary fold
+    plus its mirror image lands on the first row and column.  The diagonal
+    c (row sum of the weights + exterior tail) takes the Toeplitz row sums
+    from that fold: a row of it holds a whole row of t, and for odd n its
+    Hankel middle column once more.  The middle node of an odd n is its own
+    mirror image, so its diagonal counts twice before the weighing.
+
+    The computed near and far folds, and the tail, are mirror images only
+    to rounding (the ramps cancel: 47 eps max|diag A| apart at n = 256,
+    s = 0.1), so this is the half of the persymmetric part (A + J A J) / 2,
+    the folds and the tail averaged with their mirror images.
+    """
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"fractional exponent s={s} must lie in (0, 1)")
+    a, b = _one_interval(grid)
+    x, h, n = grid.nodes, grid.h, grid.n
+    m = (n + 1) // 2
+    c = 2.0 * s * (1.0 - s)
+    t = _distance_weights(np.abs(x - x[0]), h, s)
+    t[1:2] = _singular_weight(h, s) + _half_weight(h, s)
+    near = _fold(x, a, x[0], h, s)
+    far = _fold(x, b, x[-1], h, s)
+    folds = _even_part(near + far)
+    col = -c * t
+    half = _fold_toeplitz(col)
+    tail = _even_part(_exterior_tail(grid, s))
+    diag = c * (folds + tail)[:m] - half.sum(axis=1)
+    # the first node's row holds the whole near fold, the last's the far one
+    diag[0] += 0.5 * c * (near.sum() + far.sum())
+    if n % 2:
+        diag += col[m - 1::-1]
+        diag[-1] *= 2.0
+    half[np.diag_indices(m)] += diag
+    half[0] -= c * folds[:m]
+    half[:, 0] -= c * folds[:m]
+    return _weigh_middle(half, n)
+
+
+def _half_classical(grid: Grid) -> np.ndarray:
+    """The even half of assemble_classical(grid).a on one interval."""
+    _one_interval(grid)
+    c = CLASSICAL_LIMIT_CONSTANT / grid.h**2
+    col = np.zeros(grid.n)
+    col[0] = 2.0 * c
+    col[1:2] = -c
+    return _weigh_middle(_fold_toeplitz(col), grid.n)
+
+
+def _half_operator(grid: Grid, s: float) -> np.ndarray:
+    """The even half of assemble(grid, s).a on one interval."""
+    return _half_classical(grid) if s == 1.0 else _half_dirichlet(grid, s)
+
+
+def _half_convolution(kernel: Kernel, grid: Grid) -> np.ndarray:
+    """The even half of convolution_matrix(kernel, grid) on one interval."""
+    _one_interval(grid)
+    _check_spacing(kernel, grid.h)
+    col = _stencil(kernel, grid.h, np.arange(grid.n))
+    return _weigh_middle(_fold_toeplitz(col), grid.n)
 
 
 # ---------------------------------------------------------------------------

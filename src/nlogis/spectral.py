@@ -145,6 +145,29 @@ class _EvenHalf:
         return self.mirror(y / self.root_w)
 
 
+def _half_eigenvalue(c: np.ndarray, tol: float = 1e-10) -> float:
+    """The first eigenvalue of a mirrored operator from its even half c
+    alone (see _EvenHalf): _inverse_lanczos on c, then the Rayleigh
+    quotient.
+
+    The residual ||c y - lambda y|| is read on the half, which for the
+    unfolded even vector is the full residual in exact arithmetic; it must
+    be within tol max(1, |lambda|), else ConvergenceError is raised.
+    """
+    if c.shape[0] == 1:
+        return float(c[0, 0])
+    y, solves = _inverse_lanczos(c)
+    y /= np.linalg.norm(y)
+    cy = c @ y
+    lam = float(y @ cy)
+    res = float(np.linalg.norm(cy - lam * y))
+    target = tol * max(1.0, abs(lam))
+    if res > target:
+        raise ConvergenceError(f"even-half eigenpair residual {res:.3e} after "
+                               f"{solves} solves exceeds tolerance {target:.3e}")
+    return lam
+
+
 def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
     """Smallest eigenpair by shift-invert Lanczos on one Cholesky factor.
 

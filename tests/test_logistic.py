@@ -30,7 +30,7 @@ from nlogis import (
     solve_periodic,
     transmission_spec,
 )
-from nlogis import grids, logistic, transmission
+from nlogis import grids, logistic, operators, transmission
 from nlogis.logistic import (
     _EnergyModel,
     _minimize_model,
@@ -452,15 +452,17 @@ def test_critical_radius_equals_the_full_solve_bisection(interval, s, h):
 
 
 def test_critical_radius_certifies_only_at_the_threshold(monkeypatch):
-    # eigenpairs of the base habitat and of the predicted cell (the scaling
-    # law's guess); one certificate at r* and one at the cell below, and no
-    # steady state solved for
+    # the eigenpair of the base habitat and the even-half eigenvalue of the
+    # predicted cell (the scaling law's guess); one certificate at r* and
+    # one at the cell below, and no steady state solved for
     eigenpairs = _counting(monkeypatch, "first_eigenpair")
+    guesses = _counting(monkeypatch, "_half_eigenvalue")
     solves = _counting(monkeypatch, "solve_dirichlet")
     steady_states = _counting(monkeypatch, "_steady_state")
     certificates = _counting(monkeypatch, "_zero_is_minimizer")
     critical_radius((0.0, 1.0), 0.5, 2.0**-7)
-    assert (len(eigenpairs), len(solves), len(certificates)) == (2, 0, 2)
+    assert (len(eigenpairs), len(guesses), len(solves),
+            len(certificates)) == (1, 1, 0, 2)
     assert steady_states == []
 
 
@@ -469,23 +471,18 @@ def test_critical_radius_certifies_only_at_the_threshold(monkeypatch):
 ])
 def test_critical_radius_walks_to_the_threshold_when_the_guess_misses(
         factor, direction, monkeypatch):
-    # the predicted cell's eigenvalue (the second eigenpair) scaled by
+    # the predicted cell's eigenvalue (the even-half guess) scaled by
     # factor, or raising for None, which leaves the predicted cell as the
     # guess: a guess below r* walks up to it through extinct cells, one
     # above it walks down through surviving ones
     expected = oracles.ref_critical_radius((0.0, 1.0), 0.5, 2.0**-6)
-    eigenpair = logistic.first_eigenpair
-    calls = []
+    eigenvalue = logistic._half_eigenvalue
 
-    def skewed(op, **kwargs):
-        calls.append(1)
-        if len(calls) != 2:
-            return eigenpair(op, **kwargs)
+    def skewed(c, **kwargs):
         if factor is None:
             raise ConvergenceError("no eigenpair at the predicted cell")
-        pair = eigenpair(op, **kwargs)
-        return dataclasses.replace(pair, lambda_=factor * pair.lambda_)
-    monkeypatch.setattr(logistic, "first_eigenpair", skewed)
+        return factor * eigenvalue(c, **kwargs)
+    monkeypatch.setattr(logistic, "_half_eigenvalue", skewed)
     survives = logistic._survives
     outcomes = []
 
@@ -545,6 +542,60 @@ def test_survival_certificate_agrees_with_the_solve(intervals, s, tau):
         spec = problem_spec(grid, s, f * lam, 1.0, **reach)
         solved = solve_dirichlet(spec).classification == "nontrivial"
         assert logistic._survives(spec) == solved == (f > 1.0), f
+        # the direct half (one interval) reads as the dense model's fold
+        dense = not _zero_is_minimizer(_problem(spec)[1].even_half())
+        assert logistic._survives(spec) == dense, f
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.5])
+@pytest.mark.parametrize("s", [0.3, 1.0])
+@pytest.mark.parametrize("n", [7, 8])
+def test_half_model_is_the_dense_models_fold(n, s, tau):
+    grid = build_grid([(-1.0, 1.0)], 2.0 / (n + 1))
+    reach = (dict(tau=tau, kernel=build_kernel("uniform", 0.5, grid.h))
+             if tau else {})
+    even = 1.0 + (np.arange(n) - (n - 1) / 2) ** 2  # equal to its reverse
+    spec = problem_spec(grid, s, 2.0 * even, even, **reach)
+    half = logistic._half_model(spec)
+    dense = _problem(spec)[1].even_half()
+    assert half.even.mirrored and dense.even.mirrored
+    assert half.a_eff.shape == dense.a_eff.shape == ((n + 1) // 2,) * 2
+    scale = np.max(np.abs(np.diag(dense.a_eff)))
+    assert np.max(np.abs(half.a_eff - dense.a_eff)) <= 1e-14 * scale
+    for name in ("mu", "lin"):
+        np.testing.assert_array_equal(getattr(half, name), getattr(dense, name))
+    np.testing.assert_array_equal(half.probe[0], dense.probe[0])
+    np.testing.assert_allclose(half.probe[1], dense.probe[1], rtol=0.0,
+                               atol=1e-14 * scale * np.max(half.probe[0]))
+
+
+def test_critical_radius_assembles_only_the_base_grid(monkeypatch):
+    # every cell of the search is assembled as its even half: the one n x n
+    # matrix is the base grid's, and the peak stays below one matrix of the
+    # largest cell
+    assemble_dirichlet = operators.assemble_dirichlet
+    assembled = []
+
+    def counted(grid, s):
+        assembled.append(grid.n)
+        return assemble_dirichlet(grid, s)
+    monkeypatch.setattr(operators, "assemble_dirichlet", counted)
+    build = logistic.build_grid
+    built = []
+
+    def recorded(*args):
+        grid = build(*args)
+        built.append(grid.n)
+        return grid
+    monkeypatch.setattr(logistic, "build_grid", recorded)
+    tracemalloc.start()
+    try:
+        critical_radius((0.0, 1.0), 0.4, 2.0**-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert assembled == [255]
+    assert peak < 8 * max(built) ** 2
 
 
 def test_ext_crossing_pattern(monkeypatch):
@@ -1002,10 +1053,12 @@ def test_periodic_cell_is_solved_without_factoring(even, factored_orders):
 @pytest.mark.parametrize("s", [0.3, 0.7])
 def test_folded_critical_radius_equals_the_full_one(s, factored_orders,
                                                     monkeypatch):
+    # the half assembled directly against the dense model on all n nodes
     folded = critical_radius((0.0, 1.0), s, 2.0**-6)
     half_orders = list(factored_orders)
     factored_orders.clear()
-    monkeypatch.setattr(_EnergyModel, "even_half", lambda model: model)
+    monkeypatch.setattr(logistic, "_survives", lambda spec: not
+                        _zero_is_minimizer(_problem(spec)[1]))
     assert critical_radius((0.0, 1.0), s, 2.0**-6) == folded
     assert max(half_orders) == (max(factored_orders) + 1) // 2
 

@@ -357,6 +357,55 @@ def test_convolution_matrix_matches_per_entry_reference(intervals, h, shape,
                           oracles.ref_convolution_matrix(k, grid))
 
 
+# ---------------------------------------------------------------------------
+# the even half of one interval, assembled directly
+# ---------------------------------------------------------------------------
+
+_HALF_SIZES = [2, 3, 4, 5, 6, 7, 8, 255, 256]
+
+
+def _unit_interval(n):
+    grid = build_grid([(0.0, 1.0)], 1.0 / (n + 1))
+    assert grid.n == n
+    return grid
+
+
+def _assert_is_the_dense_fold(half, dense):
+    """half within 16 eps max|diag| of the dense matrix's fold."""
+    n = dense.shape[0]
+    assert half.shape == ((n + 1) // 2, (n + 1) // 2)
+    tol = 16.0 * np.finfo(float).eps * np.max(np.abs(np.diag(dense)))
+    assert np.max(np.abs(half - oracles.ref_fold(dense))) <= tol
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.8, 1.0])
+@pytest.mark.parametrize("n", _HALF_SIZES)
+def test_direct_even_half_is_the_dense_fold(n, s):
+    # the fractional builder for s < 1, the classical one at s = 1
+    grid = _unit_interval(n)
+    _assert_is_the_dense_fold(operators._half_operator(grid, s),
+                              assemble(grid, s).a)
+
+
+@pytest.mark.parametrize("shape", ["uniform", "triangular"])
+@pytest.mark.parametrize("n", _HALF_SIZES)
+def test_direct_even_half_of_the_convolution_is_the_dense_fold(n, shape):
+    grid = _unit_interval(n)
+    kernel = build_kernel(shape, max(0.25, 2.0 * grid.h), grid.h)
+    _assert_is_the_dense_fold(operators._half_convolution(kernel, grid),
+                              convolution_matrix(kernel, grid))
+
+
+def test_direct_even_half_needs_one_interval():
+    grid = build_grid([(0.0, 1.0), (2.0, 3.0)], 2.0**-4)
+    kernel = build_kernel("uniform", 0.25, grid.h)
+    for build in (lambda: operators._half_operator(grid, 0.5),
+                  lambda: operators._half_operator(grid, 1.0),
+                  lambda: operators._half_convolution(kernel, grid)):
+        with pytest.raises(ValueError, match="one interval"):
+            build()
+
+
 def test_kernel_radius_vs_image_cutoff(monkeypatch):
     monkeypatch.setattr(operators, "IMAGE_CUTOFF", 3)
     pg = build_periodic_grid(16)

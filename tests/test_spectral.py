@@ -25,7 +25,7 @@ from nlogis import (
     transmission_spec,
     union_eigen_study,
 )
-from nlogis.operators import NonlocalMatrix
+from nlogis.operators import NonlocalMatrix, _half_operator
 
 
 def test_classical_eigenvalue_approaches_pi_squared():
@@ -246,6 +246,19 @@ def test_lanczos_nonconvergence_is_a_convergence_error(monkeypatch, tmp_path,
     err = capsys.readouterr().err
     assert "did not converge" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 255])
+def test_half_eigenvalue_is_the_first_eigenpairs(n, s):
+    # from the directly assembled even half of one interval
+    grid = build_grid([(0.0, 1.0)], 1.0 / (n + 1))
+    lam = first_eigenpair(assemble(grid, s)).lambda_
+    half = _half_operator(grid, s)
+    assert spectral._half_eigenvalue(half) == pytest.approx(lam, rel=1e-12)
+    if half.shape[0] > 1:  # a single entry is its eigenvalue, unchecked
+        with pytest.raises(ConvergenceError, match="even-half eigenpair"):
+            spectral._half_eigenvalue(half, tol=0.0)
 
 
 def test_one_node_grid_eigenpair_is_its_entry():

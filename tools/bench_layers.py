@@ -18,8 +18,11 @@ the matrix not positive definite counted apart as "failed"; of logistic's
 MINRES solves (the periodic cell's Newton steps), with their order and, as
 "iterations", the MINRES iterations they took together; of
 solve_dirichlet from inside logistic, by the classification it returns;
-and of logistic's survival certificate _survives, which critical_radius
-calls in its place, by its verdict ("survives" or "extinct").
+of logistic's survival certificate _survives, which critical_radius
+calls in its place, by its verdict ("survives" or "extinct"); and of the
+n x n assembly assemble_dirichlet and the even-half builders
+_half_dirichlet and _half_classical (where the checkout has them) as
+operators calls them, by the order of what they build.
 
 Cases: the fractional Dirichlet and classical operators and the
 convolution matrix (uniform kernel, rho = 1/4) on the unit interval, and
@@ -43,14 +46,19 @@ the first eigenpair of the transmission form (lambda_star without
 its assembly) and the same two transmission solves, mu = 1, at the
 transmission form's sizes, sigma a multiple of lambda_star; the critical
 radius of the unit interval at each spacing in CRITICAL_RADIUS_H, under
-the node count of its undilated grid; build_strategic on the strategic
-experiment's default resource (sigma = mu = 1, eps = 0.1, support radii
-4, 6, 8) at each spacing in STRATEGIC_H, tau = 0 and tau = 1/2 with the
-uniform kernel (rho = 1/2), under the node count of its grid on (-4, 4),
-with the calls of one op to strategic's assemble_dirichlet and
-convolution_matrix, by the order of what they build.  All at s = S.  The
-cases are built one at a time, so that a child holds only the current
-case's matrices.
+the node count of its undilated grid; at each n in HALF_SIZES on the
+unit interval, the critical radius's certificate model (sigma = mu = 1)
+on its even half, "half-assembly" (logistic._half_model, which
+assembles it directly, where the checkout has it, else the dense model
+assembled, scanned and folded), and that certificate, "certificate"
+(_survives, which factors it, since sigma = 1 < lambda_1);
+build_strategic on the strategic experiment's default resource
+(sigma = mu = 1, eps = 0.1, support radii 4, 6, 8) at each spacing in
+STRATEGIC_H, tau = 0 and tau = 1/2 with the uniform kernel (rho = 1/2),
+under the node count of its grid on (-4, 4), with the calls of one op to
+strategic's assemble_dirichlet and convolution_matrix, by the order of
+what they build.  All at s = S.  The cases are built one at a time, so
+that a child holds only the current case's matrices.
 
 Then each checkout's perfbench/run.py --trace 1 --seed TRACE_SEED runs
 every workload once, and the report lists the counts (calls, iterations,
@@ -85,6 +93,7 @@ SIZES = (255, 511, 1023, 2047)
 PERIODIC_SIZES = (256, 512, 1024, 2048, 4096)
 PERIODIC_SOLVE_SIZES = (128, 256, 512, 1024, 2048)
 CRITICAL_RADIUS_H = (2.0**-7, 2.0**-8)
+HALF_SIZES = (255, 256, 511, 1023, 2047)
 STRATEGIC_H = (2.0**-6, 2.0**-7)
 STRATEGIC_TAUS = (0.0, 0.5)
 WORKLOADS = ("resource-sweep", "threshold-bisection", "eigen-scaling",
@@ -109,12 +118,14 @@ TRANSMISSION_SOLVES = (("transmission-solve", 1.2),
 # of the iterative solve of the periodic Newton steps, and of the survival
 # test critical_radius calls: the certificate _survives or, at an older
 # checkout, solve_dirichlet; and of the assemblies of the strategic
-# construction
+# construction, and of the n x n and even-half assemblies
 COUNTED = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
            ("logistic", "solve"), ("logistic", "minres"),
            ("logistic", "solve_dirichlet"), ("logistic", "_survives"),
            ("strategic", "assemble_dirichlet"),
-           ("strategic", "convolution_matrix"))
+           ("strategic", "convolution_matrix"),
+           ("operators", "assemble_dirichlet"),
+           ("operators", "_half_dirichlet"), ("operators", "_half_classical"))
 
 
 def _cases(nl):
@@ -163,6 +174,9 @@ def _cases(nl):
     for h in CRITICAL_RADIUS_H:
         out.append(("critical-radius", round(1.0 / h) - 1,
                     _ready(nl.critical_radius, (0.0, 1.0), S, h)))
+    for n in HALF_SIZES:
+        out += [("half-assembly", n, _certificate(nl, n, "half")),
+                ("certificate", n, _certificate(nl, n, "survives"))]
     for h in STRATEGIC_H:
         for tau in STRATEGIC_TAUS:
             out.append((f"strategic-tau={tau:g}", round(8.0 / h) - 1,
@@ -226,6 +240,23 @@ def _transmission_solve(nl, n, factor):
     return make
 
 
+def _certificate(nl, n, what):
+    """make() for the critical radius's certificate on the unit interval at
+    n nodes, sigma = mu = 1: its half model ("half") or the whole
+    certificate ("survives")."""
+    def make():
+        lg = nl.logistic
+        spec = nl.problem_spec(nl.build_grid([(0.0, 1.0)], 1.0 / (n + 1)),
+                               S, 1.0, 1.0)
+        if what == "survives":
+            return partial(lg._survives, spec)
+        direct = getattr(lg, "_half_model", None)
+        if direct is not None:
+            return partial(direct, spec)
+        return lambda: lg._problem(spec)[1].even_half()
+    return make
+
+
 def _strategic(nl, h, tau):
     """make() for build_strategic on the default resource at spacing h."""
     def make():
@@ -267,7 +298,7 @@ def _calls(nl, fn) -> dict:
                 _key += " " + result.classification
             elif _key == "logistic._survives":
                 _key += " survives" if result else " extinct"
-            elif _key.startswith("strategic."):
+            elif _key.startswith(("strategic.", "operators.")):
                 _key += f" order={getattr(result, 'a', result).shape[0]}"
             else:
                 _key += f" order={args[0].shape[0]}"
