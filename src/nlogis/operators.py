@@ -434,15 +434,10 @@ def _even_part(v: np.ndarray) -> np.ndarray:
     return 0.5 * (v + v[::-1])
 
 
-def _one_interval(grid: Grid) -> tuple[float, float]:
-    if len(grid.intervals) != 1:
-        raise ValueError("the even half is assembled on one interval only")
-    return grid.intervals[0]
-
-
 def _half_dirichlet(grid: Grid, s: float) -> np.ndarray:
-    """The even half of assemble_dirichlet(grid, s).a on one interval, from
-    O(n) tables.
+    """The even half of assemble_dirichlet(grid, s).a, from O(n) tables;
+    grid must be one interval (a union's nodes need not mirror, and its
+    weights are not one Toeplitz table).
 
     The weights are the Toeplitz table t of _distance_weights, t[1] the
     neighbour weight, plus the two boundary folds on the first and last
@@ -460,7 +455,7 @@ def _half_dirichlet(grid: Grid, s: float) -> np.ndarray:
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional exponent s={s} must lie in (0, 1)")
-    a, b = _one_interval(grid)
+    a, b = grid.intervals[0]
     x, h, n = grid.nodes, grid.h, grid.n
     m = (n + 1) // 2
     c = 2.0 * s * (1.0 - s)
@@ -485,8 +480,8 @@ def _half_dirichlet(grid: Grid, s: float) -> np.ndarray:
 
 
 def _half_classical(grid: Grid) -> np.ndarray:
-    """The even half of assemble_classical(grid).a on one interval."""
-    _one_interval(grid)
+    """The even half of assemble_classical(grid).a; grid must be one
+    interval."""
     c = CLASSICAL_LIMIT_CONSTANT / grid.h**2
     col = np.zeros(grid.n)
     col[0] = 2.0 * c
@@ -495,13 +490,13 @@ def _half_classical(grid: Grid) -> np.ndarray:
 
 
 def _half_operator(grid: Grid, s: float) -> np.ndarray:
-    """The even half of assemble(grid, s).a on one interval."""
+    """The even half of assemble(grid, s).a; grid must be one interval."""
     return _half_classical(grid) if s == 1.0 else _half_dirichlet(grid, s)
 
 
 def _half_convolution(kernel: Kernel, grid: Grid) -> np.ndarray:
-    """The even half of convolution_matrix(kernel, grid) on one interval."""
-    _one_interval(grid)
+    """The even half of convolution_matrix(kernel, grid); grid must be one
+    interval."""
     _check_spacing(kernel, grid.h)
     col = _stencil(kernel, grid.h, np.arange(grid.n))
     return _weigh_middle(_fold_toeplitz(col), grid.n)

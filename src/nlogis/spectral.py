@@ -145,14 +145,15 @@ class _EvenHalf:
         return self.mirror(y / self.root_w)
 
 
-def _half_eigenvalue(c: np.ndarray, tol: float = 1e-10) -> float:
+def _half_eigenvalue(c: np.ndarray) -> float:
     """The first eigenvalue of a mirrored operator from its even half c
     alone (see _EvenHalf): _inverse_lanczos on c, then the Rayleigh
     quotient.
 
     The residual ||c y - lambda y|| is read on the half, which for the
     unfolded even vector is the full residual in exact arithmetic; it must
-    be within tol max(1, |lambda|), else ConvergenceError is raised.
+    be within first_eigenpair's default 1e-10 max(1, |lambda|), else
+    ConvergenceError is raised.
     """
     if c.shape[0] == 1:
         return float(c[0, 0])
@@ -161,7 +162,7 @@ def _half_eigenvalue(c: np.ndarray, tol: float = 1e-10) -> float:
     cy = c @ y
     lam = float(y @ cy)
     res = float(np.linalg.norm(cy - lam * y))
-    target = tol * max(1.0, abs(lam))
+    target = 1e-10 * max(1.0, abs(lam))
     if res > target:
         raise ConvergenceError(f"even-half eigenpair residual {res:.3e} after "
                                f"{solves} solves exceeds tolerance {target:.3e}")

@@ -396,16 +396,6 @@ def test_direct_even_half_of_the_convolution_is_the_dense_fold(n, shape):
                               convolution_matrix(kernel, grid))
 
 
-def test_direct_even_half_needs_one_interval():
-    grid = build_grid([(0.0, 1.0), (2.0, 3.0)], 2.0**-4)
-    kernel = build_kernel("uniform", 0.25, grid.h)
-    for build in (lambda: operators._half_operator(grid, 0.5),
-                  lambda: operators._half_operator(grid, 1.0),
-                  lambda: operators._half_convolution(kernel, grid)):
-        with pytest.raises(ValueError, match="one interval"):
-            build()
-
-
 def test_kernel_radius_vs_image_cutoff(monkeypatch):
     monkeypatch.setattr(operators, "IMAGE_CUTOFF", 3)
     pg = build_periodic_grid(16)

@@ -256,9 +256,15 @@ def test_half_eigenvalue_is_the_first_eigenpairs(n, s):
     lam = first_eigenpair(assemble(grid, s)).lambda_
     half = _half_operator(grid, s)
     assert spectral._half_eigenvalue(half) == pytest.approx(lam, rel=1e-12)
-    if half.shape[0] > 1:  # a single entry is its eigenvalue, unchecked
-        with pytest.raises(ConvergenceError, match="even-half eigenpair"):
-            spectral._half_eigenvalue(half, tol=0.0)
+
+
+def test_half_eigenvalue_rejects_an_unconverged_vector(monkeypatch):
+    # a Lanczos vector that is not an eigenvector fails the half's residual
+    half = _half_operator(build_grid([(0.0, 1.0)], 2.0**-4), 0.3)
+    monkeypatch.setattr(spectral, "_inverse_lanczos",
+                        lambda c: (np.ones(c.shape[0]), 1))
+    with pytest.raises(ConvergenceError, match="even-half eigenpair"):
+        spectral._half_eigenvalue(half)
 
 
 def test_one_node_grid_eigenpair_is_its_entry():
