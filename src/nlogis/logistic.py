@@ -11,19 +11,20 @@ whose nodal gradient (scaled by 1/h) is the steady logistic equation
 
     A u + mu |u| u - sigma u - tau (J*u) = 0.
 
-A problem builds its own operator and energy model (_problem), whose
-probe is the habitat's first-eigenvector estimate.  solve_dirichlet solves
-every bounded habitat, Dirichlet or transmission, and solve_periodic the
-periodic cell; they differ only in their first start and share one core,
-_steady_state, and one report, SolveReport.  Without resources, or when
-the Hessian at zero is positive definite (mu >= 0 makes the cubic term
-convex), zero is the only minimizer and the core returns the trivial state
-without descending.  A bounded problem that mirrors onto itself is
-certified and descended on its even half, ceil(n/2) nodes
-(_EnergyModel.even_half; spectral._EvenHalf says why that is exact); the
-threshold experiments' certificate on one interval assembles that half
-directly (_half_model).  The periodic cell's model is a circulant applied
-by FFT (_CirculantModel), which keeps no n x n matrix and is not folded.
+A problem builds its own operator and energy model (_problem); a bounded
+one's probe is the habitat's first-eigenvector estimate.  solve_dirichlet
+solves every bounded habitat, Dirichlet or transmission, and
+solve_periodic the periodic cell; they differ only in their first start
+and share one core, _steady_state, and one report, SolveReport.  Without
+resources, or when the Hessian at zero is positive definite (mu >= 0
+makes the cubic term convex), zero is the only minimizer and the core
+returns the trivial state without descending.  A bounded problem that
+mirrors onto itself is certified and descended on its even half,
+ceil(n/2) nodes, where its residual is read too (_EnergyModel.even_half;
+spectral._EvenHalf says why that is exact); the threshold experiments'
+certificate on one interval assembles that half directly (_half_model).
+The periodic cell's model is a circulant applied by FFT
+(_CirculantModel), which keeps no n x n matrix and is not folded.
 
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, circulant, solve
+from scipy.linalg import LinAlgError, solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.linalg import LinearOperator, minres
 
@@ -62,8 +63,7 @@ from .grids import (
 from .operators import (NonlocalMatrix, TransmissionSpec, _half_convolution,
                         _half_operator, _periodic_column, _periodic_stencil,
                         assemble, assemble_transmission, convolution_matrix)
-from .spectral import (_EvenHalf, _half_eigenvalue, first_eigenpair,
-                       union_eigen_study)
+from .spectral import _EvenHalf, _half_pair, first_eigenpair, union_eigen_study
 
 __all__ = [
     "SolveReport",
@@ -108,7 +108,7 @@ class _EnergyModel:
     """E(u) = 1/2 h u^T A_eff u + h sum(mu |u|^3/3 + lin u^2/2 - src u).
 
     probe is (e, A_eff e) for a field e along which the Hessian is expected
-    to have negative curvature; every problem's model has one.  even
+    to have negative curvature; every bounded problem's model has one.  even
     maps the full fields to the model's coordinates: the identity, except
     on a model folded onto its even half (even_half).
     """
@@ -234,8 +234,8 @@ def _on_half(even: _EvenHalf, c: np.ndarray, h: float, mu: np.ndarray,
 class _CirculantModel(_EnergyModel):
     """The model of the periodic cell, where A_eff is the circulant whose
     first column is col: rfft diagonalizes it, and its eigenvalues are the
-    real symbol rfft(col).  A_eff is applied by FFT, so energy, gradient
-    and probe cost O(n log n) and no n x n matrix is kept.
+    real symbol rfft(col).  A_eff is applied by FFT, so energy and gradient
+    cost O(n log n) and no n x n matrix is kept.
 
     A Newton system (A_eff + diag d) x = -g is solved by MINRES, which
     serves positive definite and indefinite Hessians alike, preconditioned
@@ -260,13 +260,6 @@ class _CirculantModel(_EnergyModel):
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self._circulant(self.symbol, u)
-
-    def hessian(self, u: np.ndarray) -> np.ndarray:
-        """The dense Hessian, built only for the extinction certificate's
-        Cholesky factorization when the probe does not settle it."""
-        hess = circulant(self.col)
-        hess[np.diag_indices_from(hess)] += 2.0 * self.mu * np.abs(u) + self.lin
-        return hess
 
     def newton_direction(self, u: np.ndarray, g: np.ndarray):
         """Solution d of H d = -g by preconditioned MINRES, or None when
@@ -378,8 +371,13 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
     With src = 0 and mu >= 0 the energy is then strictly convex and zero is
     its only minimizer.  Negative curvature at zero along the model's probe
     (the habitat's first-eigenvector estimate, see _problem) settles the
-    question without factoring; else one Cholesky factorization does.
+    question without factoring; else one Cholesky factorization does.  On
+    the periodic cell H(0) is never positive definite, so no matrix is
+    built: A's rows sum to zero, and sigma >= 0, so along the constant e
+    e^T H(0) e = -tau e^T B e - sum sigma <= 0.
     """
+    if isinstance(model, _CirculantModel):
+        return False
     zeros = np.zeros(model.lin.size)
     if model.indefinite_along(zeros, *model.probe):
         return False
@@ -431,17 +429,15 @@ def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix | None, _EnergyModel]:
     the habitat's operator otherwise, and the probe is the boundary
     profile, the first-eigenvector estimate.  On the periodic cell op is
     None: the model is a _CirculantModel built from the first columns of
-    the operator and of B, and its probe is the constant, exactly the first
-    eigenvector of the circulant A_eff.
+    the operator and of B, with no probe, as its certificate needs none
+    (see _zero_is_minimizer).
     """
     if isinstance(spec.grid, PeriodicGrid):
         col = _periodic_column(spec.grid, spec.s)
         if spec.tau > 0.0:
             col = col - spec.tau * _periodic_stencil(spec.kernel, spec.grid)
-        model = _CirculantModel(col, spec.grid.h, spec.mu.values,
-                                -spec.sigma.values)
-        model.set_probe(np.ones(spec.grid.n))
-        return None, model
+        return None, _CirculantModel(col, spec.grid.h, spec.mu.values,
+                                     -spec.sigma.values)
     op = (assemble_transmission(spec) if isinstance(spec, TransmissionSpec)
           else assemble(spec.grid, spec.s))
     a_eff = op.a
@@ -530,9 +526,9 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     An unconverged start is tolerated only while its stalled energy stays
     above the best converged one, otherwise the minimum is uncertain and a
     ConvergenceError is raised.  Ties break toward the smaller iterate (the
-    trivial state).  The winner is unfolded, and its energy and residual
-    are those of the full model; should that residual exceed the tolerance
-    (only a folded one's can), the descent continues on the full model.
+    trivial state).  The winner is unfolded; its residual is the one its
+    descent read on the half (the full model's in exact arithmetic), and
+    its energy is the full model's.
     """
     if spec.tau == 0.0 and not np.any(spec.sigma.values):
         return _extinct(spec)
@@ -561,21 +557,8 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
                 f"an unconverged start (residual {o[6]:.3e}, tolerance "
                 f"{tol:.3e}) undercut the certified minimum (energy "
                 f"{best[0]:.3e}, sup norm {best[1]:.3e})")
-    u, history, iters = best[3:6]
-    u = half.even.unfold(u)
-    residual = model.sup_norm(model.gradient(u))
-    if residual > tol:
-        # near its roundoff floor the full residual can read above the
-        # folded one: descend on the full model, below the folded energy
-        u, more, extra, _ = _descend_loop(model, u, tol, min(max_iter, 300),
-                                          history[-1])
-        residual = model.sup_norm(model.gradient(u))
-        if residual > tol:
-            raise ConvergenceError(
-                f"the unfolded state's residual {residual:.3e} exceeds "
-                f"the tolerance {tol:.3e}")
-        history, iters = history + more[1:], iters + extra
-    return _report(spec, model, u, history, iters, residual)
+    u, history, iters, residual = best[3:7]
+    return _report(spec, model, half.even.unfold(u), history, iters, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +612,7 @@ def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix,
     at amplitude 1e-8 max(1, max sigma + tau).  Each sum reads the same
     in a folded model's coordinates.
     """
-    e = model.even.fold(first_eigenpair(
-        op, tol=min(1e-10, spec.solver_tol * 100)).vector.values)
+    e = model.even.fold(first_eigenpair(op).vector.values)
     h = model.h
     form = h * float(e @ model.set_probe(e))
     c1 = 0.5 * (h * np.sum(-model.lin * e**2) - form)
@@ -651,9 +633,9 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     profile as the probe of the Newton steps.  A problem whose habitat,
     sigma and mu mirror onto themselves (one interval, a congruent pair
     placed symmetrically; constant or even resources) is certified and
-    descended on its even half, m = ceil(n/2) nodes (see _steady_state); a
-    dip off the centre, an asymmetric union or a transmission problem is
-    solved on all n nodes.
+    descended on its even half, m = ceil(n/2) nodes, and the reported
+    residual is read there (see _steady_state); a dip off the centre, an
+    asymmetric union or a transmission problem is solved on all n nodes.
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
@@ -666,13 +648,12 @@ def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """Minimize the periodic energy over one cell (see _steady_state).
 
     The model is a _CirculantModel: energy, gradient and Newton steps apply
-    the circulant A - tau B by FFT and no n x n matrix is built.  The probe
-    is the constant: at an unstable zero its curvature -sum sigma - tau n
-    < 0 settles the certificate in one FFT product; only were it not
-    negative would the certificate build and factor the dense Hessian.  The
-    first start is the cell-average level (mean sigma + tau) / mean mu, for
-    constant coefficients the exact solution.  The cell is solved on all n
-    nodes.
+    the circulant A - tau B by FFT and no n x n matrix is built.  Zero is
+    never certified here, as H(0) is not positive definite on the periodic
+    cell (see _zero_is_minimizer), so only the no-resource exit returns the
+    trivial state without descending.  The first start is the cell-average
+    level (mean sigma + tau) / mean mu, for constant coefficients the exact
+    solution.  The cell is solved on all n nodes.
     """
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
@@ -748,7 +729,8 @@ def critical_radius(
     The cell is guessed from the scaling law lambda_s(r Omega) =
     r^(-2s) lambda_s(Omega): with sigma = mu = 1 a cell survives exactly
     when its first eigenvalue is below 1, so one eigenvalue at the
-    predicted cell m0 (spectral._half_eigenvalue) gives the guess
+    predicted cell m0, by the eigenpair core spectral._half_pair on its
+    even half and under first_eigenpair's residual contract, gives the guess
     ceil(m0 lambda(m0)^(1/(2s))), clamped into the bracket (lo, hi] =
     [0.55, 1.6] x predicted cells; when that eigenvalue does not converge
     the guess is m0 itself.  Certificates then walk down from the guess
@@ -781,7 +763,7 @@ def critical_radius(
     lo = max(lo, 2)
     m_star = max(int(round(predicted * length / h)), lo + 1)
     try:
-        lam0 = _half_eigenvalue(_half_operator(grid_at(m_star), s))
+        lam0 = _half_pair(_half_operator(grid_at(m_star), s))[0]
         m_star = int(np.ceil(m_star * lam0 ** (1.0 / (2.0 * s))))
     except ConvergenceError:
         pass

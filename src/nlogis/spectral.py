@@ -7,7 +7,9 @@ nonzero fields u: the h in the form and in the norm cancel, so the survival
 threshold compares directly with the resource rate sigma.  It is found by
 ARPACK's Lanczos iteration (scipy eigsh) on A^-1, applied through one
 Cholesky factorization of A, or of A folded onto its even half when the
-habitat mirrors onto itself.
+habitat mirrors onto itself.  One core, _half_pair, reads lambda and the
+residual on the matrix it factored, for first_eigenpair and for the
+threshold search's guess alike, under one residual contract.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError
 from .grids import Field, build_grid, l2_norm
-from .operators import NonlocalMatrix, assemble
+from .operators import NonlocalMatrix, _weigh_middle, assemble
 
 __all__ = [
     "EigenPair",
@@ -35,7 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Smallest eigenvalue with its positive, L2-normalized eigenvector."""
+    """Smallest eigenvalue with its positive, L2-normalized eigenvector.
+
+    residual is ||A e - lambda e|| for e of unit Euclidean norm, read on the
+    matrix the pair was computed on: the even half C when A mirrors, where
+    ||C y - lambda y|| equals it in exact arithmetic (see _half_pair).
+    """
 
     lambda_: float
     vector: Field
@@ -98,7 +105,10 @@ class _EvenHalf:
     first eigenpair is found on the half, and a folded Cholesky
     factorization succeeds exactly when the full one does.  A descent from
     an even start stays even, and for mu > 0 the positive steady state is
-    unique (Brezis-Oswald), hence even.
+    unique (Brezis-Oswald), hence even.  As P W^-1/2 has orthonormal
+    columns, a residual read on the half is the unfolded field's full one
+    in exact arithmetic, so eigenpairs and steady states are checked on the
+    half and only unfolded to be reported.
     """
 
     def __init__(self, n: int, mirrored: bool = False):
@@ -123,14 +133,13 @@ class _EvenHalf:
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
         """W^-1/2 P^T a P W^-1/2: c_ij = a_ij + a_{i,n-1-j} on the first m
-        nodes, the middle row and column of an odd n scaled by 1/sqrt 2."""
-        if not self.mirrored:
+        nodes, the middle row and column of an odd n scaled by 1/sqrt 2
+        (operators._weigh_middle).  One node folds onto itself: a is
+        returned, where the weighing would leave it an ulp off."""
+        if not self.mirrored or self.n == 1:
             return a
-        c = a[:self.m, :self.m] + a[:self.m, ::-1][:, :self.m]
-        if self.n % 2:
-            c[-1] *= np.sqrt(0.5)
-            c[:, -1] *= np.sqrt(0.5)
-        return c
+        return _weigh_middle(a[:self.m, :self.m] + a[:self.m, ::-1][:, :self.m],
+                             self.n)
 
     def fold(self, u: np.ndarray) -> np.ndarray:
         """The coordinates W^1/2 u[:m] of an even field u."""
@@ -145,18 +154,18 @@ class _EvenHalf:
         return self.mirror(y / self.root_w)
 
 
-def _half_eigenvalue(c: np.ndarray) -> float:
-    """The first eigenvalue of a mirrored operator from its even half c
-    alone (see _EvenHalf): _inverse_lanczos on c, then the Rayleigh
-    quotient.
+def _half_pair(c: np.ndarray) -> tuple[float, np.ndarray, float, int]:
+    """(lambda, y, residual, solves): the smallest eigenvalue of the
+    symmetric c with its unit eigenvector y, by _inverse_lanczos and the
+    Rayleigh quotient, and the residual ||c y - lambda y||.
 
-    The residual ||c y - lambda y|| is read on the half, which for the
-    unfolded even vector is the full residual in exact arithmetic; it must
-    be within first_eigenpair's default 1e-10 max(1, |lambda|), else
-    ConvergenceError is raised.
+    The residual must be within 1e-10 max(1, |lambda|), or within the
+    roundoff floor 4 eps ||c||_inf where that is larger (a normwise backward
+    error, as c y is computed only to about eps ||c||_inf), else
+    ConvergenceError is raised.  A 1 x 1 c is its own pair.
     """
-    if c.shape[0] == 1:
-        return float(c[0, 0])
+    if c.shape[0] == 1:  # eigsh needs more nodes than eigenpairs
+        return float(c[0, 0]), np.ones(1), 0.0, 0
     y, solves = _inverse_lanczos(c)
     y /= np.linalg.norm(y)
     cy = c @ y
@@ -164,12 +173,15 @@ def _half_eigenvalue(c: np.ndarray) -> float:
     res = float(np.linalg.norm(cy - lam * y))
     target = 1e-10 * max(1.0, abs(lam))
     if res > target:
-        raise ConvergenceError(f"even-half eigenpair residual {res:.3e} after "
-                               f"{solves} solves exceeds tolerance {target:.3e}")
-    return lam
+        target = max(target, 4.0 * np.finfo(float).eps
+                     * norm(c, np.inf, check_finite=False))
+        if res > target:
+            raise ConvergenceError(f"eigenpair residual {res:.3e} after "
+                                   f"{solves} solves exceeds {target:.3e}")
+    return lam, y, res, solves
 
 
-def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
+def first_eigenpair(op: NonlocalMatrix) -> EigenPair:
     """Smallest eigenpair by shift-invert Lanczos on one Cholesky factor.
 
     A is factored once; ARPACK's Lanczos iteration (eigsh) runs on its
@@ -181,40 +193,14 @@ def first_eigenpair(op: NonlocalMatrix, tol: float = 1e-10) -> EigenPair:
 
     A habitat that mirrors onto itself gives a persymmetric A, and then the
     pair is computed, exactly, on the even half (see _EvenHalf): the
-    Lanczos iteration and its factor run on the ceil(n/2)-square folded
-    matrix, and iterations counts solves with its factor.  An A that is
-    not persymmetric (a transmission form, a union whose nodes do not
-    mirror) is factored whole.
-
-    The residual ||A e - lambda e|| is computed with the full A and must be
-    within tol max(1, |lambda|), else ConvergenceError is raised.  A y is
-    computed to about eps ||A||_inf, which bounds how small the residual
-    can get; the error names that floor when the residual is within
-    4 eps ||A||_inf of zero.
+    Lanczos iteration, its factor, lambda and the residual all run on the
+    ceil(n/2)-square folded matrix, and the vector is unfolded.  An A that
+    is not persymmetric (a transmission form, a union whose nodes do not
+    mirror) is factored whole.  The residual contract is _half_pair's.
     """
-    a = op.a
-    even = _EvenHalf.of(a)
-    c = even.matrix(a)
-    if c.shape[0] == 1:  # eigsh needs more nodes than eigenpairs
-        x, solves = np.ones(1), 0
-    else:
-        x, solves = _inverse_lanczos(c)
-    # P W^-1/2 x up to a factor the normalization removes: scaling only an
-    # odd n's middle entry (by sqrt 2) keeps the other entries' bits
-    x = even.mirror(x * (np.max(even.root_w) / even.root_w))
-    x /= np.linalg.norm(x)
-    ax = a @ x
-    lam = float(x @ ax)
-    res = float(np.linalg.norm(ax - lam * x))
-    target = tol * max(1.0, abs(lam))
-    if res > target:
-        message = (f"eigenpair residual {res:.3e} after {solves} solves "
-                   f"exceeds tolerance {target:.3e}")
-        floor = 4.0 * np.finfo(float).eps * norm(a, np.inf, check_finite=False)
-        if res <= floor:
-            message += (f"; it is within its roundoff floor 4 eps ||A||_inf "
-                        f"= {floor:.3e}, so the tolerance is out of reach")
-        raise ConvergenceError(message)
+    even = _EvenHalf.of(op.a)
+    lam, y, res, solves = _half_pair(even.matrix(op.a))
+    x = even.unfold(y)
     if np.sum(x) < 0.0:
         x = -x
     e = Field(grid=op.grid, values=x)

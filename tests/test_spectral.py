@@ -60,7 +60,7 @@ def test_eigenvector_positive_and_normalized(s, intervals):
 def test_eigen_residual_contract():
     grid = build_grid([(0.0, 1.0)], 2.0**-7)
     op = assemble_dirichlet(grid, 0.5)
-    pair = first_eigenpair(op, tol=1e-10)
+    pair = first_eigenpair(op)
     e = pair.vector.values
     assert np.linalg.norm(op.a @ e - pair.lambda_ * e) <= 1e-10 * max(
         1.0, pair.lambda_
@@ -200,12 +200,41 @@ def test_extrapolated_half_laplacian_eigenvalue_matches_closed_form(
     assert abs(2.0 * err[10] - err[9]) <= 1e-4
 
 
+def _roundoff_floor(op):
+    """4 eps ||C||_inf of the even half C of op's matrix."""
+    c = spectral._EvenHalf.of(op.a).matrix(op.a)
+    return 4.0 * np.finfo(float).eps * np.max(np.sum(np.abs(c), axis=1))
+
+
 def test_eigen_iteration_stops_at_the_roundoff_floor():
-    # ||A||_inf = 3.0e5 here, so A y is computed to about 6.7e-11, and
-    # the residual sits at 1.34e-10 above the 1.07e-10 tolerance
-    grid = build_grid([(0.0, 3.0)], 2.0**-9)
-    op = assemble_dirichlet(grid, 0.9)
-    with pytest.raises(ConvergenceError, match="roundoff floor"):
+    # ||C||_inf = 3.3e5 on the even half here, so C y is computed to about
+    # 7e-11, and the 1.07e-10 tolerance lies below the floor
+    # 4 eps ||C||_inf = 2.9e-10: the pair is returned within the floor, and
+    # so is the full residual of its unfolded vector (1.3e-10)
+    op = assemble_dirichlet(build_grid([(0.0, 3.0)], 2.0**-9), 0.9)
+    floor = _roundoff_floor(op)
+    pair = first_eigenpair(op)
+    assert 1e-10 * max(1.0, pair.lambda_) < floor
+    assert pair.residual <= floor
+    e = pair.vector.values / np.linalg.norm(pair.vector.values)
+    assert np.linalg.norm(op.a @ e - pair.lambda_ * e) <= floor
+
+
+def test_eigen_residual_above_its_tolerance_is_accepted_on_the_floor():
+    # on (0, 1) at s = 0.9, h = 2^-11 the half's residual 1.0e-9 exceeds
+    # 1e-10 lambda = 7.7e-10, but not the floor 4 eps ||C||_inf = 3.5e-9
+    op = assemble_dirichlet(build_grid([(0.0, 1.0)], 2.0**-11), 0.9)
+    pair = first_eigenpair(op)
+    assert 1e-10 * pair.lambda_ < pair.residual <= _roundoff_floor(op)
+
+
+def test_eigen_residual_above_the_roundoff_floor_raises(monkeypatch):
+    # on the same grid a Lanczos vector that is not an eigenvector is
+    # still rejected: the floor bounds rounding, not a wrong vector
+    op = assemble_dirichlet(build_grid([(0.0, 3.0)], 2.0**-9), 0.9)
+    monkeypatch.setattr(spectral, "_inverse_lanczos",
+                        lambda c: (np.ones(c.shape[0]), 1))
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
         first_eigenpair(op)
 
 
@@ -255,7 +284,7 @@ def test_half_eigenvalue_is_the_first_eigenpairs(n, s):
     grid = build_grid([(0.0, 1.0)], 1.0 / (n + 1))
     lam = first_eigenpair(assemble(grid, s)).lambda_
     half = _half_operator(grid, s)
-    assert spectral._half_eigenvalue(half) == pytest.approx(lam, rel=1e-12)
+    assert spectral._half_pair(half)[0] == pytest.approx(lam, rel=1e-12)
 
 
 def test_half_eigenvalue_rejects_an_unconverged_vector(monkeypatch):
@@ -263,8 +292,8 @@ def test_half_eigenvalue_rejects_an_unconverged_vector(monkeypatch):
     half = _half_operator(build_grid([(0.0, 1.0)], 2.0**-4), 0.3)
     monkeypatch.setattr(spectral, "_inverse_lanczos",
                         lambda c: (np.ones(c.shape[0]), 1))
-    with pytest.raises(ConvergenceError, match="even-half eigenpair"):
-        spectral._half_eigenvalue(half)
+    with pytest.raises(ConvergenceError, match="eigenpair residual"):
+        spectral._half_pair(half)
 
 
 def test_one_node_grid_eigenpair_is_its_entry():
