@@ -40,7 +40,9 @@ _REL_TOL = 1e-12
 # (tracemalloc) was 3.1 matrices at n = 1023, 2047 and 4095, so about
 # 1.6 GiB here.  The strategic construction peaks at 2.7 matrices in its
 # harmonic fit and reads only the inner ball's rows of A - tau B after it;
-# eigen peaks at 2.0 and the transmission form at 2.1 matrices.  The
+# the transmission form peaks at 2.1 matrices, and eigen at 2.0 on a union
+# it assembles, but at 0.53 on one interval or two congruent ones, which
+# it builds as their half-order even half (n = 1022 ... 4095).  The
 # periodic solve applies its circulant by FFT and holds no matrix (3.5 MiB
 # above the import at n = 4096), but the periodic cell keeps the cap: its
 # public builders, assemble_periodic and convolution_matrix, are dense.

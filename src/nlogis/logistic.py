@@ -63,7 +63,8 @@ from .grids import (
 from .operators import (NonlocalMatrix, TransmissionSpec, _half_convolution,
                         _half_operator, _periodic_column, _periodic_stencil,
                         assemble, assemble_transmission, convolution_matrix)
-from .spectral import _EvenHalf, _half_pair, first_eigenpair, union_eigen_study
+from .spectral import (_EvenHalf, _first_eigenvalue, _half_pair,
+                       first_eigenpair, union_eigen_study)
 
 __all__ = [
     "SolveReport",
@@ -365,13 +366,15 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
     return u, history, it, converged
 
 
-def _zero_is_minimizer(model: _EnergyModel) -> bool:
+def _zero_is_minimizer(model: _EnergyModel,
+                       out: np.ndarray | None = None) -> bool:
     """True when the Hessian at zero is positive definite.
 
     With src = 0 and mu >= 0 the energy is then strictly convex and zero is
     its only minimizer.  Negative curvature at zero along the model's probe
     (the habitat's first-eigenvector estimate, see _problem) settles the
-    question without factoring; else one Cholesky factorization does.  On
+    question without factoring; else one Cholesky factorization does, of
+    the Hessian written into out when given (see _EnergyModel.hessian).  On
     the periodic cell H(0) is never positive definite, so no matrix is
     built: A's rows sum to zero, and sigma >= 0, so along the constant e
     e^T H(0) e = -tau e^T B e - sum sigma <= 0.
@@ -381,16 +384,19 @@ def _zero_is_minimizer(model: _EnergyModel) -> bool:
     zeros = np.zeros(model.lin.size)
     if model.indefinite_along(zeros, *model.probe):
         return False
-    _, info = dpotrf(model.hessian(zeros).T, lower=True, overwrite_a=True,
-                     clean=False)
+    _, info = dpotrf(model.hessian(zeros, out=out).T, lower=True,
+                     overwrite_a=True, clean=False)
     return info == 0
 
 
 def _survives(spec: ProblemSpec) -> bool:
     """True when zero is unstable, A - tau B - diag sigma not positive
     definite: then, and only then, the steady state is positive (Brezis
-    and Oswald 1986).  The certificate runs on the even half (_half_model)."""
-    return not _zero_is_minimizer(_half_model(spec))
+    and Oswald 1986).  The certificate runs on the even half (_half_model),
+    a model built for it alone, so the Hessian is formed and factored in
+    the model's own A_eff, with no second matrix."""
+    model = _half_model(spec)
+    return not _zero_is_minimizer(model, out=model.a_eff)
 
 
 def _minimize_model(model: _EnergyModel, init: np.ndarray, tol: float,
@@ -738,16 +744,15 @@ def critical_radius(
     switch) and up from it to the first surviving cell.  Usually the guess
     is that cell, and two certificates settle the search: one just below
     it, one Cholesky, and one at it, which the boundary profile or one
-    Cholesky settles.  The guess and the certificates run on the even half
-    of the mirrored habitat, and the cells are assembled only as such
-    ceil(n/2)-square matrices, straight from the O(n) distance table
-    (operators._half_operator): the one n x n matrix is the base
-    habitat's, whose eigenpair gives the prediction.  Wherever survival is
-    monotone along the bracket this is the cell a bisection on full solves
-    finds.
+    Cholesky settles.  The prediction's eigenvalue (spectral.
+    _first_eigenvalue), the guess and the certificates all run on the even
+    half of the mirrored habitat, and every grid is assembled only as such
+    a ceil(n/2)-square matrix, straight from the O(n) distance table
+    (operators._half_operator): the search forms no n x n matrix.
+    Wherever survival is monotone along the bracket this is the cell a
+    bisection on full solves finds.
     """
-    base = build_grid([interval], h)
-    lam = first_eigenpair(assemble(base, s)).lambda_
+    lam = _first_eigenvalue(build_grid([interval], h), s)
     predicted = lam ** (1.0 / (2.0 * s))
     length = interval[1] - interval[0]
 
@@ -824,8 +829,8 @@ def ext_crossing(
     for i, r in enumerate(rs):
         grid = build_grid([(r * interval[0], r * interval[1])], h)
         grids.append(grid)
-        lam_s[i] = first_eigenpair(assemble(grid, s)).lambda_
-        lam_big[i] = first_eigenpair(assemble(grid, big_s)).lambda_
+        lam_s[i] = _first_eigenvalue(grid, s)
+        lam_big[i] = _first_eigenvalue(grid, big_s)
     diff = lam_big - lam_s
     signs = np.sign(diff)
     changes = np.nonzero(signs[:-1] * signs[1:] < 0)[0]

@@ -30,7 +30,10 @@ of a grid, a circulant on the periodic cell.  The periodic circulants'
 first columns (_periodic_column, _periodic_stencil) are all the periodic
 energy model keeps.  On one interval the even half of each operator
 (_half_operator, _half_convolution) is folded straight from those tables
-into a ceil(n/2)-square matrix, with no n x n one.
+into a ceil(n/2)-square matrix, with no n x n one; so is the even half of
+the Dirichlet and classical operators on two congruent intervals
+(_half_operator), from the intervals' own table and the Hankel table of
+the weights across the gap.
 """
 
 from __future__ import annotations
@@ -399,25 +402,56 @@ def convolution_matrix(kernel: Kernel, grid: Grid | PeriodicGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the even half of one interval, assembled without the n x n matrix
+# the even half of one interval or of a congruent pair, assembled without
+# the n x n matrix
 # ---------------------------------------------------------------------------
 
-def _fold_toeplitz(col: np.ndarray) -> np.ndarray:
-    """c_ij = t_ij + t_{i,n-1-j} on the first m = ceil(n/2) nodes, for the
-    symmetric Toeplitz t whose first column is col (n entries).
+def _fold_toeplitz(col: np.ndarray, hankel: np.ndarray) -> np.ndarray:
+    """c_ij = col[|i-j|] + hankel[i+j] on the first m = (hankel.size + 1) // 2
+    nodes: the symmetric Toeplitz block whose first column is col (at least
+    m entries) plus the Hankel block whose entries hankel[:2m-1] run along
+    its antidiagonals.
 
-    This is toeplitz(col[:m]) plus the Hankel block col[n-1-i-j], both read
-    from strided views of col into one m x m array (a copy, then an add in
-    place: a single np.add of the two views took twice as long);
+    Both blocks are read from strided views into one m x m array (a copy,
+    then an add in place: a single np.add of the two views took twice as
+    long).  On one interval of n nodes hankel is col reversed,
+    t_{i,n-1-j} = col[n-1-i-j], and the sum is P^T t P on the first m =
+    ceil(n/2) nodes, for the symmetric Toeplitz t of first column col;
     _weigh_middle then makes it the even half W^-1/2 P^T t P W^-1/2
     (spectral._EvenHalf.matrix).
     """
-    n = col.size
-    m = (n + 1) // 2
+    m = (hankel.size + 1) // 2
     both_ways = np.concatenate((col[m - 1:0:-1], col[:m]))  # col[|k|], |k| < m
     out = np.array(sliding_window_view(both_ways, m)[::-1])
-    out += sliding_window_view(col[::-1][:2 * m - 1], m)
+    out += sliding_window_view(hankel[:2 * m - 1], m)
     return out
+
+
+def _mirror_tables(grid: Grid, weights) -> tuple[np.ndarray, np.ndarray]:
+    """(col, hankel) of _fold_toeplitz for the weight weights(r) at node
+    distance r, on one interval or on two congruent ones.
+
+    col holds the weights from the first node of an interval to its nodes.
+    hankel holds them, by i + j, from node i of the even half to the mirror
+    image of node j.  On one interval hankel is col reversed, a view, so
+    that setting an entry of col sets it in hankel too.  On a pair the
+    mirror image of node j is node n-1-j of the second interval, at
+    distance (lo + hi) - x_i - x_j: hankel is the far block's first row
+    reversed, then its first column (_far_block), and col the mean of the
+    two intervals' tables, which are mirror images only to rounding (the
+    far weights cancel: with the first interval's table alone the half was
+    up to 47 eps max|diag A| off the dense fold at 128 nodes each,
+    s = 0.1).
+    """
+    x = grid.nodes
+    if len(grid.intervals) == 1:
+        col = weights(np.abs(x - x[0]))
+        return col, col[::-1]
+    m = grid.n // 2
+    col = 0.5 * (weights(np.abs(x[:m] - x[0]))
+                 + weights(np.abs(x[m:] - x[m])))
+    return col, np.concatenate((weights(np.abs(x[0] - x[:m - 1:-1])),
+                                weights(np.abs(x[1:m] - x[m]))))
 
 
 def _weigh_middle(c: np.ndarray, n: int) -> np.ndarray:
@@ -436,61 +470,77 @@ def _even_part(v: np.ndarray) -> np.ndarray:
 
 def _half_dirichlet(grid: Grid, s: float) -> np.ndarray:
     """The even half of assemble_dirichlet(grid, s).a, from O(n) tables;
-    grid must be one interval (a union's nodes need not mirror, and its
-    weights are not one Toeplitz table).
+    grid must be one interval or two congruent ones (see _mirror_tables).
 
-    The weights are the Toeplitz table t of _distance_weights, t[1] the
-    neighbour weight, plus the two boundary folds on the first and last
-    row and column.  -c t folds by _fold_toeplitz, and each boundary fold
-    plus its mirror image lands on the first row and column.  The diagonal
-    c (row sum of the weights + exterior tail) takes the Toeplitz row sums
-    from that fold: a row of it holds a whole row of t, and for odd n its
-    Hankel middle column once more.  The middle node of an odd n is its own
-    mirror image, so its diagonal counts twice before the weighing.
+    The weights are the Toeplitz table of an interval (_distance_weights,
+    its entry 1 the neighbour weight) and, on a pair, the Hankel table of
+    the far block between the intervals, plus the two boundary folds of
+    every interval on the row and column of its node.
+    -c times the tables folds by _fold_toeplitz.  Each boundary fold plus
+    its mirror image lands on the column of the fold's node or of its
+    mirror node, whichever lies in the half, and on that row: the first
+    row and column of one interval (its two ends mirror each other), the
+    first and last of a pair's half.  The diagonal c (row sum of the
+    weights + exterior tail, the gap segment included) takes the
+    Toeplitz and Hankel row sums from that fold: a row of it holds a whole
+    row of the weights, and for odd n its Hankel middle column once more.
+    The middle node of an odd n is its own mirror image, so its diagonal
+    counts twice before the weighing.
 
-    The computed near and far folds, and the tail, are mirror images only
+    The computed folds and the tail of mirror nodes are mirror images only
     to rounding (the ramps cancel: 47 eps max|diag A| apart at n = 256,
     s = 0.1), so this is the half of the persymmetric part (A + J A J) / 2,
-    the folds and the tail averaged with their mirror images.
+    the folds, the tail and a pair's two tables averaged with their mirror
+    images.
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"fractional exponent s={s} must lie in (0, 1)")
-    a, b = grid.intervals[0]
     x, h, n = grid.nodes, grid.h, grid.n
     m = (n + 1) // 2
     c = 2.0 * s * (1.0 - s)
-    t = _distance_weights(np.abs(x - x[0]), h, s)
+    t, t_mirror = _mirror_tables(grid, lambda r: _distance_weights(r, h, s))
     t[1:2] = _singular_weight(h, s) + _half_weight(h, s)
-    near = _fold(x, a, x[0], h, s)
-    far = _fold(x, b, x[-1], h, s)
-    folds = _even_part(near + far)
     col = -c * t
-    half = _fold_toeplitz(col)
+    half = _fold_toeplitz(col, -c * t_mirror)
+    # the boundary folds by the half node whose row and column they land on,
+    # and the kernel mass each such node holds
+    on_node, mass = {}, {}
+    for k, (a, b) in enumerate(grid.intervals):
+        idx = grid.interval_nodes(k)
+        for endpoint, p in ((a, idx[0]), (b, idx[-1])):
+            fold = _fold(x, endpoint, x[p], h, s)
+            q = min(p, n - 1 - p)
+            on_node[q] = on_node.get(q, 0.0) + fold
+            mass[q] = mass.get(q, 0.0) + fold.sum()
+    folds = {q: _even_part(f) for q, f in on_node.items()}
     tail = _even_part(_exterior_tail(grid, s))
-    diag = c * (folds + tail)[:m] - half.sum(axis=1)
-    # the first node's row holds the whole near fold, the last's the far one
-    diag[0] += 0.5 * c * (near.sum() + far.sum())
+    diag = c * (sum(folds.values()) + tail)[:m] - half.sum(axis=1)
+    for q, total in mass.items():
+        diag[q] += 0.5 * c * total
     if n % 2:
         diag += col[m - 1::-1]
         diag[-1] *= 2.0
     half[np.diag_indices(m)] += diag
-    half[0] -= c * folds[:m]
-    half[:, 0] -= c * folds[:m]
+    for q, fold in folds.items():
+        half[q] -= c * fold[:m]
+        half[:, q] -= c * fold[:m]
     return _weigh_middle(half, n)
 
 
 def _half_classical(grid: Grid) -> np.ndarray:
     """The even half of assemble_classical(grid).a; grid must be one
-    interval."""
+    interval or two congruent ones, which do not couple: a pair's half is
+    its first interval's second difference."""
     c = CLASSICAL_LIMIT_CONSTANT / grid.h**2
-    col = np.zeros(grid.n)
+    col, hankel = _mirror_tables(grid, np.zeros_like)
     col[0] = 2.0 * c
     col[1:2] = -c
-    return _weigh_middle(_fold_toeplitz(col), grid.n)
+    return _weigh_middle(_fold_toeplitz(col, hankel), grid.n)
 
 
 def _half_operator(grid: Grid, s: float) -> np.ndarray:
-    """The even half of assemble(grid, s).a; grid must be one interval."""
+    """The even half of assemble(grid, s).a; grid must be one interval or
+    two congruent ones."""
     return _half_classical(grid) if s == 1.0 else _half_dirichlet(grid, s)
 
 
@@ -499,7 +549,7 @@ def _half_convolution(kernel: Kernel, grid: Grid) -> np.ndarray:
     interval."""
     _check_spacing(kernel, grid.h)
     col = _stencil(kernel, grid.h, np.arange(grid.n))
-    return _weigh_middle(_fold_toeplitz(col), grid.n)
+    return _weigh_middle(_fold_toeplitz(col, col[::-1]), grid.n)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,17 @@ threshold compares directly with the resource rate sigma.  It is found by
 ARPACK's Lanczos iteration (scipy eigsh) on A^-1, applied through one
 Cholesky factorization of A, or of A folded onto its even half when the
 habitat mirrors onto itself.  One core, _half_pair, reads lambda and the
-residual on the matrix it factored, for first_eigenpair and for the
-threshold search's guess alike, under one residual contract.
+residual on the matrix it factored, under one residual contract.
+
+The callers that need lambda alone, eigen_scaling, union_eigen_study and
+in logistic ext_crossing and critical_radius (its prediction and its
+guess), take the even half of one interval or of two congruent intervals
+straight from the O(n) distance tables (_first_eigenvalue,
+operators._half_operator) and form no n x n matrix.  first_eigenpair,
+which also returns the eigenvector, assembles A, scans it for the mirror
+and folds it (_EvenHalf); so do the steady-state solve's eigenvector
+start, the lambda_1 of cli's solve experiment, and _first_eigenvalue on
+any other union.
 """
 
 from __future__ import annotations
@@ -22,8 +31,8 @@ from scipy.linalg import cho_factor, cho_solve, LinAlgError, norm
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError
-from .grids import Field, build_grid, l2_norm
-from .operators import NonlocalMatrix, _weigh_middle, assemble
+from .grids import Field, Grid, build_grid, l2_norm
+from .operators import NonlocalMatrix, _half_operator, _weigh_middle, assemble
 
 __all__ = [
     "EigenPair",
@@ -208,6 +217,23 @@ def first_eigenpair(op: NonlocalMatrix) -> EigenPair:
     return EigenPair(lambda_=lam, vector=e, residual=res, iterations=solves)
 
 
+def _first_eigenvalue(grid: Grid, s: float) -> float:
+    """lambda_1 of assemble(grid, s), under first_eigenpair's residual
+    contract.
+
+    One interval, or two congruent ones, which mirror about the centre of
+    their hull, is known to mirror before any assembly: its even half is
+    built straight from O(n) tables (operators._half_operator) and
+    _half_pair reads lambda on it, with no n x n matrix.  Any other grid is
+    assembled and goes through first_eigenpair.
+    """
+    if len(grid.intervals) == 1 or (
+            len(grid.intervals) == 2
+            and 2 * np.count_nonzero(grid.interval_id == 0) == grid.n):
+        return _half_pair(_half_operator(grid, s))[0]
+    return first_eigenpair(assemble(grid, s)).lambda_
+
+
 @dataclass(frozen=True)
 class ScalingStudy:
     lambda_scaled: float
@@ -233,10 +259,10 @@ def eigen_scaling(
         raise ValueError("scaling factor r must be positive")
     base = build_grid(intervals, h)
     scaled = [build_grid([(r * a, r * b) for a, b in intervals], h) for r in radii]
-    lam0 = first_eigenpair(assemble(base, s)).lambda_
+    lam0 = _first_eigenvalue(base, s)
     studies = []
     for r, grid in zip(radii, scaled):
-        lam1 = lam0 if grid == base else first_eigenpair(assemble(grid, s)).lambda_
+        lam1 = lam0 if grid == base else _first_eigenvalue(grid, s)
         studies.append(ScalingStudy(lambda_scaled=lam1, ratio=lam1 / lam0,
                                     target=r ** (-2.0 * s)))
     return studies
@@ -267,8 +293,8 @@ def union_eigen_study(
         raise ValueError("intervals must be congruent")
     single = build_grid([interval_1], h)
     union = build_grid([interval_1, interval_2], h)
-    lam_single = first_eigenpair(assemble(single, s)).lambda_
-    lam_union = first_eigenpair(assemble(union, s)).lambda_
+    lam_single = _first_eigenvalue(single, s)
+    lam_union = _first_eigenvalue(union, s)
     return UnionStudy(
         lambda_union=lam_union,
         lambda_single=lam_single,

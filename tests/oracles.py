@@ -21,18 +21,17 @@ from scipy.integrate import quad
 from nlogis import (
     CriticalRadius,
     build_grid,
-    first_eigenpair,
     minimize_with_source,
     problem_spec,
     solve_dirichlet,
 )
 from nlogis.logistic import _EnergyModel
 from nlogis.operators import (
-    assemble,
     assemble_dirichlet,
     assemble_periodic,
     convolution_matrix,
 )
+from nlogis.spectral import _first_eigenvalue
 
 
 def kernel(t, s):
@@ -305,9 +304,10 @@ def ref_fold(a):
 
 def ref_critical_radius(interval, s, h, solver_tol=1e-10):
     """critical_radius with a full solve at both bracket ends and at every
-    bisection point."""
-    base = build_grid([interval], h)
-    lam = first_eigenpair(assemble(base, s)).lambda_
+    bisection point.  The prediction, which sets the bracket, takes the
+    base eigenvalue by the same route (spectral._first_eigenvalue), so
+    that the two searches bracket alike."""
+    lam = _first_eigenvalue(build_grid([interval], h), s)
     predicted = lam ** (1.0 / (2.0 * s))
     length = interval[1] - interval[0]
 

@@ -451,17 +451,19 @@ def test_critical_radius_equals_the_full_solve_bisection(interval, s, h):
 
 
 def test_critical_radius_certifies_only_at_the_threshold(monkeypatch):
-    # the eigenpair of the base habitat and the even-half eigenvalue of the
-    # predicted cell (the scaling law's guess); one certificate at r* and
-    # one at the cell below, and no steady state solved for
+    # the eigenvalue of the base habitat and the even-half eigenvalue of
+    # the predicted cell (the scaling law's guess), both with no eigenpair
+    # of an n x n matrix; one certificate at r* and one at the cell below,
+    # and no steady state solved for
     eigenpairs = _counting(monkeypatch, "first_eigenpair")
+    eigenvalues = _counting(monkeypatch, "_first_eigenvalue")
     guesses = _counting(monkeypatch, "_half_pair")
     solves = _counting(monkeypatch, "solve_dirichlet")
     steady_states = _counting(monkeypatch, "_steady_state")
     certificates = _counting(monkeypatch, "_zero_is_minimizer")
     critical_radius((0.0, 1.0), 0.5, 2.0**-7)
-    assert (len(eigenpairs), len(guesses), len(solves),
-            len(certificates)) == (1, 1, 0, 2)
+    assert (len(eigenpairs), len(eigenvalues), len(guesses), len(solves),
+            len(certificates)) == (0, 1, 1, 0, 2)
     assert steady_states == []
 
 
@@ -473,11 +475,14 @@ def test_critical_radius_walks_to_the_threshold_when_the_guess_misses(
     # the predicted cell's eigenvalue (the even-half guess) scaled by
     # factor, or raising for None, which leaves the predicted cell as the
     # guess: a guess below r* walks up to it through extinct cells, one
-    # above it walks down through surviving ones
+    # above it walks down through surviving ones.  The base eigenvalue
+    # (spectral._first_eigenvalue) is not skewed: only the guess is.
     expected = oracles.ref_critical_radius((0.0, 1.0), 0.5, 2.0**-6)
     pair = logistic._half_pair
+    skews = []
 
     def skewed(c):
+        skews.append(c.shape[0])
         if factor is None:
             raise ConvergenceError("no eigenpair at the predicted cell")
         lam, *rest = pair(c)
@@ -491,6 +496,7 @@ def test_critical_radius_walks_to_the_threshold_when_the_guess_misses(
         return outcomes[-1]
     monkeypatch.setattr(logistic, "_survives", recorded)
     assert critical_radius((0.0, 1.0), 0.5, 2.0**-6) == expected
+    assert len(skews) == 1
     assert len(outcomes) > 2
     if direction == "up":
         assert outcomes.count(True) == 1
@@ -569,10 +575,12 @@ def test_half_model_is_the_dense_models_fold(n, s, tau):
                                atol=1e-14 * scale * np.max(half.probe[0]))
 
 
-def test_critical_radius_assembles_only_the_base_grid(monkeypatch):
-    # every cell of the search is assembled as its even half: the one n x n
-    # matrix is the base grid's, and the peak stays below one matrix of the
-    # largest cell
+def test_critical_radius_assembles_no_dense_matrix(monkeypatch):
+    # every grid of the search, the base one included, is assembled as its
+    # even half.  The peak is the guess's eigenpair: the half matrix of its
+    # cell, the Cholesky factor's copy of it and the Lanczos basis, within
+    # 2.25 half matrices of the largest cell; the certificates factor
+    # their models in place
     assemble_dirichlet = operators.assemble_dirichlet
     assembled = []
 
@@ -594,8 +602,27 @@ def test_critical_radius_assembles_only_the_base_grid(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert assembled == [255]
-    assert peak < 8 * max(built) ** 2
+    assert assembled == []
+    m = (max(built) + 1) // 2
+    assert peak < 2.25 * 8 * m**2
+
+
+def test_survival_certificate_factors_its_model_in_place(monkeypatch):
+    # sigma below lambda_1: the profile does not settle the certificate, one
+    # Cholesky does, of the half model's own matrix, so the peak stays
+    # within one half matrix and the O(n) vectors beside it
+    grid = build_grid([(0.0, 1.0)], 2.0**-9)
+    spec = problem_spec(grid, 0.4, 1.0, 1.0)
+    factorizations = _counting(monkeypatch, "dpotrf")
+    tracemalloc.start()
+    try:
+        survives = logistic._survives(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not survives and len(factorizations) == 1
+    m = (grid.n + 1) // 2
+    assert peak < 1.25 * 8 * m**2
 
 
 def test_ext_crossing_pattern(monkeypatch):

@@ -358,7 +358,7 @@ def test_convolution_matrix_matches_per_entry_reference(intervals, h, shape,
 
 
 # ---------------------------------------------------------------------------
-# the even half of one interval, assembled directly
+# the even half of one interval or a congruent pair, assembled directly
 # ---------------------------------------------------------------------------
 
 _HALF_SIZES = [2, 3, 4, 5, 6, 7, 8, 255, 256]
@@ -383,6 +383,28 @@ def _assert_is_the_dense_fold(half, dense):
 def test_direct_even_half_is_the_dense_fold(n, s):
     # the fractional builder for s < 1, the classical one at s = 1
     grid = _unit_interval(n)
+    _assert_is_the_dense_fold(operators._half_operator(grid, s),
+                              assemble(grid, s).a)
+
+
+def _congruent_pair(k, gap):
+    """Two intervals of k nodes each, gap cells apart (a fraction of a cell
+    puts the second off the first's lattice)."""
+    h = 2.0**-7 if k < 100 else 1.0 / (k + 1)
+    length = (k + 1) * h
+    second = length + gap * h
+    grid = build_grid([(0.0, length), (second, second + length)], h)
+    assert grid.n == 2 * k
+    return grid
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.8, 0.9, 1.0])
+@pytest.mark.parametrize("gap", [1, 2.5, 37])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 127, 128, 255])
+def test_direct_even_half_of_a_congruent_pair_is_the_dense_fold(k, gap, s):
+    # a pair mirrors about the centre of its hull: the half is the first
+    # interval's block plus the Hankel block of the cross weights
+    grid = _congruent_pair(k, gap)
     _assert_is_the_dense_fold(operators._half_operator(grid, s),
                               assemble(grid, s).a)
 

@@ -8,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 import nlogis.cli as cli
 import oracles
-from nlogis import spectral
+from nlogis import operators, spectral
 from nlogis import (
     ConvergenceError,
     assemble,
@@ -112,15 +112,15 @@ def test_scaling_incommensurate_rejected():
 
 def test_scaling_computes_the_base_eigenpair_once(monkeypatch):
     calls = []
-    original = spectral.first_eigenpair
+    original = spectral._first_eigenvalue
 
-    def counted(op, *args, **kwargs):
-        calls.append(op.grid.n)
-        return original(op, *args, **kwargs)
-    monkeypatch.setattr(spectral, "first_eigenpair", counted)
+    def counted(grid, *args, **kwargs):
+        calls.append(grid.n)
+        return original(grid, *args, **kwargs)
+    monkeypatch.setattr(spectral, "_first_eigenvalue", counted)
     h = 2.0**-5
     studies = eigen_scaling([(0.0, 1.0)], [1.0, 2.0, 3.0], 0.5, h)
-    # one base eigenpair (31 nodes), reused at r = 1, and one per dilation
+    # one base eigenvalue (31 nodes), reused at r = 1, and one per dilation
     assert calls == [31, 63, 95]
     for r, study in zip((1.0, 2.0, 3.0), studies):
         [alone] = eigen_scaling([(0.0, 1.0)], [r], 0.5, h)
@@ -285,6 +285,52 @@ def test_half_eigenvalue_is_the_first_eigenpairs(n, s):
     lam = first_eigenpair(assemble(grid, s)).lambda_
     half = _half_operator(grid, s)
     assert spectral._half_pair(half)[0] == pytest.approx(lam, rel=1e-12)
+
+
+def _counting_assembly(monkeypatch):
+    """The node counts of the grids operators.assemble_dirichlet builds
+    from now on."""
+    calls = []
+    original = operators.assemble_dirichlet
+
+    def counted(grid, s):
+        calls.append(grid.n)
+        return original(grid, s)
+    monkeypatch.setattr(operators, "assemble_dirichlet", counted)
+    return calls
+
+
+@pytest.mark.parametrize("s", [0.2, 0.5, 0.9, 1.0])
+@pytest.mark.parametrize("intervals, h", [
+    ([(0.0, 1.0)], 2.0**-7),
+    ([(-1.0, 1.0)], 2.0**-8),
+    ([(0.0, 0.75)], 0.25),
+    ([(0.0, 0.5), (0.625, 1.125)], 2.0**-8),
+    ([(0.0, 1.0), (1.0 + 2.0**-7, 2.0 + 2.0**-7)], 2.0**-7),
+    ([(-2.0, -1.0), (0.3, 1.3)], 2.0**-6),
+], ids=["unit", "wide", "one-node", "pair", "pair-one-cell",
+        "pair-off-lattice"])
+def test_first_eigenvalue_of_a_mirrored_grid_takes_the_direct_half(
+        intervals, h, s, monkeypatch):
+    grid = build_grid(intervals, h)
+    lam = first_eigenpair(assemble(grid, s)).lambda_
+    assembled = _counting_assembly(monkeypatch)
+    assert spectral._first_eigenvalue(grid, s) == pytest.approx(lam, rel=1e-11)
+    assert assembled == []
+
+
+@pytest.mark.parametrize("s", [0.3, 0.8])
+@pytest.mark.parametrize("intervals", [
+    [(0.0, 1.0), (1.5, 2.25)],
+    [(0.0, 0.5), (1.0, 1.5), (2.0, 2.5)],
+], ids=["lopsided-pair", "three"])
+def test_first_eigenvalue_of_any_other_grid_is_first_eigenpairs(
+        intervals, s, monkeypatch):
+    grid = build_grid(intervals, 2.0**-6)
+    lam = first_eigenpair(assemble(grid, s)).lambda_
+    assembled = _counting_assembly(monkeypatch)
+    assert spectral._first_eigenvalue(grid, s) == lam
+    assert assembled == [grid.n]
 
 
 def test_half_eigenvalue_rejects_an_unconverged_vector(monkeypatch):

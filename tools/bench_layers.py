@@ -40,7 +40,10 @@ same n with sigma the resource-sweep dip (level 30, centre 0.6, width
 first eigenpair of the Dirichlet operator on the mirrored pair (0, 1) and
 (1.5, 2.5), at the transmission form's even sizes, and on (0, 1) and
 (1.5, 2.25), which does not mirror, at the nearest size its intervals
-allow; two periodic solves, mu = 1, tau = 0.5 with the uniform kernel
+allow; eigen_scaling at r = 4 (the base eigenvalue and the dilated one)
+on the unit interval and on the pair (0, 0.5) and (0.625, 1.125), at base
+spacings 1/256 and 1/512, named by the dilated grid's node count
+(1022 ... 2047); two periodic solves, mu = 1, tau = 0.5 with the uniform kernel
 (rho = 1/4), at n = 128 ... 2048: sigma = 2 and sigma = 2 + cos 2 pi x;
 the first eigenpair of the transmission form (lambda_star without
 its assembly) and the same two transmission solves, mu = 1, at the
@@ -95,6 +98,12 @@ PERIODIC_SOLVE_SIZES = (128, 256, 512, 1024, 2048)
 CRITICAL_RADIUS_H = (2.0**-7, 2.0**-8)
 HALF_SIZES = (255, 256, 511, 1023, 2047)
 STRATEGIC_H = (2.0**-6, 2.0**-7)
+# the eigen-scaling workload's habitats, a unit interval and a congruent
+# pair a quarter length apart, at base spacing 1/(n + 1) and dilated by r
+EIGEN_SCALING = (("eigen-scaling", [(0.0, 1.0)]),
+                 ("eigen-scaling-pair", [(0.0, 0.5), (0.625, 1.125)]))
+EIGEN_SCALING_SIZES = (255, 511)
+EIGEN_SCALING_R = 4.0
 STRATEGIC_TAUS = (0.0, 0.5)
 WORKLOADS = ("resource-sweep", "threshold-bisection", "eigen-scaling",
              "coupled-habitats")
@@ -162,6 +171,14 @@ def _cases(nl):
                  _eigenpair(nl, nl.assemble_dirichlet, pair, S)),
                 ("eigenpair-asymmetric", lopsided.n,
                  _eigenpair(nl, nl.assemble_dirichlet, lopsided, S))]
+    for n in EIGEN_SCALING_SIZES:
+        h = 1.0 / (n + 1)
+        for name, intervals in EIGEN_SCALING:
+            dilated = [(EIGEN_SCALING_R * a, EIGEN_SCALING_R * b)
+                       for a, b in intervals]
+            out.append((name, nl.build_grid(dilated, h).n,
+                        _ready(nl.eigen_scaling, intervals,
+                               [EIGEN_SCALING_R], S, h)))
     for n in PERIODIC_SOLVE_SIZES:
         for name, sigma in PERIODIC_SOLVES:
             out.append((name, n, _periodic_solve(nl, n, sigma)))
