@@ -10,6 +10,18 @@ Tikhonov-regularized least-squares solution, computed as a filtered
 singular value expansion of the control map (Hansen 1998): each singular
 component s is weighted by s / (s^2 + alpha), with alpha 1e-8 times the
 squared largest singular value.
+
+When the target sampled at the fit nodes equals its reverse, the fit runs
+on the even half of (-R, R) (spectral._EvenHalf), its operator folded
+straight from O(n) tables (operators._half_dirichlet), and no n x n matrix
+is formed.  That is exact.  A_ii is an M-matrix, so A_ii^-1 >= 0, and
+A_ix <= 0, so the fit map m = -(A_ii^-1 A_ix)[fit] is nonnegative and
+commutes with the reversal.  Its top singular vector is then a Perron
+vector, positive and hence even, so the folded map has the same largest
+singular value and alpha; and the Tikhonov solution of an even target is
+even, so it is the even field that the half's solution unfolds to.  A
+target that does not mirror is fitted on all n nodes, _EvenHalf being the
+identity.  The forced step keeps all n nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +35,8 @@ from scipy.linalg import cho_factor, cho_solve, svd
 from .errors import ConvergenceError
 from .grids import Field, Grid, Kernel, build_grid
 from .logistic import _EnergyModel, _minimize_model
-from .operators import assemble_dirichlet, convolution_matrix
+from .operators import _half_dirichlet, assemble_dirichlet, convolution_matrix
+from .spectral import _EvenHalf
 
 __all__ = [
     "HarmonicApproximation",
@@ -80,38 +93,46 @@ def approximate_s_harmonic(
                          "must exceed the harmonicity radius")
     if not callable(f):
         const = float(f)
-        f = lambda x: np.full_like(np.asarray(x, dtype=float), const)
+        f = lambda x: const
     best = None
     prev_g: dict[int, float] = {}
     history = []
     for r_support in r_schedule:
         grid = build_grid([(-r_support, r_support)], h)
-        op = assemble_dirichlet(grid, s)
         inner, fit, ext = _region_masks(grid)
-        a_ii = op.a[np.ix_(inner, inner)]
-        a_ix = op.a[np.ix_(inner, ext)]
-        chol_ii = cho_factor(a_ii)
-        wmap = -cho_solve(chol_ii, a_ix)  # inner values as a map of exterior data
-        m = wmap[fit[inner], :]
-        y = np.asarray(f(grid.nodes[fit]), dtype=float)
+        x_fit, x_ext = grid.nodes[fit], grid.nodes[ext]
+        y = np.broadcast_to(np.asarray(f(x_fit), dtype=float), x_fit.shape)
+        # (-R, R) mirrors onto itself, so the fit does when its target does
+        half = _EvenHalf(grid.n, all(np.array_equal(v, v[::-1])
+                                     for v in (y, inner, fit)))
+        c = (_half_dirichlet(grid, s) if half.mirrored
+             else assemble_dirichlet(grid, s).a)
+        in_h, fit_h, ext_h = inner[:half.m], fit[:half.m], ext[:half.m]
+        root_w = np.broadcast_to(half.root_w, (half.m,))
+        y = root_w[fit_h] * y[:int(fit_h.sum())]  # the folded target
+        chol_ii = cho_factor(c[np.ix_(in_h, in_h)])
+        # folded inner values as a map of folded exterior data
+        wmap = -cho_solve(chol_ii, c[np.ix_(in_h, ext_h)])
+        m = wmap[fit_h[in_h], :]
         u_m, sv, vt_m = svd(m, full_matrices=False, check_finite=False)
         alpha = ALPHA_SCALE * sv[0] ** 2
         g = vt_m.T @ (sv / (sv**2 + alpha) * (u_m.T @ y))
-        err = float(np.max(np.abs(m @ g - y)))
+        err = float(np.max(np.abs(m @ g - y) / root_w[fit_h]))
         # monotone fallback: reuse the previous radius's data, zero-padded
         if prev_g:
-            g_pad = np.array(
-                [prev_g.get(round(x / h), 0.0) for x in grid.nodes[ext]]
+            g_pad = root_w[ext_h] * np.array(
+                [prev_g.get(round(x / h), 0.0) for x in x_ext[:ext_h.sum()]]
             )
-            err_pad = float(np.max(np.abs(m @ g_pad - y)))
+            err_pad = float(np.max(np.abs(m @ g_pad - y) / root_w[fit_h]))
             if err_pad < err:
                 g, err = g_pad, err_pad
-        prev_g = {round(x / h): gv for x, gv in zip(grid.nodes[ext], g)}
-        values = np.zeros(grid.n)
-        values[ext] = g
-        values[inner] = wmap @ g
+        folded = np.zeros(half.m)
+        folded[ext_h] = g
+        folded[in_h] = wmap @ g
+        values = half.unfold(folded)
+        prev_g = {round(x / h): v for x, v in zip(x_ext, values[ext])}
         w = Field(grid=grid, values=values)
-        hres = float(np.max(np.abs((op.a @ values)[inner])))
+        hres = float(np.max(np.abs((c @ folded)[in_h] / root_w[in_h])))
         history.append((float(r_support), err))
         candidate = HarmonicApproximation(
             w=w,

@@ -32,6 +32,7 @@ from nlogis.operators import (
     convolution_matrix,
 )
 from nlogis.spectral import _first_eigenvalue
+from nlogis.strategic import ALPHA_SCALE, _region_masks
 
 
 def kernel(t, s):
@@ -373,3 +374,24 @@ def ref_strategic(w, mu, tau, kernel, s, solver_tol=1e-10):
     residual = float(np.max(np.abs((a @ u)[b1] - rhs)))
     scale = np.max(np.sum(np.abs(a_eff), axis=1)) * np.max(np.abs(u))
     return f_eps, u, residual, scale
+
+
+def ref_harmonic_fit(f, s, r_support, h):
+    """approximate_s_harmonic's fit at the one support radius r_support, on
+    all n nodes of (-R, R): the whole map A_ii^-1 A_ix, its fit rows m, the
+    Tikhonov weight alpha = ALPHA_SCALE ||m||_2^2 and the filtered thin SVD
+    of m.  Returns (w, approx_error, ||m||_2), w the field's nodal values."""
+    grid = build_grid([(-r_support, r_support)], h)
+    a = assemble_dirichlet(grid, s).a
+    inner, fit, ext = _region_masks(grid)
+    wmap = -np.linalg.solve(a[np.ix_(inner, inner)], a[np.ix_(inner, ext)])
+    m = wmap[fit[inner], :]
+    y = np.asarray(f(grid.nodes[fit]), dtype=float)
+    norm_m = np.linalg.norm(m, 2)
+    alpha = ALPHA_SCALE * norm_m**2
+    u_m, sv, vt_m = np.linalg.svd(m, full_matrices=False)
+    g = vt_m.T @ (sv / (sv**2 + alpha) * (u_m.T @ y))
+    w = np.zeros(grid.n)
+    w[ext] = g
+    w[inner] = wmap @ g
+    return w, float(np.max(np.abs(m @ g - y))), norm_m

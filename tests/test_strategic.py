@@ -32,6 +32,14 @@ def test_monotone_target_error_non_increasing():
     assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
 
+
+def test_even_target_error_non_increasing():
+    # the even twin of the test above: x^2 mirrors, so each radius fits on
+    # its even half and the zero-padded carry-forward runs there
+    res = approximate_s_harmonic(lambda x: x**2, 0.5, 1e-12, [4.0, 6.0, 8.0], H)
+    errs = [e for _, e in res.history]
+    assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
+
 def test_previous_radius_data_carried_forward():
     # at R = 6 the Tikhonov fit of its own has error 6.42e-4, the R = 4
     # data zero-padded 5.52e-4: the padded data must be kept
@@ -225,3 +233,78 @@ def test_exterior_data_is_the_tikhonov_solution():
     rhs = np.concatenate([target(grid.nodes[fit]), np.zeros(m.shape[1])])
     g = np.linalg.lstsq(stacked, rhs, rcond=None)[0]
     assert np.max(np.abs(res.w.values[ext] - g)) <= 1e-10 * np.max(np.abs(g))
+
+
+def test_scalar_callable_target_matches_float_target():
+    # a callable returning one number stands for that number at every node
+    by_float = approximate_s_harmonic(1.0, 0.5, 1e-3, [4.0], H)
+    by_callable = approximate_s_harmonic(lambda x: 1.0, 0.5, 1e-3, [4.0], H)
+    assert np.array_equal(by_callable.w.values, by_float.w.values)
+    assert by_callable.approx_error == by_float.approx_error
+
+
+EVEN_TARGETS = {"one": lambda x: np.ones_like(x),
+                "quadratic": lambda x: 1.0 + 0.3 * x**2}
+
+
+@pytest.mark.parametrize("target", sorted(EVEN_TARGETS))
+@pytest.mark.parametrize("h", [2.0**-4, 2.0**-6, 8.0 / 9.0])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+def test_even_target_fit_matches_dense_oracle(monkeypatch, s, h, target):
+    # an even target is fitted on the even half (h = 8/9 puts n = 8 nodes on
+    # (-4, 4)); the fit map there has the dense map's largest singular value,
+    # so the Tikhonov weight is the same, and so are w and the misfit.  At
+    # n = 8 the misfit is about 1e-8, a difference of numbers of order 1, so
+    # it is held to 1e-9 relative or to the rounding of the target
+    f = EVEN_TARGETS[target]
+    top, svd = [], strategic.svd
+
+    def recorded_svd(*args, **kwargs):
+        out = svd(*args, **kwargs)
+        top.append(out[1][0])
+        return out
+
+    monkeypatch.setattr(strategic, "svd", recorded_svd)
+    res = approximate_s_harmonic(f, s, 1e-14, [4.0], h)
+    monkeypatch.undo()
+    w, approx_error, norm_m = oracles.ref_harmonic_fit(f, s, 4.0, h)
+    rounding = 8.0 * np.finfo(float).eps * f(1.0)  # the largest target value
+    assert np.max(np.abs(res.w.values - w)) <= 1e-10 * np.max(np.abs(w))
+    assert (abs(res.approx_error - approx_error)
+            <= max(1e-9 * approx_error, rounding))
+    assert top and abs(top[0] - norm_m) <= 1e-12 * norm_m
+
+
+@pytest.mark.parametrize("h", [H, 8.0 / 9.0])
+def test_even_target_assembles_no_full_matrix(monkeypatch, h):
+    def no_full_matrix(*args):
+        raise AssertionError("an n x n operator was assembled")
+
+    monkeypatch.setattr(strategic, "assemble_dirichlet", no_full_matrix)
+    res = approximate_s_harmonic(1.0, 0.5, 1e-3, [4.0, 6.0], h)
+    assert res.w.grid.n == build_grid([(-res.r_used, res.r_used)], h).n
+    assert res.approx_error <= 1e-3
+    if h == H:  # x^2 is even only at a lattice that mirrors exactly
+        res = approximate_s_harmonic(lambda x: x**2, 0.5, 0.1, [4.0, 6.0], h)
+        assert res.achieved
+
+
+def test_target_that_does_not_mirror_takes_the_dense_route(monkeypatch):
+    f = lambda x: 1.0 + x / 4.0
+    assembled = []
+
+    def counted(grid, s):
+        assembled.append(grid.n)
+        return assemble_dirichlet(grid, s)
+
+    def no_half(*args):
+        raise AssertionError("a target that does not mirror was folded")
+
+    monkeypatch.setattr(strategic, "assemble_dirichlet", counted)
+    monkeypatch.setattr(strategic, "_half_dirichlet", no_half)
+    res = approximate_s_harmonic(f, 0.5, 1e-14, [4.0], H)
+    monkeypatch.undo()
+    w, approx_error, _ = oracles.ref_harmonic_fit(f, 0.5, 4.0, H)
+    assert assembled == [res.w.grid.n]
+    assert np.max(np.abs(res.w.values - w)) <= 1e-10 * np.max(np.abs(w))
+    assert abs(res.approx_error - approx_error) <= 1e-9 * approx_error

@@ -59,7 +59,8 @@ build_strategic on the strategic experiment's default resource
 (sigma = mu = 1, eps = 0.1, support radii 4, 6, 8) at each spacing in
 STRATEGIC_H, tau = 0 and tau = 1/2 with the uniform kernel (rho = 1/2),
 under the node count of its grid on (-4, 4), with the calls of one op to
-strategic's assemble_dirichlet and convolution_matrix, by the order of
+strategic's assemble_dirichlet, _half_dirichlet (the harmonic fit's even
+half, where the checkout has it) and convolution_matrix, by the order of
 what they build.  All at s = S.  The cases are built one at a time, so
 that a child holds only the current case's matrices.
 
@@ -132,6 +133,7 @@ COUNTED = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
            ("logistic", "solve"), ("logistic", "minres"),
            ("logistic", "solve_dirichlet"), ("logistic", "_survives"),
            ("strategic", "assemble_dirichlet"),
+           ("strategic", "_half_dirichlet"),
            ("strategic", "convolution_matrix"),
            ("operators", "assemble_dirichlet"),
            ("operators", "_half_dirichlet"), ("operators", "_half_classical"))
