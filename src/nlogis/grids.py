@@ -157,8 +157,8 @@ def build_grid(intervals: Sequence[tuple[float, float]], h: float) -> Grid:
     """Construct the interior-node grid for a union of intervals.
 
     Every interval length must be an integer multiple of h (to 1e-12
-    relative) and the closed intervals must be pairwise disjoint with
-    strictly positive gaps.
+    relative), the closed intervals pairwise disjoint with strictly
+    positive gaps.  Nodes are a + k h up to the middle, b - k h past it.
     """
     if h <= 0.0:
         raise ValueError(f"spacing must be positive, got h={h}")
@@ -188,7 +188,9 @@ def build_grid(intervals: Sequence[tuple[float, float]], h: float) -> Grid:
     ids = []
     for k, (a, b) in enumerate(ivals):
         m = int(round((b - a) / h))
-        nodes.append(a + np.arange(1, m) * h)
+        # the right half from b: the nodes of (-R, R) mirror exactly at any h
+        nodes.append(np.concatenate((a + np.arange(1, m // 2 + 1) * h,
+                                     b - np.arange((m - 1) // 2, 0, -1) * h)))
         ids.append(np.full(m - 1, k, dtype=int))
     return Grid(
         intervals=tuple(ivals),

@@ -18,13 +18,13 @@ solve_periodic the periodic cell; they differ only in their first start
 and share one core, _steady_state, and one report, SolveReport.  Without
 resources, or when the Hessian at zero is positive definite (mu >= 0
 makes the cubic term convex), zero is the only minimizer and the core
-returns the trivial state without descending.  A bounded problem that
-mirrors onto itself is certified and descended on its even half,
-ceil(n/2) nodes, where its residual is read too (_EnergyModel.even_half;
-spectral._EvenHalf says why that is exact); the threshold experiments'
-certificate on one interval assembles that half directly (_half_model).
-The periodic cell's model is a circulant applied by FFT
-(_CirculantModel), which keeps no n x n matrix and is not folded.
+returns the trivial state without descending.  A bounded problem known
+from its spec to mirror onto itself (_half_model) is built, certified and
+descended on its even half, ceil(n/2) nodes, from O(n) tables, where its
+residual and energy are read too; only the reported state is unfolded
+(spectral._EvenHalf says why that is exact).  The periodic cell's model
+is a circulant applied by FFT (_CirculantModel), which keeps no n x n
+matrix and is not folded.
 
 Minimization is monotone: every line-searched step strictly decreases the
 computed energy, so no step is accepted on a roundoff tie.  A Newton step
@@ -61,10 +61,11 @@ from .grids import (
     problem_spec,
 )
 from .operators import (NonlocalMatrix, TransmissionSpec, _half_convolution,
-                        _half_operator, _periodic_column, _periodic_stencil,
-                        assemble, assemble_transmission, convolution_matrix)
-from .spectral import (_EvenHalf, _first_eigenvalue, _half_pair,
-                       first_eigenpair, union_eigen_study)
+                        _half_operator, _mirrors, _periodic_column,
+                        _periodic_stencil, assemble, assemble_transmission,
+                        convolution_matrix)
+from .spectral import (_EvenHalf, _first_eigenvalue, first_eigenpair,
+                       union_eigen_study)
 
 __all__ = [
     "SolveReport",
@@ -111,7 +112,7 @@ class _EnergyModel:
     probe is (e, A_eff e) for a field e along which the Hessian is expected
     to have negative curvature; every bounded problem's model has one.  even
     maps the full fields to the model's coordinates: the identity, except
-    on a model folded onto its even half (even_half).
+    on a model built on its even half (_half_model).
     """
 
     def __init__(self, a_eff: np.ndarray, h: float, mu: np.ndarray,
@@ -205,32 +206,6 @@ class _EnergyModel:
         except LinAlgError:
             return None
 
-    def even_half(self) -> "_EnergyModel":
-        """The model on its even half (spectral._EvenHalf) when A_eff
-        mirrors and mu and lin are even, else the model itself.
-
-        At an even field u with coordinates y, E(u) (src = 0) is the energy
-        at y of the model with A_eff folded, mu / sqrt w and the same lin,
-        whose gradient is the fold of the full one and whose Hessian is the
-        full Hessian folded.  The probe is folded along.
-        """
-        even = _EvenHalf.of(self.a_eff, self.mu, self.lin)
-        if not even.mirrored:
-            return self
-        return _on_half(even, even.matrix(self.a_eff), self.h, self.mu,
-                        self.lin, self.probe[0])
-
-
-def _on_half(even: _EvenHalf, c: np.ndarray, h: float, mu: np.ndarray,
-             lin: np.ndarray, probe: np.ndarray) -> _EnergyModel:
-    """The model on the even half even of a full model whose A_eff folds to
-    c: mu / sqrt w and lin on the first m nodes, and the full probe field
-    folded."""
-    half = _EnergyModel(c, h, mu[:even.m] / even.root_w, lin[:even.m])
-    half.even = even
-    half.set_probe(even.fold(probe))
-    return half
-
 
 class _CirculantModel(_EnergyModel):
     """The model of the periodic cell, where A_eff is the circulant whose
@@ -243,8 +218,8 @@ class _CirculantModel(_EnergyModel):
     by the circulant A_eff + mean(d) I (T. Chan 1988; R. Chan and Strang
     1989) with its symbol taken in absolute value, so that the
     preconditioner is positive definite, and floored away from zero.
-    even_half returns the model itself: folded onto its even half, A_eff
-    would no longer be a circulant.
+    The model is not folded: on its even half A_eff would no longer be a
+    circulant.
     """
 
     def __init__(self, col: np.ndarray, h: float, mu: np.ndarray,
@@ -279,9 +254,6 @@ class _CirculantModel(_EnergyModel):
         # iteration more
         d, info = minres(hess, -g, rtol=1e-14, maxiter=200, M=precond)
         return d if info == 0 else None
-
-    def even_half(self) -> "_CirculantModel":
-        return self
 
 
 def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
@@ -392,10 +364,11 @@ def _zero_is_minimizer(model: _EnergyModel,
 def _survives(spec: ProblemSpec) -> bool:
     """True when zero is unstable, A - tau B - diag sigma not positive
     definite: then, and only then, the steady state is positive (Brezis
-    and Oswald 1986).  The certificate runs on the even half (_half_model),
-    a model built for it alone, so the Hessian is formed and factored in
-    the model's own A_eff, with no second matrix."""
-    model = _half_model(spec)
+    and Oswald 1986).  The certificate runs on the solver's model
+    (_half_model), the even half when the problem mirrors, built for it
+    alone, so the Hessian is formed and factored in the model's own A_eff,
+    with no second matrix."""
+    model = _half_model(spec)[1]
     return not _zero_is_minimizer(model, out=model.a_eff)
 
 
@@ -455,25 +428,36 @@ def _problem(spec: ProblemSpec) -> tuple[NonlocalMatrix | None, _EnergyModel]:
     return op, model
 
 
-def _half_model(spec: ProblemSpec) -> _EnergyModel:
-    """_problem(spec)[1].even_half(), without an n x n matrix where it can.
+def _half_model(spec: ProblemSpec) -> tuple[NonlocalMatrix | None,
+                                             _EnergyModel]:
+    """(op, model) the solver runs on: _problem(spec), unless the problem
+    mirrors onto itself, known before any assembly.
 
-    A habitat of one interval whose sigma and mu equal their reverses
-    mirrors onto itself: its half model is assembled directly, A_eff folded
-    as operators._half_operator less tau _half_convolution.  Any other
-    problem is built whole, and folded when it mirrors.
+    It does when its grid does (operators._mirrors; a pair only at tau = 0,
+    as _half_convolution takes one interval), sigma and mu equal their
+    reverses exactly, and it is neither a transmission form nor periodic.
+    Its model is then built on the even half from O(n) tables, op None:
+    A_eff is operators._half_operator less tau _half_convolution, mu /
+    sqrt w and lin on the first m nodes, and the boundary profile folded.
+    At an even u with coordinates y (spectral._EvenHalf) E(u) is its energy
+    at y, its gradient the full one folded, its Hessian the full one's fold.
     """
     grid = spec.grid
     sigma, mu = spec.sigma.values, spec.mu.values
-    if (not isinstance(grid, Grid) or len(grid.intervals) != 1
+    if (isinstance(spec, TransmissionSpec) or not isinstance(grid, Grid)
+            or not _mirrors(grid)
+            or (spec.tau > 0.0 and len(grid.intervals) > 1)
             or not np.array_equal(sigma, sigma[::-1])
             or not np.array_equal(mu, mu[::-1])):
-        return _problem(spec)[1].even_half()
+        return _problem(spec)
+    even = _EvenHalf(grid.n, mirrored=True)
     c = _half_operator(grid, spec.s)
     if spec.tau > 0.0:
         c -= spec.tau * _half_convolution(spec.kernel, grid)
-    return _on_half(_EvenHalf(grid.n, mirrored=True), c, grid.h, mu, -sigma,
-                    _boundary_profile(grid, spec.s))
+    model = _EnergyModel(c, grid.h, mu[:even.m] / even.root_w, -sigma[:even.m])
+    model.even = even
+    model.set_probe(even.fold(_boundary_profile(grid, spec.s)))
+    return None, model
 
 
 def _residual_scale(spec: ProblemSpec) -> float:
@@ -481,16 +465,19 @@ def _residual_scale(spec: ProblemSpec) -> float:
     return max(1.0, (spec.sigma.max() + spec.tau) ** 2)
 
 
-def _report(spec: ProblemSpec, model: _EnergyModel | None, u: np.ndarray,
+def _report(spec: ProblemSpec, model: _EnergyModel | None, y: np.ndarray,
             history: list[float], iterations: int, residual: float,
             converged: bool = True) -> SolveReport:
-    """SolveReport of a final iterate, which must be nonnegative.
+    """SolveReport of a final iterate y in model's coordinates, which must
+    be nonnegative: its energy is the model's at y, and its state y
+    unfolded (model.even).
 
     An iterate no larger than triviality_tol in sup norm is the trivial
     state: it is set to zero, with zero energy and residual, and a zero is
     appended to a nonnegative energy history so that it ends at the
-    reported energy.  model is read only for a nontrivial state's energy.
+    reported energy.  model may be None only for the trivial state.
     """
+    u = y if model is None else model.even.unfold(y)
     if float(np.max(np.abs(u))) <= spec.triviality_tol:
         if history and history[-1] >= 0.0:
             history = history + [0.0]
@@ -498,7 +485,7 @@ def _report(spec: ProblemSpec, model: _EnergyModel | None, u: np.ndarray,
     else:
         if not np.all(u >= 0.0):
             raise ConvergenceError(f"final iterate has min {np.min(u):.3e} < 0")
-        e, classification = model.energy(u), "nontrivial"
+        e, classification = model.energy(y), "nontrivial"
     positive = u > spec.triviality_tol
     return SolveReport(
         u=Field(grid=spec.grid, values=u),
@@ -524,31 +511,31 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
 
     Without resources (sigma = 0, tau = 0) zero is returned at once, as A
     is positive semidefinite on every habitat and so E >= 0 = E(0).  The
-    certificate and the descents run on model.even_half(), which is exact
-    (see spectral._EvenHalf).  first_start is called with that model, only
-    when zero is not certified, and returns a start in its coordinates (it
-    may set the probe); the descent runs from it (budget max_iter) and from
-    a microscopic constant perturbation of zero (budget min(max_iter, 300)).
+    certificate and the descents run on model as given, on its even half
+    when it was built there (_half_model), which is exact (see
+    spectral._EvenHalf).  first_start is called with model, only when zero
+    is not certified, and returns a start in its coordinates (it may set
+    the probe); the descent runs from it (budget max_iter) and from a
+    microscopic constant perturbation of zero (budget min(max_iter, 300)).
     An unconverged start is tolerated only while its stalled energy stays
     above the best converged one, otherwise the minimum is uncertain and a
     ConvergenceError is raised.  Ties break toward the smaller iterate (the
-    trivial state).  The winner is unfolded; its residual is the one its
-    descent read on the half (the full model's in exact arithmetic), and
-    its energy is the full model's.
+    trivial state).  The winner's residual and energy are the ones read in
+    model's coordinates (on a half, the full model's in exact arithmetic),
+    and only its state is unfolded (_report).
     """
     if spec.tau == 0.0 and not np.any(spec.sigma.values):
         return _extinct(spec)
-    half = model.even_half()
-    if _zero_is_minimizer(half):
+    if _zero_is_minimizer(model):
         return _extinct(spec)
     tol = spec.solver_tol * _residual_scale(spec)
-    tiny = half.even.fold(np.full(spec.grid.n, 0.1 * spec.triviality_tol))
-    starts = [(first_start(half), max_iter), (tiny, min(max_iter, 300))]
+    tiny = model.even.fold(np.full(spec.grid.n, 0.1 * spec.triviality_tol))
+    starts = [(first_start(model), max_iter), (tiny, min(max_iter, 300))]
     outcomes = []
     for u0, budget in starts:
-        u, history, iters, residual, ok = _minimize_model(half, u0, tol, budget)
+        u, history, iters, residual, ok = _minimize_model(model, u0, tol, budget)
         outcomes.append(
-            (half.energy(u), half.sup_norm(u), ok, u, history, iters, residual)
+            (model.energy(u), model.sup_norm(u), ok, u, history, iters, residual)
         )
     converged = [o for o in outcomes if o[2]]
     if not converged:
@@ -564,7 +551,7 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
                 f"{tol:.3e}) undercut the certified minimum (energy "
                 f"{best[0]:.3e}, sup norm {best[1]:.3e})")
     u, history, iters, residual = best[3:7]
-    return _report(spec, model, half.even.unfold(u), history, iters, residual)
+    return _report(spec, model, u, history, iters, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -605,11 +592,12 @@ def minimize(spec: ProblemSpec, init: Field, max_iter: int = 800) -> SolveReport
     return report
 
 
-def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix,
+def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix | None,
                  model: _EnergyModel) -> np.ndarray:
-    """A start along the first eigenvector e of op, in the model's
-    coordinates (model.even.fold) and set as its probe, at the amplitude
-    from the small-amplitude expansion of the energy.
+    """A start along the first eigenvector e of op, assembled here when
+    None, in the model's coordinates (model.even.fold) and set as its
+    probe, at the amplitude from the small-amplitude expansion of the
+    energy.
 
     E(eps e) = eps^2/2 [form - int sigma e^2] + eps^3/3 int mu e^3, where
     form = h e^T A_eff e is the quadratic part at e (tau's convolution
@@ -618,6 +606,8 @@ def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix,
     at amplitude 1e-8 max(1, max sigma + tau).  Each sum reads the same
     in a folded model's coordinates.
     """
+    if op is None:
+        op = assemble(spec.grid, spec.s)
     e = model.even.fold(first_eigenpair(op).vector.values)
     h = model.h
     form = h * float(e @ model.set_probe(e))
@@ -629,25 +619,26 @@ def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix,
 
 
 def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
-    """Solve a bounded habitat, Dirichlet or transmission: assemble; certify
-    extinction or minimize from two starts.
+    """Solve a bounded habitat, Dirichlet or transmission: build its model;
+    certify extinction or minimize from two starts.
 
     The certificate probes the boundary profile before it factors.  The
     first start rides the first eigenvector, computed only when zero is not
     certified, with the amplitude suggested by the small-amplitude
     expansion (see _eigen_start); the eigenvector then replaces the
     profile as the probe of the Newton steps.  A problem whose habitat,
-    sigma and mu mirror onto themselves (one interval, a congruent pair
-    placed symmetrically; constant or even resources) is certified and
-    descended on its even half, m = ceil(n/2) nodes, and the reported
-    residual is read there (see _steady_state); a dip off the centre, an
-    asymmetric union or a transmission problem is solved on all n nodes.
+    sigma and mu mirror onto themselves (one interval, two congruent
+    intervals; constant or even resources) is built, certified and
+    descended on its even half, m = ceil(n/2) nodes (see _half_model), and
+    the operator is assembled whole only for the eigenvector; a dip off
+    the centre, an asymmetric union, a pair with tau > 0 or a transmission
+    problem is solved on all n nodes, its operator assembled once.
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
-    op, model = _problem(spec)
+    op, model = _half_model(spec)
     return _steady_state(spec, model,
-                         lambda half: _eigen_start(spec, op, half), max_iter)
+                         lambda model: _eigen_start(spec, op, model), max_iter)
 
 
 def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
@@ -664,10 +655,10 @@ def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
 
-    def level_start(half: _EnergyModel) -> np.ndarray:
+    def level_start(model: _EnergyModel) -> np.ndarray:
         h = spec.grid.h
         level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
-        return half.even.fold(np.full(spec.grid.n, level))
+        return np.full(spec.grid.n, level)
     return _steady_state(spec, _problem(spec)[1], level_start, max_iter)
 
 
@@ -735,8 +726,8 @@ def critical_radius(
     The cell is guessed from the scaling law lambda_s(r Omega) =
     r^(-2s) lambda_s(Omega): with sigma = mu = 1 a cell survives exactly
     when its first eigenvalue is below 1, so one eigenvalue at the
-    predicted cell m0, by the eigenpair core spectral._half_pair on its
-    even half and under first_eigenpair's residual contract, gives the guess
+    predicted cell m0 (spectral._first_eigenvalue, on its even half and
+    under first_eigenpair's residual contract) gives the guess
     ceil(m0 lambda(m0)^(1/(2s))), clamped into the bracket (lo, hi] =
     [0.55, 1.6] x predicted cells; when that eigenvalue does not converge
     the guess is m0 itself.  Certificates then walk down from the guess
@@ -768,7 +759,7 @@ def critical_radius(
     lo = max(lo, 2)
     m_star = max(int(round(predicted * length / h)), lo + 1)
     try:
-        lam0 = _half_pair(_half_operator(grid_at(m_star), s))[0]
+        lam0 = _first_eigenvalue(grid_at(m_star), s)
         m_star = int(np.ceil(m_star * lam0 ** (1.0 / (2.0 * s))))
     except ConvergenceError:
         pass

@@ -427,6 +427,15 @@ def _fold_toeplitz(col: np.ndarray, hankel: np.ndarray) -> np.ndarray:
     return out
 
 
+def _mirrors(grid: Grid) -> bool:
+    """True when grid is one interval, or two with equal node counts, which
+    are congruent and mirror about the centre of their hull: the grids the
+    half builders take."""
+    return len(grid.intervals) == 1 or (
+        len(grid.intervals) == 2
+        and 2 * np.count_nonzero(grid.interval_id == 0) == grid.n)
+
+
 def _mirror_tables(grid: Grid, weights) -> tuple[np.ndarray, np.ndarray]:
     """(col, hankel) of _fold_toeplitz for the weight weights(r) at node
     distance r, on one interval or on two congruent ones.
@@ -539,8 +548,7 @@ def _half_classical(grid: Grid) -> np.ndarray:
 
 
 def _half_operator(grid: Grid, s: float) -> np.ndarray:
-    """The even half of assemble(grid, s).a; grid must be one interval or
-    two congruent ones."""
+    """The even half of assemble(grid, s).a, for a grid that _mirrors."""
     return _half_classical(grid) if s == 1.0 else _half_dirichlet(grid, s)
 
 

@@ -11,14 +11,13 @@ habitat mirrors onto itself.  One core, _half_pair, reads lambda and the
 residual on the matrix it factored, under one residual contract.
 
 The callers that need lambda alone, eigen_scaling, union_eigen_study and
-in logistic ext_crossing and critical_radius (its prediction and its
-guess), take the even half of one interval or of two congruent intervals
-straight from the O(n) distance tables (_first_eigenvalue,
-operators._half_operator) and form no n x n matrix.  first_eigenpair,
-which also returns the eigenvector, assembles A, scans it for the mirror
-and folds it (_EvenHalf); so do the steady-state solve's eigenvector
-start, the lambda_1 of cli's solve experiment, and _first_eigenvalue on
-any other union.
+in logistic ext_crossing and critical_radius, take the even half of a grid
+that mirrors (operators._mirrors) straight from the O(n) distance tables
+(_first_eigenvalue, operators._half_operator) and form no n x n matrix;
+so does the steady-state solve's model (logistic._half_model).
+first_eigenpair, which also returns the eigenvector, is given a bare
+matrix, which it scans for the mirror and folds (_EvenHalf): the solve's
+eigenvector start, cli's lambda_1 and any other grid take that route.
 """
 
 from __future__ import annotations
@@ -32,7 +31,8 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError
 from .grids import Field, Grid, build_grid, l2_norm
-from .operators import NonlocalMatrix, _half_operator, _weigh_middle, assemble
+from .operators import (NonlocalMatrix, _half_operator, _mirrors,
+                        _weigh_middle, assemble)
 
 __all__ = [
     "EigenPair",
@@ -128,17 +128,16 @@ class _EvenHalf:
                        if mirrored else 1.0)
 
     @classmethod
-    def of(cls, a: np.ndarray, *even_fields: np.ndarray) -> "_EvenHalf":
-        """The even half when every field equals its reverse exactly and a
-        is persymmetric, a = J a J, within 64 eps max|diag a|; else the
-        identity.  a is compared 32 rows at a time, so that no n x n
-        temporary is made, and the scan stops at the first rows that differ."""
+    def of(cls, a: np.ndarray) -> "_EvenHalf":
+        """The even half when a is persymmetric, a = J a J, within 64 eps
+        max|diag a|; else the identity.  a is compared 32 rows at a time, so
+        that no n x n temporary is made, and the scan stops at the first
+        rows that differ."""
         n = a.shape[0]
         tol = 64.0 * np.finfo(float).eps * float(np.max(np.abs(np.diag(a))))
         flipped = a[::-1, ::-1]
-        return cls(n, all(np.array_equal(f, f[::-1]) for f in even_fields)
-                   and all(np.max(np.abs(a[r:r + 32] - flipped[r:r + 32])) <= tol
-                           for r in range(0, (n + 1) // 2, 32)))
+        return cls(n, all(np.max(np.abs(a[r:r + 32] - flipped[r:r + 32])) <= tol
+                          for r in range(0, (n + 1) // 2, 32)))
 
     def matrix(self, a: np.ndarray) -> np.ndarray:
         """W^-1/2 P^T a P W^-1/2: c_ij = a_ij + a_{i,n-1-j} on the first m
@@ -221,15 +220,13 @@ def _first_eigenvalue(grid: Grid, s: float) -> float:
     """lambda_1 of assemble(grid, s), under first_eigenpair's residual
     contract.
 
-    One interval, or two congruent ones, which mirror about the centre of
-    their hull, is known to mirror before any assembly: its even half is
-    built straight from O(n) tables (operators._half_operator) and
-    _half_pair reads lambda on it, with no n x n matrix.  Any other grid is
-    assembled and goes through first_eigenpair.
+    A grid that mirrors (operators._mirrors) is known to before any
+    assembly: its even half is built straight from O(n) tables
+    (operators._half_operator) and _half_pair reads lambda on it, with no
+    n x n matrix.  Any other grid is assembled and goes through
+    first_eigenpair.
     """
-    if len(grid.intervals) == 1 or (
-            len(grid.intervals) == 2
-            and 2 * np.count_nonzero(grid.interval_id == 0) == grid.n):
+    if _mirrors(grid):
         return _half_pair(_half_operator(grid, s))[0]
     return first_eigenpair(assemble(grid, s)).lambda_
 

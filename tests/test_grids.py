@@ -67,6 +67,26 @@ def test_node_construction_is_deterministic():
     assert a.nodes[k - 1] == 2.5 + 1 * a.h
 
 
+@pytest.mark.parametrize("h", [8.0 / 9.0, 0.1])
+def test_nodes_of_a_symmetric_interval_mirror_exactly(h):
+    # a + k h alone mirrors only to rounding at these h
+    nodes = build_grid([(-4.0, 4.0)], h).nodes
+    assert np.array_equal(nodes, -nodes[::-1])
+
+
+@pytest.mark.parametrize("intervals, h", [
+    ([(0.0, 1.0)], 2.0**-7),
+    ([(-4.0, 4.0)], 2.0**-6),
+    ([(0.25, 1.0)], 2.0**-6),
+    ([(0.0, 0.75)], 0.25),
+    ([(0.0, 1.0), (2.5, 4.0)], 2.0**-7),
+])
+def test_dyadic_nodes_are_the_lattice_bit_for_bit(intervals, h):
+    grid = build_grid(intervals, h)
+    lattice = [a + np.arange(1, round((b - a) / h)) * h for a, b in intervals]
+    assert np.array_equal(grid.nodes, np.concatenate(lattice))
+
+
 def test_field_zero_extension():
     g = build_grid([(0.0, 1.0), (2.0, 3.0)], 0.25)
     u = sample_function(g, 1.0)

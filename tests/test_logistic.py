@@ -29,7 +29,7 @@ from nlogis import (
     solve_periodic,
     transmission_spec,
 )
-from nlogis import grids, logistic, operators, transmission
+from nlogis import grids, logistic, operators, spectral, transmission
 from nlogis.logistic import (
     _EnergyModel,
     _minimize_model,
@@ -450,20 +450,39 @@ def test_critical_radius_equals_the_full_solve_bisection(interval, s, h):
         oracles.ref_critical_radius(interval, s, h)
 
 
+def _eigenvalue_grids(monkeypatch, factor=1.0):
+    """The grid of every logistic._first_eigenvalue call; an eigenvalue on
+    any grid but the first is scaled by factor, or raises for None."""
+    first_eigenvalue = logistic._first_eigenvalue
+    grids_seen = []
+
+    def recorded(grid, s):
+        grids_seen.append(grid)
+        lam = first_eigenvalue(grid, s)
+        if grid == grids_seen[0]:
+            return lam
+        if factor is None:
+            raise ConvergenceError("no eigenpair at the predicted cell")
+        return factor * lam
+    monkeypatch.setattr(logistic, "_first_eigenvalue", recorded)
+    return grids_seen
+
+
 def test_critical_radius_certifies_only_at_the_threshold(monkeypatch):
-    # the eigenvalue of the base habitat and the even-half eigenvalue of
-    # the predicted cell (the scaling law's guess), both with no eigenpair
-    # of an n x n matrix; one certificate at r* and one at the cell below,
-    # and no steady state solved for
+    # the eigenvalue of the base habitat and the eigenvalue of the
+    # predicted cell (the scaling law's guess), both on their even halves
+    # with no eigenpair of an n x n matrix; one certificate at r* and one
+    # at the cell below, and no steady state solved for
     eigenpairs = _counting(monkeypatch, "first_eigenpair")
-    eigenvalues = _counting(monkeypatch, "_first_eigenvalue")
-    guesses = _counting(monkeypatch, "_half_pair")
+    eigenvalues = _eigenvalue_grids(monkeypatch)
     solves = _counting(monkeypatch, "solve_dirichlet")
     steady_states = _counting(monkeypatch, "_steady_state")
     certificates = _counting(monkeypatch, "_zero_is_minimizer")
     critical_radius((0.0, 1.0), 0.5, 2.0**-7)
-    assert (len(eigenpairs), len(eigenvalues), len(guesses), len(solves),
-            len(certificates)) == (0, 1, 1, 0, 2)
+    base = build_grid([(0.0, 1.0)], 2.0**-7)
+    guesses = [grid for grid in eigenvalues if grid != base]
+    assert (len(eigenpairs), len(eigenvalues) - len(guesses), len(guesses),
+            len(solves), len(certificates)) == (0, 1, 1, 0, 2)
     assert steady_states == []
 
 
@@ -472,22 +491,13 @@ def test_critical_radius_certifies_only_at_the_threshold(monkeypatch):
 ])
 def test_critical_radius_walks_to_the_threshold_when_the_guess_misses(
         factor, direction, monkeypatch):
-    # the predicted cell's eigenvalue (the even-half guess) scaled by
-    # factor, or raising for None, which leaves the predicted cell as the
-    # guess: a guess below r* walks up to it through extinct cells, one
-    # above it walks down through surviving ones.  The base eigenvalue
-    # (spectral._first_eigenvalue) is not skewed: only the guess is.
+    # the predicted cell's eigenvalue (the guess) scaled by factor, or
+    # raising for None, which leaves the predicted cell as the guess: a
+    # guess below r* walks up to it through extinct cells, one above it
+    # walks down through surviving ones.  The base eigenvalue, on the base
+    # grid, is not skewed: only the guess is.
     expected = oracles.ref_critical_radius((0.0, 1.0), 0.5, 2.0**-6)
-    pair = logistic._half_pair
-    skews = []
-
-    def skewed(c):
-        skews.append(c.shape[0])
-        if factor is None:
-            raise ConvergenceError("no eigenpair at the predicted cell")
-        lam, *rest = pair(c)
-        return (factor * lam, *rest)
-    monkeypatch.setattr(logistic, "_half_pair", skewed)
+    eigenvalues = _eigenvalue_grids(monkeypatch, factor)
     survives = logistic._survives
     outcomes = []
 
@@ -496,7 +506,8 @@ def test_critical_radius_walks_to_the_threshold_when_the_guess_misses(
         return outcomes[-1]
     monkeypatch.setattr(logistic, "_survives", recorded)
     assert critical_radius((0.0, 1.0), 0.5, 2.0**-6) == expected
-    assert len(skews) == 1
+    assert eigenvalues[0] == build_grid([(0.0, 1.0)], 2.0**-6)
+    assert len(eigenvalues) == 2 and eigenvalues[1] != eigenvalues[0]
     assert len(outcomes) > 2
     if direction == "up":
         assert outcomes.count(True) == 1
@@ -548,9 +559,11 @@ def test_survival_certificate_agrees_with_the_solve(intervals, s, tau):
         spec = problem_spec(grid, s, f * lam, 1.0, **reach)
         solved = solve_dirichlet(spec).classification == "nontrivial"
         assert logistic._survives(spec) == solved == (f > 1.0), f
-        # the direct half (one interval) reads as the dense model's fold
-        dense = not _zero_is_minimizer(_problem(spec)[1].even_half())
-        assert logistic._survives(spec) == dense, f
+        # the solver's model (the direct half on one interval) reads as the
+        # full Hessian's Cholesky
+        _, info = dpotrf(_problem(spec)[1].hessian(np.zeros(grid.n)).T,
+                         lower=True)
+        assert logistic._survives(spec) == (info != 0), f
 
 
 @pytest.mark.parametrize("tau", [0.0, 0.5])
@@ -562,16 +575,19 @@ def test_half_model_is_the_dense_models_fold(n, s, tau):
              if tau else {})
     even = 1.0 + (np.arange(n) - (n - 1) / 2) ** 2  # equal to its reverse
     spec = problem_spec(grid, s, 2.0 * even, even, **reach)
-    half = logistic._half_model(spec)
-    dense = _problem(spec)[1].even_half()
-    assert half.even.mirrored and dense.even.mirrored
-    assert half.a_eff.shape == dense.a_eff.shape == ((n + 1) // 2,) * 2
-    scale = np.max(np.abs(np.diag(dense.a_eff)))
-    assert np.max(np.abs(half.a_eff - dense.a_eff)) <= 1e-14 * scale
-    for name in ("mu", "lin"):
-        np.testing.assert_array_equal(getattr(half, name), getattr(dense, name))
-    np.testing.assert_array_equal(half.probe[0], dense.probe[0])
-    np.testing.assert_allclose(half.probe[1], dense.probe[1], rtol=0.0,
+    op, half = logistic._half_model(spec)
+    full = _problem(spec)[1]
+    m = (n + 1) // 2
+    assert op is None and half.even.mirrored
+    assert half.a_eff.shape == (m, m)
+    dense = oracles.ref_fold(full.a_eff)
+    scale = np.max(np.abs(np.diag(dense)))
+    assert np.max(np.abs(half.a_eff - dense)) <= 1e-14 * scale
+    root_w = np.sqrt(np.diag(oracles.ref_mirror(n)[1]))
+    np.testing.assert_array_equal(half.mu, full.mu[:m] / root_w)
+    np.testing.assert_array_equal(half.lin, full.lin[:m])
+    np.testing.assert_array_equal(half.probe[0], root_w * full.probe[0][:m])
+    np.testing.assert_allclose(half.probe[1], dense @ half.probe[0], rtol=0.0,
                                atol=1e-14 * scale * np.max(half.probe[0]))
 
 
@@ -944,7 +960,8 @@ MIRRORED = ["interval", "pair", "reach", "uncoupled", "n=1", "n=2", "n=3"]
 def test_folded_model_is_the_full_model_on_even_fields(case):
     spec = _mirrored_spec(case, 1.5)
     model = _problem(spec)[1]
-    half = model.even_half()
+    half = logistic._half_model(spec)[1]
+    assert half.even.mirrored
     n = spec.grid.n
     m = (n + 1) // 2
     v = np.random.default_rng(5).uniform(-1.5, 1.5, m)
@@ -971,11 +988,12 @@ def test_mirrored_solve_runs_on_the_even_half(case, factor, factored_orders,
     n = spec.grid.n
     expected, u_full, e_full = _full_path(spec)
     descend = logistic._minimize_model
-    descents = []  # (unfolded state, residual) of each start
+    descents = []  # (unfolded state, residual, energy) of each start
 
     def recorded(model, *args):
         outcome = descend(model, *args)
-        descents.append((model.even.unfold(outcome[0]), outcome[3]))
+        descents.append((model.even.unfold(outcome[0]), outcome[3],
+                         model.energy(outcome[0])))
         return outcome
     monkeypatch.setattr(logistic, "_minimize_model", recorded)
     factored_orders.clear()
@@ -985,14 +1003,13 @@ def test_mirrored_solve_runs_on_the_even_half(case, factor, factored_orders,
     u = rep.u.values
     assert abs(rep.energy - e_full) <= 1e-10 * abs(e_full)
     assert np.max(np.abs(u - u_full)) <= 1e-8 * np.max(np.abs(u_full))
-    # the unfolded state is even, its residual the one its descent read on
-    # the half, and its energy the full model's
+    # the unfolded state is even, and its residual and energy are the ones
+    # read on the half at the state its descent reached
     np.testing.assert_array_equal(u, u[::-1])
     assert rep.el_residual <= spec.solver_tol * _residual_scale(spec)
     if expected == "nontrivial":
-        assert rep.el_residual in [res for state, res in descents
-                                   if np.array_equal(state, u)]
-        assert rep.energy == _problem(spec)[1].energy(u)
+        assert (rep.el_residual, rep.energy) in [
+            (res, e) for state, res, e in descents if np.array_equal(state, u)]
 
 
 @pytest.mark.parametrize("factor", [1.0 - 1e-3, 1.0 + 1e-3])
@@ -1001,7 +1018,7 @@ def test_folded_certificate_is_the_full_cholesky(case, factor):
     spec = _mirrored_spec(case, factor)
     n = spec.grid.n
     model = _problem(spec)[1]
-    half = model.even_half()
+    half = logistic._half_model(spec)[1]
     assert half.a_eff.shape == ((n + 1) // 2,) * 2
     _, info = dpotrf(model.hessian(np.zeros(n)).T, lower=True)
     assert _zero_is_minimizer(half) == (info == 0) == (factor < 1.0)
@@ -1018,13 +1035,85 @@ def _unmirrored_spec(case):
 
 
 @pytest.mark.parametrize("case", ["dip", "union", "transmission"])
-def test_unmirrored_solve_factors_at_full_order(case, factored_orders):
+def test_unmirrored_solve_factors_at_full_order(case, factored_orders,
+                                                monkeypatch):
+    # the model is the full one, and the eigen start reuses the operator it
+    # was built from
     spec = _unmirrored_spec(case)
-    model = _problem(spec)[1]
-    assert model.even_half() is model
+    op, model = logistic._half_model(spec)
+    assert op is not None and not model.even.mirrored
+    assert model.a_eff.shape == (spec.grid.n,) * 2
+    dirichlet = _counting(monkeypatch, "assemble")
+    transmission = _counting(monkeypatch, "assemble_transmission")
     rep = solve_dirichlet(spec)
     assert rep.classification == "nontrivial"
     assert factored_orders and set(factored_orders) == {spec.grid.n}
+    assert len(dirichlet) + len(transmission) == 1
+
+
+_H = 2.0**-5
+_RULE_CASES = {  # intervals, tau, (rule, dense scan)
+    "interval": ([(0.0, 1.0)], 0.0, (True, True)),
+    "gap 1 cell": ([(0.0, 1.0), (1.0 + _H, 2.0 + _H)], 0.0, (True, True)),
+    "gap 2.5 cells": ([(0.0, 1.0), (1.0 + 2.5 * _H, 2.0 + 2.5 * _H)], 0.0,
+                      (True, True)),
+    "lopsided pair": ([(0.0, 1.0), (1.5, 2.25)], 0.0, (False, False)),
+    "transmission": (None, 0.0, (False, False)),
+    # mirrored, but solved whole by design: the half convolution takes one
+    # interval, the half operator one interval or two
+    "pair, tau > 0": ([(0.0, 1.0), (1.5, 2.5)], 0.5, (False, True)),
+    "three intervals": ([(0.0, 1.0), (1.5, 2.5), (3.0, 4.0)], 0.0,
+                        (False, True)),
+}
+
+
+@pytest.mark.parametrize("case", list(_RULE_CASES))
+def test_mirror_rule_agrees_with_the_dense_scan(case):
+    intervals, tau, expected = _RULE_CASES[case]
+    if intervals is None:
+        spec = _tspec(8.0)
+    else:
+        reach = (dict(tau=tau, kernel=build_kernel("uniform", 0.25, _H))
+                 if tau else {})
+        spec = problem_spec(build_grid(intervals, _H), 0.5, 8.0, 1.0, **reach)
+    op, model = logistic._half_model(spec)
+    scan = spectral._EvenHalf.of(_problem(spec)[1].a_eff).mirrored
+    assert (model.even.mirrored, scan) == expected
+    assert (op is None) == model.even.mirrored
+
+
+def test_mirror_rule_needs_resources_equal_to_their_reverses():
+    grid = build_grid([(0.0, 1.0)], _H)
+    even = 2.0 + np.abs(np.arange(grid.n) - grid.n // 2)
+    assert logistic._half_model(problem_spec(grid, 0.5, even, 1.0))[0] is None
+    ulp = even.copy()
+    ulp[0] = np.nextafter(ulp[0], np.inf)
+    for sigma, mu in ((ulp, 1.0), (even, ulp)):
+        op, model = logistic._half_model(problem_spec(grid, 0.5, sigma, mu))
+        assert op is not None and not model.even.mirrored
+
+
+@pytest.mark.parametrize("factor, dense", [(0.5, 0), (1.5, 1)],
+                         ids=["extinct", "nontrivial"])
+@pytest.mark.parametrize("case", ["interval", "pair", "reach"])
+def test_mirrored_solve_assembles_only_for_its_eigenvector(case, factor,
+                                                           dense, monkeypatch):
+    # an extinct solve forms no n x n matrix; a nontrivial one assembles
+    # the operator once, for the eigen start's eigenvector, and never B
+    spec = _mirrored_spec(case, factor)
+    built = []
+    for module, name in ((operators, "assemble_dirichlet"),
+                         (operators, "convolution_matrix"),
+                         (logistic, "convolution_matrix")):
+        original = getattr(module, name)
+
+        def recorded(*args, _name=name, _original=original):
+            built.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(module, name, recorded)
+    rep = solve_dirichlet(spec)
+    assert rep.classification == ("trivial" if dense == 0 else "nontrivial")
+    assert built == ["assemble_dirichlet"] * dense
 
 
 def _even_cosine(n):
@@ -1206,7 +1295,8 @@ def test_exhausted_gradient_line_search_stops_unconverged():
     u = solve_dirichlet(spec).u.values
     _, history, iters, converged = logistic._descend_loop(
         _problem(spec)[1], u, 0.0, 50)
-    assert (iters, converged) == (2, False)
+    # an unconverged stop within the budget is the exhausted line search's
+    assert iters < 50 and not converged
     assert np.all(np.diff(history) <= 0.0)
 
 

@@ -421,15 +421,13 @@ def test_even_half_identity_returns_its_input(n):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_even_half_decision_is_exact(n):
+    # the scan allows 64 eps max|diag a|: a persymmetric matrix folds, one
+    # moved by 1e-8 of it does not
     a = _persymmetric(n, n)
-    lin = np.arange(n) * (n - 1 - np.arange(n)) + 0.1
-    assert spectral._EvenHalf.of(a, lin, lin).mirrored
+    assert spectral._EvenHalf.of(a).mirrored
     moved = a.copy()
     moved[0, 0] += 1e-8 * np.max(np.abs(np.diag(a)))
     assert not spectral._EvenHalf.of(moved).mirrored
-    ulp = lin.copy()
-    ulp[0] = np.nextafter(ulp[0], np.inf)
-    assert not spectral._EvenHalf.of(a, lin, ulp).mirrored
 
 
 @pytest.mark.parametrize("intervals,h,n", [

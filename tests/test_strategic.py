@@ -284,9 +284,22 @@ def test_even_target_assembles_no_full_matrix(monkeypatch, h):
     res = approximate_s_harmonic(1.0, 0.5, 1e-3, [4.0, 6.0], h)
     assert res.w.grid.n == build_grid([(-res.r_used, res.r_used)], h).n
     assert res.approx_error <= 1e-3
-    if h == H:  # x^2 is even only at a lattice that mirrors exactly
-        res = approximate_s_harmonic(lambda x: x**2, 0.5, 0.1, [4.0, 6.0], h)
-        assert res.achieved
+    # x^2 sampled is even, as the nodes of (-R, R) mirror exactly
+    res = approximate_s_harmonic(lambda x: x**2, 0.5, 0.1, [4.0, 6.0], h)
+    assert res.achieved
+
+
+def test_even_target_off_binary_spacing_takes_the_half_route(monkeypatch):
+    # at h = 0.1 the nodes of (-4, 4) mirror exactly, so the sampled
+    # 1 + 0.3 x^2 equals its reverse and the fit is folded
+    def no_full_matrix(*args):
+        raise AssertionError("an n x n operator was assembled")
+
+    monkeypatch.setattr(strategic, "assemble_dirichlet", no_full_matrix)
+    res = approximate_s_harmonic(lambda x: 1.0 + 0.3 * x**2, 0.5, 1e-3,
+                                 [4.0], 0.1)
+    assert res.w.grid.n == 79
+    np.testing.assert_array_equal(res.w.values, res.w.values[::-1])
 
 
 def test_target_that_does_not_mirror_takes_the_dense_route(monkeypatch):

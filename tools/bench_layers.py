@@ -33,11 +33,12 @@ the periodic operator and the periodic convolution matrix
 Dirichlet operator and two Dirichlet solves, mu = 1, on the unit interval
 at n = 255 ... 2047: sigma = 1.2 times the first eigenvalue, so the solve
 has a nontrivial state, and sigma = 0.8 times it, an extinct one; these
-habitats and resources mirror, so the solves run on the even half, and
-next to them a Dirichlet solve that does not mirror, on (-1, 1) at the
-same n with sigma the resource-sweep dip (level 30, centre 0.6, width
-0.2); the
-first eigenpair of the Dirichlet operator on the mirrored pair (0, 1) and
+habitats and resources mirror, so the solves are built and run on the
+even half, and only the nontrivial one assembles the n x n operator, for
+its eigenvector; next to them a Dirichlet solve that does not mirror, on
+(-1, 1) at the same n with sigma the resource-sweep dip (level 30, centre
+0.6, width 0.2); the first eigenpair of the Dirichlet operator on the
+mirrored pair (0, 1) and
 (1.5, 2.5), at the transmission form's even sizes, and on (0, 1) and
 (1.5, 2.25), which does not mirror, at the nearest size its intervals
 allow; eigen_scaling at r = 4 (the base eigenvalue and the dilated one)
@@ -52,8 +53,7 @@ radius of the unit interval at each spacing in CRITICAL_RADIUS_H, under
 the node count of its undilated grid; at each n in HALF_SIZES on the
 unit interval, the critical radius's certificate model (sigma = mu = 1)
 on its even half, "half-assembly" (logistic._half_model, which
-assembles it directly, where the checkout has it, else the dense model
-assembled, scanned and folded), and that certificate, "certificate"
+assembles it directly), and that certificate, "certificate"
 (_survives, which factors it, since sigma = 1 < lambda_1);
 build_strategic on the strategic experiment's default resource
 (sigma = mu = 1, eps = 0.1, support radii 4, 6, 8) at each spacing in
@@ -269,10 +269,7 @@ def _certificate(nl, n, what):
                                S, 1.0, 1.0)
         if what == "survives":
             return partial(lg._survives, spec)
-        direct = getattr(lg, "_half_model", None)
-        if direct is not None:
-            return partial(direct, spec)
-        return lambda: lg._problem(spec)[1].even_half()
+        return partial(lg._half_model, spec)
     return make
 
 
