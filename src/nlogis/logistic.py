@@ -13,9 +13,9 @@ whose nodal gradient (scaled by 1/h) is the steady logistic equation
 
 A problem builds its own operator and energy model (_problem); a bounded
 one's probe is the habitat's first-eigenvector estimate.  solve_dirichlet
-solves every bounded habitat, Dirichlet or transmission, and
-solve_periodic the periodic cell; they differ only in their first start
-and share one core, _steady_state, and one report, SolveReport.  Without
+solves every bounded habitat, Dirichlet or transmission, from two
+starts, and solve_periodic the periodic cell from one; each names its
+starts to one core, _steady_state, with one report, SolveReport.  Without
 resources, or when the Hessian at zero is positive definite (mu >= 0
 makes the cubic term convex), zero is the only minimizer and the core
 returns the trivial state without descending.  A bounded problem known
@@ -33,11 +33,11 @@ its Hessian is factored by Cholesky, and by a symmetric-indefinite solve
 only when it is not positive definite (known without factoring when the
 curvature along the probe is negative); on the periodic cell it is solved
 by MINRES with a circulant preconditioner.  A backtracking gradient step
-is the fallback.  A Newton
-step whose predicted decrease lies below what the energy resolves goes to
-an endgame that accepts it on a halved residual.  The final iterate is
-replaced by its absolute value, which can only lower the energy.  A report
-is converged only when the residual is within the tolerance.
+is the fallback.  A Newton step whose predicted decrease lies below what
+the energy resolves goes to an endgame that accepts it on a halved
+residual.  The final iterate is replaced by its absolute value, which can
+only lower the energy, and descended from once more.  A report is
+converged only when the residual is within the tolerance.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ __all__ = [
 @dataclass
 class SolveReport:
     """Outcome of one energy minimization; iterations counts the descent
-    steps of the start whose state is reported, not those of both starts."""
+    steps of the start whose state is reported, not those of every start."""
 
     u: Field
     energy: float
@@ -504,8 +504,8 @@ def _extinct(spec: ProblemSpec) -> SolveReport:
     return _report(spec, None, np.zeros(spec.grid.n), [0.0], 0, 0.0)
 
 
-def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
-                  max_iter: int) -> SolveReport:
+def _steady_state(spec: ProblemSpec, model: _EnergyModel,
+                  starts) -> SolveReport:
     """Report of the steady state: zero when certified, else the lowest
     converged energy, to the residual solver_tol * _residual_scale(spec).
 
@@ -513,30 +513,27 @@ def _steady_state(spec: ProblemSpec, model: _EnergyModel, first_start,
     is positive semidefinite on every habitat and so E >= 0 = E(0).  The
     certificate and the descents run on model as given, on its even half
     when it was built there (_half_model), which is exact (see
-    spectral._EvenHalf).  first_start is called with model, only when zero
-    is not certified, and returns a start in its coordinates (it may set
-    the probe); the descent runs from it (budget max_iter) and from a
-    microscopic constant perturbation of zero (budget min(max_iter, 300)).
-    An unconverged start is tolerated only while its stalled energy stays
-    above the best converged one, otherwise the minimum is uncertain and a
-    ConvergenceError is raised.  Ties break toward the smaller iterate (the
-    trivial state).  The winner's residual and energy are the ones read in
-    model's coordinates (on a half, the full model's in exact arithmetic),
-    and only its state is unfolded (_report).
+    spectral._EvenHalf).  starts are the solve's (start, budget) pairs:
+    only when zero is not certified is each start called with model, in
+    turn, for a field in its coordinates (it may set the probe), descended
+    from for at most budget iterations.  An unconverged start is tolerated
+    only while its stalled energy stays above the best converged one, else
+    the minimum is uncertain and ConvergenceError is raised.  Ties break
+    toward the smaller iterate (the trivial state).  The winner's residual
+    and energy are the ones read in model's coordinates (on a half, the
+    full model's in exact arithmetic); only its state is unfolded (_report).
     """
     if spec.tau == 0.0 and not np.any(spec.sigma.values):
         return _extinct(spec)
     if _zero_is_minimizer(model):
         return _extinct(spec)
     tol = spec.solver_tol * _residual_scale(spec)
-    tiny = model.even.fold(np.full(spec.grid.n, 0.1 * spec.triviality_tol))
-    starts = [(first_start(model), max_iter), (tiny, min(max_iter, 300))]
     outcomes = []
-    for u0, budget in starts:
-        u, history, iters, residual, ok = _minimize_model(model, u0, tol, budget)
-        outcomes.append(
-            (model.energy(u), model.sup_norm(u), ok, u, history, iters, residual)
-        )
+    for start, budget in starts:
+        u, history, iters, residual, ok = _minimize_model(
+            model, start(model), tol, budget)
+        outcomes.append((model.energy(u), model.sup_norm(u), ok, u, history,
+                         iters, residual))
     converged = [o for o in outcomes if o[2]]
     if not converged:
         best_res = min(o[6] for o in outcomes)
@@ -620,46 +617,48 @@ def _eigen_start(spec: ProblemSpec, op: NonlocalMatrix | None,
 
 def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     """Solve a bounded habitat, Dirichlet or transmission: build its model;
-    certify extinction or minimize from two starts.
+    certify extinction or minimize from two starts (see _steady_state).
 
     The certificate probes the boundary profile before it factors.  The
     first start rides the first eigenvector, computed only when zero is not
-    certified, with the amplitude suggested by the small-amplitude
-    expansion (see _eigen_start); the eigenvector then replaces the
-    profile as the probe of the Newton steps.  A problem whose habitat,
-    sigma and mu mirror onto themselves (one interval, two congruent
-    intervals; constant or even resources) is built, certified and
-    descended on its even half, m = ceil(n/2) nodes (see _half_model), and
-    the operator is assembled whole only for the eigenvector; a dip off
-    the centre, an asymmetric union, a pair with tau > 0 or a transmission
-    problem is solved on all n nodes, its operator assembled once.
+    certified, at the amplitude of the small-amplitude expansion
+    (_eigen_start), budget max_iter; the eigenvector then replaces the
+    profile as the probe of the Newton steps.  The second is a microscopic
+    constant perturbation of zero, budget min(max_iter, 300).  A problem
+    whose habitat, sigma and mu mirror onto themselves (one interval, two
+    congruent intervals; constant or even resources) is built, certified
+    and descended on its even half, m = ceil(n/2) nodes (_half_model), and
+    its operator assembled whole only for the eigenvector; any other is
+    solved on all n nodes, its operator assembled once.
     """
     if isinstance(spec.grid, PeriodicGrid):
         raise ValueError("use solve_periodic for periodic problems")
     op, model = _half_model(spec)
-    return _steady_state(spec, model,
-                         lambda model: _eigen_start(spec, op, model), max_iter)
+    tiny = np.full(spec.grid.n, 0.1 * spec.triviality_tol)
+    return _steady_state(spec, model, [
+        (lambda model: _eigen_start(spec, op, model), max_iter),
+        (lambda model: model.even.fold(tiny), min(max_iter, 300))])
 
 
 def solve_periodic(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
-    """Minimize the periodic energy over one cell (see _steady_state).
+    """Minimize the periodic energy over one cell by one descent (see
+    _steady_state), from the cell-average level (mean sigma + tau) /
+    mean mu, for constant coefficients the exact solution.
 
     The model is a _CirculantModel: energy, gradient and Newton steps apply
     the circulant A - tau B by FFT and no n x n matrix is built.  Zero is
-    never certified here, as H(0) is not positive definite on the periodic
-    cell (see _zero_is_minimizer), so only the no-resource exit returns the
-    trivial state without descending.  The first start is the cell-average
-    level (mean sigma + tau) / mean mu, for constant coefficients the exact
-    solution.  The cell is solved on all n nodes.
+    never certified here (see _zero_is_minimizer), so only the no-resource
+    exit returns the trivial state without descending.  One start suffices:
+    A - tau B has no positive off-diagonal entry and is irreducible, so
+    E(sqrt v) is convex in v = u^2 (Brezis and Oswald 1986) and a converged
+    positive state is the minimizer.  A stalled descent raises.
     """
     if not isinstance(spec.grid, PeriodicGrid):
         raise ValueError("solve_periodic needs a PeriodicGrid problem")
-
-    def level_start(model: _EnergyModel) -> np.ndarray:
-        h = spec.grid.h
-        level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
-        return np.full(spec.grid.n, level)
-    return _steady_state(spec, _problem(spec)[1], level_start, max_iter)
+    h = spec.grid.h
+    level = (h * np.sum(spec.sigma.values) + spec.tau) / (h * np.sum(spec.mu.values))
+    return _steady_state(spec, _problem(spec)[1], [
+        (lambda model: np.full(spec.grid.n, level), max_iter)])
 
 
 # ---------------------------------------------------------------------------

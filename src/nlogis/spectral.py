@@ -68,11 +68,12 @@ def _inverse_lanczos(a: np.ndarray) -> tuple[np.ndarray, int]:
     jitter = 0.0
     factor = None
     while factor is None:
-        # a + jitter I in Fortran order, factored in its own storage
-        work = np.array(a, order="F")
+        # a + jitter I in C order; LAPACK factors its transpose, the same
+        # symmetric matrix in Fortran order, in place
+        work = np.array(a)
         work[diag] += jitter
         try:
-            factor = cho_factor(work, lower=True, overwrite_a=True,
+            factor = cho_factor(work.T, lower=True, overwrite_a=True,
                                 check_finite=False)
         except LinAlgError:
             jitter = max(1e-14 * scale, 4.0 * jitter)

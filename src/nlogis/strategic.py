@@ -110,7 +110,7 @@ def approximate_s_harmonic(
         in_h, fit_h, ext_h = inner[:half.m], fit[:half.m], ext[:half.m]
         root_w = np.broadcast_to(half.root_w, (half.m,))
         y = root_w[fit_h] * y[:int(fit_h.sum())]  # the folded target
-        chol_ii = cho_factor(c[np.ix_(in_h, in_h)])
+        chol_ii = cho_factor(c[np.ix_(in_h, in_h)].T, overwrite_a=True)
         # folded inner values as a map of folded exterior data
         wmap = -cho_solve(chol_ii, c[np.ix_(in_h, ext_h)])
         m = wmap[fit_h[in_h], :]

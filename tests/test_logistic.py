@@ -77,6 +77,19 @@ def test_energy_never_increases_under_absolute_value(unit_problem):
         assert e_abs <= e_signed + 1e-12 * max(1.0, abs(e_signed))
 
 
+def test_descent_continues_from_the_absolute_value():
+    # from sin(pi x), odd on (-1, 1), the first descent converges to an odd
+    # critical point; only the descent from its absolute value reaches the
+    # positive steady state
+    grid = build_grid([(-1.0, 1.0)], 2.0**-5)
+    lam = first_eigenpair(assemble(grid, 0.5)).lambda_
+    spec = problem_spec(grid, 0.5, 4.0 * lam, 1.0)
+    rep = minimize(spec, sample_function(grid, lambda x: np.sin(np.pi * x)))
+    assert rep.classification == "nontrivial"
+    assert np.all(rep.u.values > 0.0)
+    assert rep.el_residual <= spec.solver_tol * _residual_scale(spec)
+
+
 def test_small_eigenvector_slip_has_negative_energy(unit_problem):
     grid, op, lam = unit_problem
     spec = problem_spec(grid, 0.5, lam + 1.0, 1.0)
@@ -1133,7 +1146,9 @@ def test_periodic_cell_is_solved_without_factoring(even, factored_orders):
     values = spec.sigma.values
     assert np.ptp(values) > 1.0
     assert np.array_equal(values, values[::-1]) == even
-    # the full path: the dense model descended from solve_periodic's starts
+    # the full path: the dense model descended from the level start and
+    # from a tiny one; by convexity the solve's one start, the level, finds
+    # the lower of the two
     model = oracles.ref_periodic_model(spec)
     h = pg.h
     level = (h * np.sum(values) + spec.tau) / (h * np.sum(spec.mu.values))
@@ -1301,15 +1316,35 @@ def test_exhausted_gradient_line_search_stops_unconverged():
 
 
 def test_unconverged_start_below_the_converged_one_raises():
-    # at solver_tol 1e-30 the level start stalls at the steady state while
+    # with one iteration the eigen start stalls below zero's energy while
     # the tiny start converges onto the unstable zero, above it
-    spec = problem_spec(build_periodic_grid(64), 0.5,
-                        lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0,
-                        solver_tol=1e-30)
+    grid = build_grid([(0.0, 1.0)], 2.0**-5)
+    lam = first_eigenpair(assemble(grid, 0.5)).lambda_
+    spec = problem_spec(grid, 0.5, 2.0 * lam, 1.0, solver_tol=1e-3)
     with pytest.raises(ConvergenceError,
                        match="undercut the certified minimum "
                              r"\(energy .*, sup norm .*\)"):
+        solve_dirichlet(spec, max_iter=1)
+
+
+def test_stalled_periodic_descent_raises():
+    # at solver_tol 1e-30 the level start stalls at the steady state; it is
+    # the cell's one start, so nothing converged
+    spec = problem_spec(build_periodic_grid(64), 0.5,
+                        lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0,
+                        solver_tol=1e-30)
+    with pytest.raises(ConvergenceError, match="no start converged"):
         solve_periodic(spec)
+
+
+def test_periodic_solve_is_one_descent(monkeypatch):
+    # E(sqrt v) is convex on the periodic cell, so the level start is the
+    # only one
+    descents = _counting(monkeypatch, "_minimize_model")
+    spec = problem_spec(build_periodic_grid(64), 0.5,
+                        lambda x: 2.0 + np.cos(2.0 * np.pi * x), 1.0)
+    assert solve_periodic(spec).classification == "nontrivial"
+    assert len(descents) == 1
 
 
 def test_no_converged_start_raises(monkeypatch):
