@@ -5,10 +5,13 @@ The eigenvalue solved for is the smallest lambda with A e = lambda e, which
 equals the minimum of the form h u^T A u over l2_norm(u)^2 = h u^T u for
 nonzero fields u: the h in the form and in the norm cancel, so the survival
 threshold compares directly with the resource rate sigma.  It is found by
-ARPACK's Lanczos iteration (scipy eigsh) on A^-1, applied through one
-Cholesky factorization of A, or of A folded onto its even half when the
-habitat mirrors onto itself.  One core, _half_pair, reads lambda and the
-residual on the matrix it factored, under one residual contract.
+ARPACK's Lanczos iteration (scipy eigsh, 8 Lanczos vectors, stopped at a
+relative Ritz estimate of 1e-12) on A^-1, applied through one Cholesky
+factorization of A, or of A folded onto its even half when the habitat
+mirrors onto itself.  One core, _half_pair, factors its matrix in place,
+rebuilds it from the triangle LAPACK leaves untouched and reads lambda
+and the residual on it, under one residual contract; so the matrix must
+be exactly symmetric, and only one matrix of the factored order is held.
 
 The callers that need lambda alone, eigen_scaling, union_eigen_study and
 in logistic ext_crossing and critical_radius, take the even half of a grid
@@ -59,23 +62,62 @@ class EigenPair:
     iterations: int
 
 
-def _inverse_lanczos(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """Lanczos vector for the largest eigenvalue of (a + jitter I)^-1, after
-    one more solve, and the number of solves with the factor."""
-    n = a.shape[0]
+# ARPACK's default of 20 Lanczos vectors costs 22 solves per eigenpair, 8
+# cost 10 to 18 on the benchmark's eigenpairs (6 saved 3% more, 10 cost 5%)
+_KRYLOV_VECTORS = 8
+# the relative Ritz estimate to stop at: at the residual contract's own
+# 1e-10 the vector on a mirrored pair drifted 5.8e-13 from a dense eigh
+_LANCZOS_TOL = 1e-12
+
+
+def _symmetrize(c: np.ndarray, diag: np.ndarray | None = None) -> None:
+    """Copy the strict lower triangle of c over its strict upper one, one
+    panel of 64 rows at a time, so that no m x m temporary is made; then
+    set the diagonal to diag when given.
+
+    This is the triangle cho_factor(c.T, lower=True) leaves untouched, so
+    after a factorization in place it rebuilds c, bit for bit when c was
+    exactly symmetric and its diagonal is diag.  A panel is copied in 64 x
+    64 tiles: a transposed tile then stays in cache, where a whole panel
+    took twice as long at order 1024.
+    """
+    m = c.shape[0]
+    for r in range(0, m, 64):
+        e = min(r + 64, m)
+        block = c[r:e, r:e]
+        upper = np.triu_indices(e - r, 1)
+        block[upper] = block.T[upper]
+        for q in range(e, m, 64):
+            c[r:e, q:q + 64] = c[q:q + 64, r:e].T
+    if diag is not None:
+        c[np.diag_indices(m)] = diag
+
+
+def _inverse_lanczos(c: np.ndarray) -> tuple[np.ndarray, int]:
+    """Lanczos vector for the largest eigenvalue of (c + jitter I)^-1, after
+    one more solve, and the number of solves with the factor.
+
+    c, symmetric and C-ordered, is factored in place: LAPACK factors its
+    transpose, the same symmetric matrix in Fortran order, and overwrites
+    the upper triangle of c and its diagonal.  _symmetrize rebuilds c
+    from its strict lower triangle and the saved diagonal before a
+    jittered retry and once the last solve is made, so c is returned as
+    it was given when it is exactly symmetric.  eigsh runs _KRYLOV_VECTORS
+    Lanczos vectors from the all-ones start and stops at _LANCZOS_TOL.
+    """
+    n = c.shape[0]
     diag = np.diag_indices(n)
-    scale = float(np.max(np.abs(a[diag])))
+    saved = c[diag]
+    scale = float(np.max(np.abs(saved)))
     jitter = 0.0
     factor = None
     while factor is None:
-        # a + jitter I in C order; LAPACK factors its transpose, the same
-        # symmetric matrix in Fortran order, in place
-        work = np.array(a)
-        work[diag] += jitter
+        c[diag] += jitter
         try:
-            factor = cho_factor(work.T, lower=True, overwrite_a=True,
+            factor = cho_factor(c.T, lower=True, overwrite_a=True,
                                 check_finite=False)
         except LinAlgError:
+            _symmetrize(c, saved)
             jitter = max(1e-14 * scale, 4.0 * jitter)
             if jitter > 1e-6 * scale:
                 raise
@@ -88,12 +130,15 @@ def _inverse_lanczos(a: np.ndarray) -> tuple[np.ndarray, int]:
 
     inverse = LinearOperator((n, n), matvec=solve, dtype=float)
     try:
-        _, ritz = eigsh(inverse, k=1, which="LM", v0=np.ones(n), tol=0)
+        _, ritz = eigsh(inverse, k=1, which="LM", v0=np.ones(n),
+                        ncv=min(n, _KRYLOV_VECTORS), tol=_LANCZOS_TOL)
+        return solve(ritz[:, 0]), solves
     except ArpackNoConvergence as exc:
         raise ConvergenceError(
             f"Lanczos iteration for the first eigenpair did not converge: {exc}"
         ) from exc
-    return solve(ritz[:, 0]), solves
+    finally:
+        _symmetrize(c, saved)
 
 
 class _EvenHalf:
@@ -168,6 +213,12 @@ def _half_pair(c: np.ndarray) -> tuple[float, np.ndarray, float, int]:
     symmetric c with its unit eigenvector y, by _inverse_lanczos and the
     Rayleigh quotient, and the residual ||c y - lambda y||.
 
+    c is the caller's to give up: _inverse_lanczos factors it in place and
+    rebuilds it from its strict lower triangle, so lambda and the residual
+    are read on the matrix that was factored only when c is exactly
+    symmetric (_half_operator's halves are; first_eigenpair makes its
+    matrix so).
+
     The residual must be within 1e-10 max(1, |lambda|), or within the
     roundoff floor 4 eps ||c||_inf where that is larger (a normwise backward
     error, as c y is computed only to about eps ||c||_inf), else
@@ -194,21 +245,31 @@ def first_eigenpair(op: NonlocalMatrix) -> EigenPair:
     """Smallest eigenpair by shift-invert Lanczos on one Cholesky factor.
 
     A is factored once; ARPACK's Lanczos iteration (eigsh) runs on its
-    inverse, started from the all-ones vector, so the result is
-    deterministic.  A tiny diagonal jitter handles positive semidefinite
-    matrices whose smallest eigenvalue is zero (periodic variant).  One
-    more solve with the factor polishes the Ritz vector; iterations counts
-    every solve.
+    inverse with 8 Lanczos vectors, started from the all-ones vector, so
+    the result is deterministic, until its Ritz estimate is within 1e-12
+    of the eigenvalue.  A tiny diagonal jitter handles positive
+    semidefinite matrices whose smallest eigenvalue is zero (periodic
+    variant).  One more solve with the factor polishes the Ritz vector;
+    iterations counts every solve, 10 to 18 on the benchmark's inputs.
 
     A habitat that mirrors onto itself gives a persymmetric A, and then the
     pair is computed, exactly, on the even half (see _EvenHalf): the
     Lanczos iteration, its factor, lambda and the residual all run on the
     ceil(n/2)-square folded matrix, and the vector is unfolded.  An A that
     is not persymmetric (a transmission form, a union whose nodes do not
-    mirror) is factored whole.  The residual contract is _half_pair's.
+    mirror) is factored whole, from a copy: op.a is never written, as a
+    solve's model may share it.  The fold, or the copy, is symmetric only
+    to rounding; its lower triangle is copied over its upper one
+    (_symmetrize) before it is factored in place, so that the factor and
+    the residual read one symmetric matrix.  The residual contract is
+    _half_pair's.
     """
     even = _EvenHalf.of(op.a)
-    lam, y, res, solves = _half_pair(even.matrix(op.a))
+    c = even.matrix(op.a)
+    if c is op.a:
+        c = np.array(op.a, order="C")
+    _symmetrize(c)
+    lam, y, res, solves = _half_pair(c)
     x = even.unfold(y)
     if np.sum(x) < 0.0:
         x = -x

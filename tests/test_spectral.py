@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -441,7 +442,10 @@ def test_mirrored_eigenpair_is_computed_on_the_even_half(intervals, h, n,
                                                          factored_sizes):
     op = assemble_dirichlet(build_grid(intervals, h), 0.5)
     assert op.a.shape[0] == n
+    given = op.a.copy()
     pair = first_eigenpair(op)
+    # a solve's model may share op.a: only its fold is factored
+    np.testing.assert_array_equal(op.a, given)
     lam, v = _dense_pair(op)
     assert abs(pair.lambda_ - lam) <= 1e-12 * lam
     assert np.max(np.abs(_unit(pair) - v)) <= 1e-12 * np.max(np.abs(v))
@@ -478,7 +482,9 @@ def test_folded_periodic_eigenpair_survives_a_jittered_retry(monkeypatch):
         return original(a, *args, **kwargs)
     monkeypatch.setattr(spectral, "cho_factor", fail_first)
     op = assemble_periodic(build_periodic_grid(48), 0.5)
+    given = op.a.copy()
     pair = first_eigenpair(op)
+    np.testing.assert_array_equal(op.a, given)
     lam, v = _dense_pair(op)
     assert abs(pair.lambda_ - lam) <= 1e-12 * np.max(np.abs(op.a))
     assert np.max(np.abs(_unit(pair) - v)) <= 1e-12 * np.max(np.abs(v))
@@ -506,8 +512,116 @@ def _perturbed_dirichlet():
 def test_operators_that_do_not_mirror_are_factored_whole(make_op,
                                                          factored_sizes):
     op = make_op()
+    given = op.a.copy()
     pair = first_eigenpair(op)
+    # factored from a copy, as a solve's model may share op.a
+    np.testing.assert_array_equal(op.a, given)
     lam, v = _dense_pair(op)
     assert abs(pair.lambda_ - lam) <= 1e-12 * lam
     assert np.max(np.abs(_unit(pair) - v)) <= 1e-12 * np.max(np.abs(v))
     assert factored_sizes == [op.a.shape[0]]
+
+
+def _counting_solves(monkeypatch):
+    """The order of the factor of every cho_solve spectral makes from now
+    on."""
+    orders = []
+    original = spectral.cho_solve
+
+    def counted(factor, *args, **kwargs):
+        orders.append(factor[0].shape[0])
+        return original(factor, *args, **kwargs)
+    monkeypatch.setattr(spectral, "cho_solve", counted)
+    return orders
+
+
+@pytest.mark.parametrize("s", [0.3, 0.6, 0.9])
+def test_first_eigenvalue_takes_a_few_solves_and_keeps_lambda(s,
+                                                               monkeypatch):
+    # the half of (0, 4) at h = 2^-9 has order 1024; ARPACK's default 20
+    # Lanczos vectors took 22 solves here, 8 vectors stopped at 1e-12 take
+    # 14, 10 and 10
+    grid = build_grid([(0.0, 4.0)], 2.0**-9)
+    half = _half_operator(grid, s)
+    solves = _counting_solves(monkeypatch)
+    lam = spectral._first_eigenvalue(grid, s)
+    few = len(solves)
+    assert few <= 16 and set(solves) == {1024}
+    # dense eigh is accurate to about eps ||C||, which is 7e-11 at s = 0.9
+    dense = eigh(half, subset_by_index=[0, 0], eigvals_only=True)[0]
+    assert abs(lam - dense) <= 1e-12 * np.max(np.abs(np.diag(half)))
+    # and lambda is the one a full 20-vector Krylov space run to ARPACK's
+    # machine precision finds
+    monkeypatch.setattr(spectral, "_KRYLOV_VECTORS", 20)
+    monkeypatch.setattr(spectral, "_LANCZOS_TOL", 0.0)
+    assert lam == pytest.approx(spectral._half_pair(half)[0], rel=1e-12)
+    assert len(solves) - few == 22
+
+
+def test_first_eigenvalue_holds_one_half_matrix():
+    # the half is factored in place and rebuilt: no second m x m matrix
+    grid = build_grid([(0.0, 4.0)], 2.0**-9)
+    m = (grid.n + 1) // 2
+    tracemalloc.start()
+    try:
+        spectral._first_eigenvalue(grid, 0.6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * m**2
+
+
+@pytest.mark.parametrize("m", [1, 2, 64, 65, 130])
+def test_symmetrize_copies_the_lower_triangle_up(m):
+    a = np.random.default_rng(m).standard_normal((m, m))
+    c = a.copy()
+    spectral._symmetrize(c)
+    np.testing.assert_array_equal(np.tril(c), np.tril(a))
+    np.testing.assert_array_equal(c, c.T)
+    diag = np.arange(m, dtype=float)
+    spectral._symmetrize(c, diag)
+    np.testing.assert_array_equal(np.diag(c), diag)
+    np.testing.assert_array_equal(np.tril(c, -1), np.tril(a, -1))
+
+
+@pytest.mark.parametrize("fail_first", [False, True], ids=["once", "retry"])
+def test_half_pair_rebuilds_the_matrix_it_factors(fail_first, monkeypatch):
+    # an exactly symmetric c comes back bit for bit, from a factor in place
+    # and from a failed one followed by a jittered retry
+    c = _half_operator(build_grid([(0.0, 1.0)], 2.0**-7), 0.5)
+    given = c.copy()
+    calls = []
+    original = spectral.cho_factor
+
+    def factor(a, *args, **kwargs):
+        calls.append(kwargs["overwrite_a"])
+        if fail_first and len(calls) == 1:
+            original(a, *args, **kwargs)  # overwrite it as a failure would
+            raise LinAlgError("not positive definite")
+        return original(a, *args, **kwargs)
+    monkeypatch.setattr(spectral, "cho_factor", factor)
+    lam, y, res, _ = spectral._half_pair(c)
+    np.testing.assert_array_equal(c, given)
+    assert calls == [True] * (1 + fail_first)
+    assert res == np.linalg.norm(given @ y - lam * y)
+
+
+@pytest.mark.parametrize("s", [0.3, 1.0])
+@pytest.mark.parametrize("intervals, h", [
+    ([(0.0, 1.0)], 2.0**-5),
+    ([(0.0, 1.0)], 1.0 / 33),
+    ([(0.0, 1.0), (1.5, 2.5)], 2.0**-5),
+], ids=["one-odd", "one-even", "pair"])
+def test_half_operator_is_exactly_symmetric(intervals, h, s):
+    half = _half_operator(build_grid(intervals, h), s)
+    assert np.array_equal(half, half.T)
+
+
+def test_fold_symmetric_to_rounding_gives_the_dense_eigenvalue():
+    # the fold of (0.2, 0.9) at h = 0.07 is symmetric only to rounding; its
+    # lower triangle, the one eigh reads, is the matrix factored and read
+    op = assemble(build_grid([(0.2, 0.9)], 0.07), 0.5)
+    c = spectral._EvenHalf.of(op.a).matrix(op.a)
+    assert not np.array_equal(c, c.T)
+    lam = eigh(c, subset_by_index=[0, 0], eigvals_only=True)[0]
+    assert abs(first_eigenpair(op).lambda_ - lam) <= 1e-12 * lam

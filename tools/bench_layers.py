@@ -14,9 +14,10 @@ all samples, and the calls one call makes (counted on a further call, by
 the name the module calls them by): of the dense factorizations,
 spectral's cho_factor, logistic's dpotrf and its symmetric-indefinite
 solve, each with the order of the matrix it factors, a dpotrf that finds
-the matrix not positive definite counted apart as "failed"; of logistic's
-MINRES solves (the periodic cell's Newton steps), with their order and, as
-"iterations", the MINRES iterations they took together; of
+the matrix not positive definite counted apart as "failed"; of spectral's
+cho_solve, the Lanczos iteration's solves with that factor, by its order;
+of logistic's MINRES solves (the periodic cell's Newton steps), with their
+order and, as "iterations", the MINRES iterations they took together; of
 solve_dirichlet from inside logistic, by the classification it returns;
 of logistic's survival certificate _survives, which critical_radius
 calls in its place, by its verdict ("survives" or "extinct"); and of the
@@ -125,11 +126,13 @@ PERIODIC_SOLVES = (("periodic-solve", 2.0),
 TRANSMISSION_SOLVES = (("transmission-solve", 1.2),
                        ("transmission-extinct-solve", 0.8))
 # (module, name) of every dense factorization entry point a case may call,
-# of the iterative solve of the periodic Newton steps, and of the survival
-# test critical_radius calls: the certificate _survives or, at an older
-# checkout, solve_dirichlet; and of the assemblies of the strategic
-# construction, and of the n x n and even-half assemblies
-COUNTED = (("spectral", "cho_factor"), ("logistic", "dpotrf"),
+# of spectral's solves with its factor, of the iterative solve of the
+# periodic Newton steps, and of the survival test critical_radius calls:
+# the certificate _survives or, at an older checkout, solve_dirichlet; and
+# of the assemblies of the strategic construction, and of the n x n and
+# even-half assemblies
+COUNTED = (("spectral", "cho_factor"), ("spectral", "cho_solve"),
+           ("logistic", "dpotrf"),
            ("logistic", "solve"), ("logistic", "minres"),
            ("logistic", "solve_dirichlet"), ("logistic", "_survives"),
            ("strategic", "assemble_dirichlet"),
@@ -317,7 +320,9 @@ def _calls(nl, fn) -> dict:
             elif _key.startswith(("strategic.", "operators.")):
                 _key += f" order={getattr(result, 'a', result).shape[0]}"
             else:
-                _key += f" order={args[0].shape[0]}"
+                # cho_solve takes the factor as (matrix, lower)
+                matrix = args[0][0] if _key == "spectral.cho_solve" else args[0]
+                _key += f" order={matrix.shape[0]}"
                 if _key.startswith("logistic.dpotrf") and result[1] != 0:
                     _key += " failed"
             counts[_key] = counts.get(_key, 0) + 1
