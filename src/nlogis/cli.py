@@ -440,13 +440,18 @@ def _run_abundance(p, jobs):
     # solid fraction of it; that level anchors the linearity sweep
     fixed = (p["interval"], p["ball_resource"], p["ball_check"], p["s"],
              p["h"], p["solver_tol"])
-    m0 = p["m_start"]
+    m0, solved = p["m_start"], {}
     for _ in range(12):
-        if _abundance_point(*fixed, m0)["ratio"] >= 0.8:
+        anchor = _abundance_point(*fixed, m0)
+        if anchor["ratio"] >= 0.8:
+            solved[m0] = anchor  # a sweep level equal to m0 reuses it
             break
         m0 *= 2.0
     levels = [f * m0 for f in p["sweep_factors"]]
-    diags = _pmap(_abundance_point, [(*fixed, m) for m in levels], jobs)
+    todo = [m for m in levels if m not in solved]
+    solved.update(zip(todo, _pmap(_abundance_point,
+                                  [(*fixed, m) for m in todo], jobs)))
+    diags = [solved[m] for m in levels]
     ratios = [d["ratio"] for d in diags]
     variation = (max(ratios) - min(ratios)) / max(ratios) if max(ratios) else 1.0
     ok_var = variation <= p["variation_tol"] and min(ratios) > 0.1

@@ -9,9 +9,9 @@ ARPACK's Lanczos iteration (scipy eigsh, 8 Lanczos vectors, stopped at a
 relative Ritz estimate of 1e-12) on A^-1, applied through one Cholesky
 factorization of A, or of A folded onto its even half when the habitat
 mirrors onto itself.  One core, _half_pair, factors its matrix in place,
-rebuilds it from the triangle LAPACK leaves untouched and reads lambda
-and the residual on it, under one residual contract; so the matrix must
-be exactly symmetric, and only one matrix of the factored order is held.
+which overwrites the upper triangle, and reads lambda and the residual on
+the strict lower triangle and diagonal LAPACK leaves, under one residual
+contract; so only one matrix of the factored order is held.
 
 The callers that need lambda alone, eigen_scaling, union_eigen_study and
 in logistic ext_crossing and critical_radius, take the even half of a grid
@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError, norm
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError
@@ -52,8 +53,9 @@ class EigenPair:
     """Smallest eigenvalue with its positive, L2-normalized eigenvector.
 
     residual is ||A e - lambda e|| for e of unit Euclidean norm, read on the
-    matrix the pair was computed on: the even half C when A mirrors, where
-    ||C y - lambda y|| equals it in exact arithmetic (see _half_pair).
+    lower triangle of the matrix the pair was computed on: the even half C
+    when A mirrors, where ||C y - lambda y|| equals it in exact arithmetic
+    (see _half_pair).
     """
 
     lambda_: float
@@ -70,40 +72,17 @@ _KRYLOV_VECTORS = 8
 _LANCZOS_TOL = 1e-12
 
 
-def _symmetrize(c: np.ndarray, diag: np.ndarray | None = None) -> None:
-    """Copy the strict lower triangle of c over its strict upper one, one
-    panel of 64 rows at a time, so that no m x m temporary is made; then
-    set the diagonal to diag when given.
-
-    This is the triangle cho_factor(c.T, lower=True) leaves untouched, so
-    after a factorization in place it rebuilds c, bit for bit when c was
-    exactly symmetric and its diagonal is diag.  A panel is copied in 64 x
-    64 tiles: a transposed tile then stays in cache, where a whole panel
-    took twice as long at order 1024.
-    """
-    m = c.shape[0]
-    for r in range(0, m, 64):
-        e = min(r + 64, m)
-        block = c[r:e, r:e]
-        upper = np.triu_indices(e - r, 1)
-        block[upper] = block.T[upper]
-        for q in range(e, m, 64):
-            c[r:e, q:q + 64] = c[q:q + 64, r:e].T
-    if diag is not None:
-        c[np.diag_indices(m)] = diag
-
-
 def _inverse_lanczos(c: np.ndarray) -> tuple[np.ndarray, int]:
     """Lanczos vector for the largest eigenvalue of (c + jitter I)^-1, after
     one more solve, and the number of solves with the factor.
 
-    c, symmetric and C-ordered, is factored in place: LAPACK factors its
-    transpose, the same symmetric matrix in Fortran order, and overwrites
-    the upper triangle of c and its diagonal.  _symmetrize rebuilds c
-    from its strict lower triangle and the saved diagonal before a
-    jittered retry and once the last solve is made, so c is returned as
-    it was given when it is exactly symmetric.  eigsh runs _KRYLOV_VECTORS
-    Lanczos vectors from the all-ones start and stops at _LANCZOS_TOL.
+    c, C-ordered, is factored in place: LAPACK factors its transpose, read
+    as symmetric from c's upper triangle and diagonal, and overwrites just
+    those.  Before a jittered retry the upper triangle is refilled from the
+    lower one; once the last solve is made the diagonal is put back, so c's
+    strict lower triangle and diagonal are returned as they were given.
+    eigsh runs _KRYLOV_VECTORS Lanczos vectors from the all-ones start and
+    stops at _LANCZOS_TOL.
     """
     n = c.shape[0]
     diag = np.diag_indices(n)
@@ -111,16 +90,6 @@ def _inverse_lanczos(c: np.ndarray) -> tuple[np.ndarray, int]:
     scale = float(np.max(np.abs(saved)))
     jitter = 0.0
     factor = None
-    while factor is None:
-        c[diag] += jitter
-        try:
-            factor = cho_factor(c.T, lower=True, overwrite_a=True,
-                                check_finite=False)
-        except LinAlgError:
-            _symmetrize(c, saved)
-            jitter = max(1e-14 * scale, 4.0 * jitter)
-            if jitter > 1e-6 * scale:
-                raise
     solves = 0
 
     def solve(x):
@@ -128,8 +97,19 @@ def _inverse_lanczos(c: np.ndarray) -> tuple[np.ndarray, int]:
         solves += 1
         return cho_solve(factor, x, check_finite=False)
 
-    inverse = LinearOperator((n, n), matvec=solve, dtype=float)
     try:
+        while factor is None:
+            c[diag] = saved + jitter
+            try:
+                factor = cho_factor(c.T, lower=True, overwrite_a=True,
+                                    check_finite=False)
+            except LinAlgError:
+                for i in range(n - 1):
+                    c[i, i + 1:] = c[i + 1:, i]
+                jitter = max(1e-14 * scale, 4.0 * jitter)
+                if jitter > 1e-6 * scale:
+                    raise
+        inverse = LinearOperator((n, n), matvec=solve, dtype=float)
         _, ritz = eigsh(inverse, k=1, which="LM", v0=np.ones(n),
                         ncv=min(n, _KRYLOV_VECTORS), tol=_LANCZOS_TOL)
         return solve(ritz[:, 0]), solves
@@ -138,7 +118,7 @@ def _inverse_lanczos(c: np.ndarray) -> tuple[np.ndarray, int]:
             f"Lanczos iteration for the first eigenpair did not converge: {exc}"
         ) from exc
     finally:
-        _symmetrize(c, saved)
+        c[diag] = saved
 
 
 class _EvenHalf:
@@ -213,11 +193,11 @@ def _half_pair(c: np.ndarray) -> tuple[float, np.ndarray, float, int]:
     symmetric c with its unit eigenvector y, by _inverse_lanczos and the
     Rayleigh quotient, and the residual ||c y - lambda y||.
 
-    c is the caller's to give up: _inverse_lanczos factors it in place and
-    rebuilds it from its strict lower triangle, so lambda and the residual
-    are read on the matrix that was factored only when c is exactly
-    symmetric (_half_operator's halves are; first_eigenpair makes its
-    matrix so).
+    c is the caller's to give up: _inverse_lanczos factors it in place from
+    its upper triangle, and c y is read by BLAS dsymv on the strict lower
+    triangle and diagonal it leaves.  A c symmetric only to rounding is
+    thus factored and checked as two matrices that differ by that rounding,
+    and the residual check covers the difference.
 
     The residual must be within 1e-10 max(1, |lambda|), or within the
     roundoff floor 4 eps ||c||_inf where that is larger (a normwise backward
@@ -226,18 +206,17 @@ def _half_pair(c: np.ndarray) -> tuple[float, np.ndarray, float, int]:
     """
     if c.shape[0] == 1:  # eigsh needs more nodes than eigenpairs
         return float(c[0, 0]), np.ones(1), 0.0, 0
+    # read while c is whole: the factor overwrites its upper triangle
+    floor = 4.0 * np.finfo(float).eps * norm(c, np.inf, check_finite=False)
     y, solves = _inverse_lanczos(c)
     y /= np.linalg.norm(y)
-    cy = c @ y
+    cy = dsymv(1.0, c.T, y, lower=0)
     lam = float(y @ cy)
     res = float(np.linalg.norm(cy - lam * y))
-    target = 1e-10 * max(1.0, abs(lam))
+    target = max(1e-10 * max(1.0, abs(lam)), floor)
     if res > target:
-        target = max(target, 4.0 * np.finfo(float).eps
-                     * norm(c, np.inf, check_finite=False))
-        if res > target:
-            raise ConvergenceError(f"eigenpair residual {res:.3e} after "
-                                   f"{solves} solves exceeds {target:.3e}")
+        raise ConvergenceError(f"eigenpair residual {res:.3e} after "
+                               f"{solves} solves exceeds {target:.3e}")
     return lam, y, res, solves
 
 
@@ -259,16 +238,13 @@ def first_eigenpair(op: NonlocalMatrix) -> EigenPair:
     is not persymmetric (a transmission form, a union whose nodes do not
     mirror) is factored whole, from a copy: op.a is never written, as a
     solve's model may share it.  The fold, or the copy, is symmetric only
-    to rounding; its lower triangle is copied over its upper one
-    (_symmetrize) before it is factored in place, so that the factor and
-    the residual read one symmetric matrix.  The residual contract is
-    _half_pair's.
+    to rounding and is factored as built: the factor reads its upper
+    triangle, the residual its lower one, under _half_pair's contract.
     """
     even = _EvenHalf.of(op.a)
     c = even.matrix(op.a)
     if c is op.a:
         c = np.array(op.a, order="C")
-    _symmetrize(c)
     lam, y, res, solves = _half_pair(c)
     x = even.unfold(y)
     if np.sum(x) < 0.0:

@@ -621,6 +621,28 @@ def test_solve_resource_profile_is_the_one_problem_spec_samples(
             row.values["max_u"]) == (rep.energy, rep.el_residual, rep.u.max())
 
 
+def test_abundance_solves_its_anchor_once(monkeypatch):
+    # the doubling loop solves 5, 10 and 20, where the ratio passes 0.8;
+    # the sweep 20, 40, 80 reuses the anchor's solve and makes two more
+    reports = {}
+
+    def recorded(spec):
+        rep = solve_dirichlet(spec)
+        reports.setdefault(float(spec.sigma.max()), []).append(rep)
+        return rep
+    monkeypatch.setattr(cli, "solve_dirichlet", recorded)
+    rows = run(parse_config(json.dumps({"experiment": "abundance",
+                                        "jobs": 1})))
+    assert sorted(reports) == [5.0, 10.0, 20.0, 40.0, 80.0]
+    assert all(len(reps) == 1 for reps in reports.values())
+    assert [r.values["m_level"] for r in rows] == [20.0, 40.0, 80.0]
+    for row in rows:
+        (rep,) = reports[row.values["m_level"]]
+        assert row.values["max_u"] == rep.u.max()
+    assert rows[0].values["ratio"] >= 0.8
+    assert all(r.passed for r in rows)
+
+
 def test_periodic_experiment_rows(tmp_path):
     cfg = parse_config(json.dumps({
         "experiment": "periodic", "n": 32, "s": 0.5,

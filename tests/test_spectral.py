@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, eigh
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import nlogis.cli as cli
@@ -222,9 +223,10 @@ def test_eigen_iteration_stops_at_the_roundoff_floor():
 
 
 def test_eigen_residual_above_its_tolerance_is_accepted_on_the_floor():
-    # on (0, 1) at s = 0.9, h = 2^-11 the half's residual 1.0e-9 exceeds
-    # 1e-10 lambda = 7.7e-10, but not the floor 4 eps ||C||_inf = 3.5e-9
-    op = assemble_dirichlet(build_grid([(0.0, 1.0)], 2.0**-11), 0.9)
+    # on (0, 1) at s = 0.99, h = 2^-11 the half's residual, 1.6e-9 with
+    # one BLAS thread and 1.4e-9 with two, exceeds 1e-10 lambda = 8.6e-10,
+    # but not the floor 4 eps ||C||_inf = 1.4e-8
+    op = assemble_dirichlet(build_grid([(0.0, 1.0)], 2.0**-11), 0.99)
     pair = first_eigenpair(op)
     assert 1e-10 * pair.lambda_ < pair.residual <= _roundoff_floor(op)
 
@@ -559,7 +561,8 @@ def test_first_eigenvalue_takes_a_few_solves_and_keeps_lambda(s,
 
 
 def test_first_eigenvalue_holds_one_half_matrix():
-    # the half is factored in place and rebuilt: no second m x m matrix
+    # the half is factored in place and the residual read on the
+    # triangle the factor leaves: no second m x m matrix
     grid = build_grid([(0.0, 4.0)], 2.0**-9)
     m = (grid.n + 1) // 2
     tracemalloc.start()
@@ -571,23 +574,11 @@ def test_first_eigenvalue_holds_one_half_matrix():
     assert peak < 1.25 * 8 * m**2
 
 
-@pytest.mark.parametrize("m", [1, 2, 64, 65, 130])
-def test_symmetrize_copies_the_lower_triangle_up(m):
-    a = np.random.default_rng(m).standard_normal((m, m))
-    c = a.copy()
-    spectral._symmetrize(c)
-    np.testing.assert_array_equal(np.tril(c), np.tril(a))
-    np.testing.assert_array_equal(c, c.T)
-    diag = np.arange(m, dtype=float)
-    spectral._symmetrize(c, diag)
-    np.testing.assert_array_equal(np.diag(c), diag)
-    np.testing.assert_array_equal(np.tril(c, -1), np.tril(a, -1))
-
-
 @pytest.mark.parametrize("fail_first", [False, True], ids=["once", "retry"])
 def test_half_pair_rebuilds_the_matrix_it_factors(fail_first, monkeypatch):
-    # an exactly symmetric c comes back bit for bit, from a factor in place
-    # and from a failed one followed by a jittered retry
+    # c's strict lower triangle and diagonal come back bit for bit, from a
+    # factor in place and from a failed one followed by a jittered retry,
+    # and the residual is read on them
     c = _half_operator(build_grid([(0.0, 1.0)], 2.0**-7), 0.5)
     given = c.copy()
     calls = []
@@ -601,9 +592,9 @@ def test_half_pair_rebuilds_the_matrix_it_factors(fail_first, monkeypatch):
         return original(a, *args, **kwargs)
     monkeypatch.setattr(spectral, "cho_factor", factor)
     lam, y, res, _ = spectral._half_pair(c)
-    np.testing.assert_array_equal(c, given)
+    np.testing.assert_array_equal(np.tril(c), np.tril(given))
     assert calls == [True] * (1 + fail_first)
-    assert res == np.linalg.norm(given @ y - lam * y)
+    assert res == np.linalg.norm(dsymv(1.0, given.T, y, lower=0) - lam * y)
 
 
 @pytest.mark.parametrize("s", [0.3, 1.0])
@@ -618,8 +609,8 @@ def test_half_operator_is_exactly_symmetric(intervals, h, s):
 
 
 def test_fold_symmetric_to_rounding_gives_the_dense_eigenvalue():
-    # the fold of (0.2, 0.9) at h = 0.07 is symmetric only to rounding; its
-    # lower triangle, the one eigh reads, is the matrix factored and read
+    # the fold of (0.2, 0.9) at h = 0.07 is symmetric only to rounding: the
+    # factor reads its upper triangle, lambda its lower one, as eigh does
     op = assemble(build_grid([(0.2, 0.9)], 0.07), 0.5)
     c = spectral._EvenHalf.of(op.a).matrix(op.a)
     assert not np.array_equal(c, c.T)
