@@ -32,12 +32,19 @@ on the nodal system is tried first, the model's own: on a bounded habitat
 its Hessian is factored by Cholesky, and by a symmetric-indefinite solve
 only when it is not positive definite (known without factoring when the
 curvature along the probe is negative); on the periodic cell it is solved
-by MINRES with a circulant preconditioner.  A backtracking gradient step
-is the fallback.  A Newton step whose predicted decrease lies below what
-the energy resolves goes to an endgame that accepts it on a halved
-residual.  The final iterate is replaced by its absolute value, which can
-only lower the energy, and descended from once more.  A report is
-converged only when the residual is within the tolerance.
+by MINRES with a circulant preconditioner.  Where no Newton step is
+accepted and the model's probe e (the first eigenvector once it is
+computed, else the boundary profile) shows negative curvature (near the
+unstable zero, where each symmetric-indefinite Newton direction can point
+uphill), a curvature step goes along +-e, downhill, first to the
+minimizer of the cubic model of E along e, then backtracking (More and
+Sorensen 1979; Gould, Lucidi, Roma and Toint 2000).  A backtracking
+Barzilai-Borwein gradient step is the fallback.  A Newton step whose
+predicted decrease lies below what the energy resolves goes to an endgame
+that accepts it on a halved residual.  The final iterate is replaced by
+its absolute value, which can only lower the energy, and descended from
+once more.  A report is converged only when the residual is within the
+tolerance.
 """
 
 from __future__ import annotations
@@ -110,7 +117,8 @@ class _EnergyModel:
     """E(u) = 1/2 h u^T A_eff u + h sum(mu |u|^3/3 + lin u^2/2 - src u).
 
     probe is (e, A_eff e) for a field e along which the Hessian is expected
-    to have negative curvature; every bounded problem's model has one.  even
+    to have negative curvature; every bounded problem's model has one, and
+    its descent steps along e where that curvature is negative.  even
     maps the full fields to the model's coordinates: the identity, except
     on a model built on its even half (_half_model).
     """
@@ -136,9 +144,10 @@ class _EnergyModel:
         self.probe = (e, ae)
         return ae
 
-    def indefinite_along(self, u: np.ndarray, e: np.ndarray,
-                         ae: np.ndarray) -> bool:
-        """True when e^T H(u) e < 0, which proves H(u) not positive definite.
+    def negative_curvature(self, u: np.ndarray, e: np.ndarray,
+                           ae: np.ndarray) -> float:
+        """e^T H(u) e when it is negative, which proves H(u) not positive
+        definite; else 0.
 
         The O(n) quadratic form must be negative by more than its rounding
         error (as many ulps of the sum of its terms' magnitudes as the model
@@ -149,7 +158,9 @@ class _EnergyModel:
         e2 = e * e
         curvature = float(e @ ae) + float(bulk @ e2)
         magnitude = float(self.abs_diag @ e2) + float(np.abs(bulk) @ e2)
-        return curvature < -e.size * np.finfo(float).eps * magnitude
+        if curvature < -e.size * np.finfo(float).eps * magnitude:
+            return curvature
+        return 0.0
 
     def sup_norm(self, v: np.ndarray) -> float:
         """Sup norm of the full field whose coordinates are v, a field of
@@ -193,7 +204,7 @@ class _EnergyModel:
         tried when the model's probe already shows negative curvature.
         """
         hess = self.hessian(u)
-        if self.probe is None or not self.indefinite_along(u, *self.probe):
+        if self.probe is None or not self.negative_curvature(u, *self.probe):
             factor, info = dpotrf(hess.T, lower=True, overwrite_a=True,
                                   clean=False)
             if info == 0:
@@ -256,6 +267,21 @@ class _CirculantModel(_EnergyModel):
         return d if info == 0 else None
 
 
+def _backtrack(model: _EnergyModel, u: np.ndarray, e: float, d: np.ndarray,
+               slope: float, t: float, tries: int):
+    """(u + t d, its energy, t) for the first of the lengths t, t/2, ...
+    (tries of them) whose step strictly lowers the energy e = E(u) and by
+    at least 1e-4 t h slope, slope = g.d being the rate along d of E / h;
+    None when none does."""
+    for _ in range(tries):
+        trial = u + t * d
+        e_trial = model.energy(trial)
+        if e_trial < e and e_trial <= e + 1e-4 * t * model.h * slope:
+            return trial, e_trial, t
+        t *= 0.5
+    return None
+
+
 def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
                   e: float | None = None):
     """Descend from u, whose energy is e (computed when not given)."""
@@ -285,14 +311,9 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
                 # the energy resolves would only find roundoff ties
                 resolution = model.resolution(u, e)
                 if slope < 0.0 and -0.5 * model.h * slope > resolution:
-                    t = 1.0
-                    for _ in range(30):
-                        trial = u + t * d
-                        e_trial = model.energy(trial)
-                        if e_trial < e and e_trial <= e + 1e-4 * t * model.h * slope:
-                            u, e, accepted = trial, e_trial, True
-                            break
-                        t *= 0.5
+                    step = _backtrack(model, u, e, d, slope, 1.0, 30)
+                    if step is not None:
+                        (u, e, _), accepted = step, True
                 if not accepted:
                     # endgame: the Newton correction may move the energy by
                     # less than roundoff resolves; accept on a solid residual
@@ -310,6 +331,20 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
                 newton_skip = min(2 ** newton_failures, 64)
         else:
             newton_skip -= 1
+        if not accepted and model.probe is not None:
+            # negative curvature along the probe e (near the unstable zero):
+            # step along +-e downhill, first to the minimizer of the cubic
+            # model g.d t + c t^2/2 + b t^3/3 of E / h, then backtracking
+            probe, probe_ae = model.probe
+            c = model.negative_curvature(u, probe, probe_ae)
+            b = float(model.mu @ np.abs(probe) ** 3)
+            if c < 0.0 and b > 0.0:
+                d = -probe if float(g @ probe) > 0.0 else probe
+                slope = float(g @ d)
+                t = (-c + np.sqrt(c * c - 4.0 * b * slope)) / (2.0 * b)
+                step = _backtrack(model, u, e, d, slope, t, 60)
+                if step is not None:
+                    (u, e, _), accepted = step, True
         if not accepted:
             # safeguarded gradient step, Barzilai-Borwein initial size
             t = grad_step
@@ -321,19 +356,13 @@ def _descend_loop(model: _EnergyModel, u: np.ndarray, tol: float, max_iter: int,
                     t = float(du @ du) / curv
             t = min(max(t, 1e-12), 1e8)
             prev_u, prev_g = u, g
-            gnorm2 = float(g @ g)
-            for _ in range(60):
-                trial = u - t * g
-                e_trial = model.energy(trial)
-                if e_trial < e and e_trial <= e - 1e-4 * t * model.h * gnorm2:
-                    u, e, accepted = trial, e_trial, True
-                    grad_step = 2.0 * t
-                    break
-                t *= 0.5
-            if not accepted:
+            step = _backtrack(model, u, e, -g, -float(g @ g), t, 60)
+            if step is None:
                 # line search exhausted: numerically stationary
                 converged = model.sup_norm(model.gradient(u)) <= tol
                 break
+            u, e, t = step
+            grad_step = 2.0 * t
         history.append(e)
     return u, history, it, converged
 
@@ -354,7 +383,7 @@ def _zero_is_minimizer(model: _EnergyModel,
     if isinstance(model, _CirculantModel):
         return False
     zeros = np.zeros(model.lin.size)
-    if model.indefinite_along(zeros, *model.probe):
+    if model.negative_curvature(zeros, *model.probe):
         return False
     _, info = dpotrf(model.hessian(zeros, out=out).T, lower=True,
                      overwrite_a=True, clean=False)
@@ -623,8 +652,10 @@ def solve_dirichlet(spec: ProblemSpec, max_iter: int = 800) -> SolveReport:
     first start rides the first eigenvector, computed only when zero is not
     certified, at the amplitude of the small-amplitude expansion
     (_eigen_start), budget max_iter; the eigenvector then replaces the
-    profile as the probe of the Newton steps.  The second is a microscopic
-    constant perturbation of zero, budget min(max_iter, 300).  A problem
+    profile as the probe of the Newton steps and of the curvature steps.
+    The second is a microscopic constant perturbation of zero, budget
+    min(max_iter, 300), which leaves zero by curvature steps along the
+    eigenvector, as its Newton directions there point uphill.  A problem
     whose habitat, sigma and mu mirror onto themselves (one interval, two
     congruent intervals; constant or even resources) is built, certified
     and descended on its even half, m = ceil(n/2) nodes (_half_model), and

@@ -819,7 +819,7 @@ def test_dirichlet_certificate_settled_by_the_boundary_profile(s, monkeypatch):
     _, model = _problem(spec)
     zeros = np.zeros(spec.grid.n)
     ones = np.ones(spec.grid.n)
-    assert not model.indefinite_along(zeros, ones, model.a_eff @ ones)
+    assert not model.negative_curvature(zeros, ones, model.a_eff @ ones)
     _, info = dpotrf(model.hessian(zeros).T, lower=True)
     cholesky = "trivial" if info == 0 else "nontrivial"
     verdicts = _certificate_verdicts(monkeypatch)
@@ -1290,6 +1290,44 @@ def test_fine_grid_solve_meets_its_tolerance():
     rep = solve_dirichlet(spec)
     assert rep.classification == "nontrivial"
     assert rep.el_residual <= spec.solver_tol * _residual_scale(spec)
+
+
+@pytest.mark.parametrize("probe", ["eigenvector", "negated eigenvector",
+                                   "boundary profile"])
+def test_microscopic_start_leaves_the_unstable_zero_along_the_probe(probe):
+    # near zero every symmetric-indefinite Newton direction points uphill;
+    # gradient steps, capped by the stiff operator, took 134 iterations to
+    # leave it, the curvature step along the model's probe a few: along
+    # the first eigenvector once it is computed, the boundary profile
+    # before; it goes downhill whichever sign the probe has
+    grid = build_grid([(-1.0, 1.0)], 2.0**-5)  # n = 63, does not mirror
+    sigma = sample_function(grid, lambda x: _dipped(x, 30.0, 0.6, 0.2))
+    spec = problem_spec(grid, 0.75, sigma, 1.0)
+    op, model = logistic._half_model(spec)
+    assert op is not None and model.lin.size == grid.n == 63
+    tol = spec.solver_tol * _residual_scale(spec)
+    u, history, _, _, ok = _minimize_model(
+        model, logistic._eigen_start(spec, op, model), tol, 800)
+    assert ok
+    e = model.probe[0]  # positive, as the boundary profile
+    if probe == "negated eigenvector":
+        model.set_probe(-e)
+    elif probe == "boundary profile":
+        e = logistic._boundary_profile(grid, spec.s)
+        model.set_probe(e)
+    tiny = np.full(grid.n, 0.1 * spec.triviality_tol)
+    first, _, _, _ = logistic._descend_loop(model, tiny, tol, 1)
+    t = float((first - tiny) @ e) / float(e @ e)
+    assert t > 0.0
+    np.testing.assert_allclose(first - tiny, t * e, rtol=0.0,
+                               atol=1e-12 * t * np.max(np.abs(e)))
+    _, tiny_history, iters, _, ok = _minimize_model(model, tiny, tol, 300)
+    assert ok and iters <= 15
+    assert abs(tiny_history[-1] - history[-1]) <= model.resolution(
+        u, history[-1])
+    rep = minimize(spec, Field(grid=grid, values=tiny))
+    assert rep.converged and rep.classification == "nontrivial"
+    assert np.all(np.diff(rep.history) <= 0.0)
 
 
 # ---------------------------------------------------------------------------
